@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"lowfive/h5"
@@ -129,5 +132,89 @@ func FuzzHandleRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		vol := NewDistMetadataVOL(nil, nil)
 		vol.HandleRequestBytes(buf)
+	})
+}
+
+// --- stream segments ---
+
+// appendSegment encodes one stream segment the way StreamRegions does.
+func appendSegment(payload []byte, box grid.Box, data []byte) []byte {
+	e := &h5.Encoder{Buf: payload}
+	encodeBox(e, box)
+	e.PutI64(int64(len(data)))
+	return append(e.Buf, data...)
+}
+
+// consumeFixture is a 2-D uint32 read of [2..5]x[1..4] out of an 8x6 extent
+// and a valid frame of two segments covering rows 0..3 and 4..7, every
+// element holding its row-major index in the extent.
+func consumeFixture() (sel *h5.Dataspace, valid, want []byte) {
+	sel = h5.NewSimple(8, 6)
+	if err := sel.SelectHyperslab(h5.SelectSet, []int64{2, 1}, []int64{4, 4}); err != nil {
+		panic(err)
+	}
+	rows := func(lo, hi int64) (grid.Box, []byte) {
+		var vals []uint32
+		for i := lo * 6; i < (hi+1)*6; i++ {
+			vals = append(vals, uint32(i))
+		}
+		return grid.Box{Min: []int64{lo, 0}, Max: []int64{hi, 5}}, h5.Bytes(vals)
+	}
+	for _, r := range [][2]int64{{0, 3}, {4, 7}} {
+		box, data := rows(r[0], r[1])
+		valid = appendSegment(valid, box, data)
+	}
+	var vals []uint32
+	for i := int64(2); i <= 5; i++ {
+		for j := int64(1); j <= 4; j++ {
+			vals = append(vals, uint32(i*6+j))
+		}
+	}
+	return sel, valid, h5.Bytes(vals)
+}
+
+func TestStreamConsumeMalformedSegments(t *testing.T) {
+	sel, valid, want := consumeFixture()
+	dst := make([]byte, len(want))
+	if err := newStreamTarget(dst, sel, 4).consume(valid); err != nil || !bytes.Equal(dst, want) {
+		t.Fatalf("valid frame: err=%v dst=%v want %v", err, dst, want)
+	}
+	row := make([]byte, 6*4)
+	huge := grid.Box{Min: []int64{math.MinInt64 / 2, 0}, Max: []int64{math.MaxInt64 / 2, 5}}
+	for _, c := range []struct {
+		name, want string
+		payload    []byte
+	}{
+		{"1-D segment against the 2-D read", "stream segment rank 1",
+			appendSegment(nil, grid.Box{Min: []int64{0}, Max: []int64{5}}, row)},
+		{"3-D segment against the 2-D read", "stream segment rank 3",
+			appendSegment(nil, grid.Box{Min: []int64{0, 0, 0}, Max: []int64{0, 0, 5}}, row)},
+		{"rank 0", "stream segment rank 0", appendSegment(nil, grid.Box{}, nil)},
+		{"truncated data", "truncated", valid[:len(valid)-1]},
+		{"truncated header", "does not match its box", valid[:20]},
+		{"length and box disagree", "does not match its box",
+			appendSegment(nil, grid.Box{Min: []int64{2, 0}, Max: []int64{3, 5}}, row)},
+		{"point count overflows", "exceeds its frame", appendSegment(nil, huge, row)},
+	} {
+		err := newStreamTarget(make([]byte, len(want)), sel, 4).consume(c.payload)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err=%v, want one naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzStreamConsume: a frame payload is input from another process. Whatever
+// it holds, consume returns an error or places bytes — it never panics and
+// never writes outside dst (the race/bounds checker's job) — and the valid
+// frame always parses. The corpus in testdata/fuzz/FuzzStreamConsume holds
+// the malformed cases above; `go test -run FuzzStreamConsume` replays it.
+func FuzzStreamConsume(f *testing.F) {
+	sel, valid, want := consumeFixture()
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		dst := make([]byte, len(want))
+		err := newStreamTarget(dst, sel, 4).consume(payload)
+		if bytes.Equal(payload, valid) && (err != nil || !bytes.Equal(dst, want)) {
+			t.Errorf("valid frame: err=%v dst=%v", err, dst)
+		}
 	})
 }

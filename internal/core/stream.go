@@ -194,10 +194,18 @@ type streamTarget struct {
 	boxes []grid.Box // fileSel's selection boxes
 	bases []int64    // running element offset of each box in dst
 	es    int
+
+	// Scratch of fileSel's rank reused across segments, so consume allocates
+	// nothing: the decoded segment box and its intersection with a target box.
+	seg, region grid.Box
 }
 
 func newStreamTarget(dst []byte, fileSel *h5.Dataspace, es int) *streamTarget {
+	rank := fileSel.Rank()
 	t := &streamTarget{dst: dst, boxes: fileSel.SelectionBoxes(), es: es}
+	scratch := make([]int64, 4*rank)
+	t.seg = grid.Box{Min: scratch[:rank], Max: scratch[rank : 2*rank]}
+	t.region = grid.Box{Min: scratch[2*rank : 3*rank], Max: scratch[3*rank:]}
 	t.bases = make([]int64, len(t.boxes))
 	base := int64(0)
 	for i, b := range t.boxes {
@@ -214,16 +222,26 @@ func (t *streamTarget) consume(payload []byte) error {
 	r := buf.NewReader(payload)
 	for r.Len() > 0 {
 		nd := r.I64()
-		if !r.OK() || nd < 0 || nd > 64 {
-			return fmt.Errorf("lowfive: corrupt stream segment rank %d", nd)
+		if !r.OK() || nd <= 0 || nd != int64(t.seg.Dim()) {
+			return fmt.Errorf("lowfive: stream segment rank %d does not match the read's rank %d", nd, t.seg.Dim())
 		}
-		box := grid.Box{Min: make([]int64, nd), Max: make([]int64, nd)}
-		for k := int64(0); k < nd; k++ {
-			box.Min[k] = r.I64()
-			box.Max[k] = r.I64()
+		// Count the box's points as it is decoded, bounded by what the rest
+		// of the payload could hold, so that hostile bounds cannot overflow
+		// the count into agreeing with the length field.
+		points, limit := int64(1), int64(r.Len()/max(t.es, 1))
+		for k := range t.seg.Min {
+			lo, hi := r.I64(), r.I64()
+			t.seg.Min[k], t.seg.Max[k] = lo, hi
+			if cnt := hi - lo + 1; hi < lo {
+				points, limit = 0, 0
+			} else if cnt <= 0 || points > limit/cnt {
+				return fmt.Errorf("lowfive: stream segment box %v exceeds its frame", t.seg)
+			} else {
+				points *= cnt
+			}
 		}
 		n := r.I64()
-		if !r.OK() || n != box.NumPoints()*int64(t.es) {
+		if !r.OK() || n != points*int64(t.es) {
 			return fmt.Errorf("lowfive: stream segment length %d does not match its box", n)
 		}
 		data := r.Span(int(n))
@@ -231,11 +249,11 @@ func (t *streamTarget) consume(payload []byte) error {
 			return fmt.Errorf("lowfive: truncated stream segment")
 		}
 		for i, rb := range t.boxes {
-			region := box.Intersect(rb)
-			if region.IsEmpty() {
+			t.seg.IntersectInto(rb, t.region)
+			if t.region.IsEmpty() {
 				continue
 			}
-			grid.CopyRegion(t.dst[t.bases[i]*int64(t.es):], rb, data, box, region, t.es)
+			grid.CopyRegion(t.dst[t.bases[i]*int64(t.es):], rb, data, t.seg, t.region, t.es)
 		}
 	}
 	return nil

@@ -106,15 +106,22 @@ func (b Box) Contains(pt []int64) bool {
 
 // Intersect returns the intersection of two boxes (possibly empty).
 func (b Box) Intersect(o Box) Box {
-	if b.Dim() != o.Dim() {
+	out := Box{Min: make([]int64, b.Dim()), Max: make([]int64, b.Dim())}
+	b.IntersectInto(o, out)
+	return out
+}
+
+// IntersectInto is Intersect into the storage of out, a box of the same
+// dimension: a caller intersecting in a loop keeps one scratch box instead of
+// allocating two slices per intersection.
+func (b Box) IntersectInto(o, out Box) {
+	if b.Dim() != o.Dim() || b.Dim() != out.Dim() {
 		panic("grid: intersecting boxes of different dimension")
 	}
-	out := Box{Min: make([]int64, b.Dim()), Max: make([]int64, b.Dim())}
 	for d := range b.Min {
 		out.Min[d] = max64(b.Min[d], o.Min[d])
 		out.Max[d] = min64(b.Max[d], o.Max[d])
 	}
-	return out
 }
 
 // Intersects reports whether the two boxes share at least one point.
@@ -194,57 +201,17 @@ func Coords(dims []int64, idx int64) []int64 {
 // length. Adjacent rows that happen to be contiguous in memory (because the
 // box spans the full extent of the trailing dimensions) are coalesced into a
 // single run — this coalescing is the serialization optimization the paper
-// credits for LowFive beating the hand-written MPI code at small scale.
+// credits for LowFive beating the hand-written MPI code at small scale. The
+// box must lie inside the extent.
 func (b Box) Runs(dims []int64, fn func(offset, length int64)) {
-	if b.IsEmpty() {
-		return
+	var lo, hi [8]int64 // keeps the extent box of up to 8 dims off the heap
+	extent := Box{Min: lo[:0], Max: hi[:0]}
+	for _, n := range dims {
+		extent.Min = append(extent.Min, 0)
+		extent.Max = append(extent.Max, n-1)
 	}
-	d := b.Dim()
-	if d != len(dims) {
-		panic("grid: box/extent dimension mismatch")
-	}
-	// Find how many trailing dimensions the box spans completely; runs can
-	// be coalesced across those.
-	full := 0
-	for k := d - 1; k >= 0; k-- {
-		if b.Min[k] == 0 && b.Max[k] == dims[k]-1 {
-			full++
-		} else {
-			break
-		}
-	}
-	// Run length: the innermost non-full dimension's extent in the box times
-	// the product of the full trailing extents.
-	runLen := int64(1)
-	for k := d - full; k < d; k++ {
-		runLen *= dims[k]
-	}
-	lead := d - full // dimensions we iterate over, the innermost of which contributes a contiguous segment
-	if lead > 0 {
-		runLen *= b.Max[lead-1] - b.Min[lead-1] + 1
-	}
-	if lead <= 1 {
-		// Entire box is a single contiguous run.
-		pt := append([]int64(nil), b.Min...)
-		fn(LinearIndex(dims, pt), runLen)
-		return
-	}
-	// Iterate over the leading lead-1 dimensions.
-	pt := append([]int64(nil), b.Min...)
-	for {
-		fn(LinearIndex(dims, pt), runLen)
-		// Increment pt over dims [0, lead-1), odometer-style.
-		k := lead - 2
-		for k >= 0 {
-			pt[k]++
-			if pt[k] <= b.Max[k] {
-				break
-			}
-			pt[k] = b.Min[k]
-			k--
-		}
-		if k < 0 {
-			return
-		}
+	var w walk
+	for lead, ok := w.init(b, extent, b); ok; ok = w.next(lead) {
+		fn(w.a, w.n)
 	}
 }

@@ -10,92 +10,120 @@ func LocalIndex(b Box, pt []int64) int64 {
 	return idx
 }
 
+// walk enumerates the maximal contiguous runs a region shares between two
+// row-major buffers, one holding box a and one holding box b. A packed side
+// (gather output, scatter input) is the buffer of the region itself, so its
+// caller passes region as that side's box.
+//
+// Every trailing dimension the region spans completely in both boxes is
+// folded into the run, so an [N,3] row range or a whole block is one run.
+// The remaining leading dimensions form an odometer whose per-digit offset
+// deltas are computed once; stepping does no index arithmetic beyond two
+// additions.
+type walk struct {
+	a, b int64      // element offsets of the current run in the two buffers
+	n    int64      // run length in elements
+	buf  [8]walkDim // backs the odometer of up to 8 digits, on the stack with w
+}
+
+// walkDim is one odometer digit: da and db move the offsets from the last
+// run of one index of this dimension to the first run of the next.
+type walkDim struct {
+	i, cnt int64
+	da, db int64
+}
+
+// init positions w on the first run and returns the odometer for next,
+// innermost digit first; ok is false if there is no run. It panics if region
+// is not inside both boxes: offsets computed from an outside region would
+// address the wrong bytes, or none.
+func (w *walk) init(region, a, b Box) (lead []walkDim, ok bool) {
+	if region.IsEmpty() {
+		return nil, false
+	}
+	d := region.Dim()
+	inside := a.Dim() == d && b.Dim() == d
+	for k := 0; inside && k < d; k++ {
+		inside = region.Min[k] >= a.Min[k] && region.Max[k] <= a.Max[k] && region.Min[k] >= b.Min[k] && region.Max[k] <= b.Max[k]
+	}
+	if !inside {
+		panic("grid: region " + region.String() + " not inside boxes " + a.String() + " and " + b.String())
+	}
+	// Fold trailing dimensions into the run while the region spans both boxes
+	// there; dimension j contributes its segment and ends the run.
+	j := d - 1
+	for j > 0 && region.Min[j] == a.Min[j] && region.Max[j] == a.Max[j] && region.Min[j] == b.Min[j] && region.Max[j] == b.Max[j] {
+		j--
+	}
+	// Walk the dimensions innermost first, carrying each box's element stride
+	// and how far the odometer digits inside the current one have advanced.
+	w.a, w.b, w.n, lead = 0, 0, 1, w.buf[:0]
+	sa, sb := int64(1), int64(1)
+	var inA, inB int64
+	for k := d - 1; k >= 0; k-- {
+		cnt := region.Max[k] - region.Min[k] + 1
+		w.a += (region.Min[k] - a.Min[k]) * sa
+		w.b += (region.Min[k] - b.Min[k]) * sb
+		if k >= j {
+			w.n *= cnt
+		} else if cnt > 1 {
+			lead = append(lead, walkDim{cnt: cnt, da: sa - inA, db: sb - inB})
+			inA += (cnt - 1) * sa
+			inB += (cnt - 1) * sb
+		}
+		sa *= a.Max[k] - a.Min[k] + 1
+		sb *= b.Max[k] - b.Min[k] + 1
+	}
+	return lead, true
+}
+
+// next advances to the following run in row-major order and reports whether
+// there was one.
+func (w *walk) next(lead []walkDim) bool {
+	for k := range lead {
+		p := &lead[k]
+		if p.i++; p.i < p.cnt {
+			w.a += p.da
+			w.b += p.db
+			return true
+		}
+		p.i = 0
+	}
+	return false
+}
+
 // CopyRegion copies the lattice points of region from src to dst, where src
 // holds srcBox in row-major order and dst holds dstBox in row-major order,
 // with elemSize bytes per point. region must be contained in both boxes.
-// Rows of the region are copied as contiguous chunks.
 func CopyRegion(dst []byte, dstBox Box, src []byte, srcBox Box, region Box, elemSize int) {
-	if region.IsEmpty() {
-		return
-	}
-	d := region.Dim()
-	rowLen := region.Max[d-1] - region.Min[d-1] + 1
-	pt := append([]int64(nil), region.Min...)
-	for {
-		so := LocalIndex(srcBox, pt) * int64(elemSize)
-		do := LocalIndex(dstBox, pt) * int64(elemSize)
-		copy(dst[do:do+rowLen*int64(elemSize)], src[so:so+rowLen*int64(elemSize)])
-		// Odometer over all but the last dimension.
-		k := d - 2
-		for k >= 0 {
-			pt[k]++
-			if pt[k] <= region.Max[k] {
-				break
-			}
-			pt[k] = region.Min[k]
-			k--
-		}
-		if k < 0 {
-			return
-		}
+	var w walk
+	es := int64(elemSize)
+	for lead, ok := w.init(region, dstBox, srcBox); ok; ok = w.next(lead) {
+		copy(dst[w.a*es:(w.a+w.n)*es], src[w.b*es:(w.b+w.n)*es])
 	}
 }
 
 // GatherRegion appends the points of region (row-major) from src, which
 // holds srcBox in row-major order, to out and returns the extended slice.
 func GatherRegion(out []byte, src []byte, srcBox Box, region Box, elemSize int) []byte {
-	if region.IsEmpty() {
-		return out
+	var w walk
+	es := int64(elemSize)
+	for lead, ok := w.init(region, srcBox, region); ok; ok = w.next(lead) {
+		out = append(out, src[w.a*es:(w.a+w.n)*es]...)
 	}
-	d := region.Dim()
-	rowBytes := (region.Max[d-1] - region.Min[d-1] + 1) * int64(elemSize)
-	pt := append([]int64(nil), region.Min...)
-	for {
-		so := LocalIndex(srcBox, pt) * int64(elemSize)
-		out = append(out, src[so:so+rowBytes]...)
-		k := d - 2
-		for k >= 0 {
-			pt[k]++
-			if pt[k] <= region.Max[k] {
-				break
-			}
-			pt[k] = region.Min[k]
-			k--
-		}
-		if k < 0 {
-			return out
-		}
-	}
+	return out
 }
 
 // ScatterRegion is the inverse of GatherRegion: it consumes len(region)
 // points from data (row-major over region) and writes them into dst, which
 // holds dstBox in row-major order. It returns the number of bytes consumed.
 func ScatterRegion(dst []byte, dstBox Box, data []byte, region Box, elemSize int) int64 {
-	if region.IsEmpty() {
-		return 0
+	var w walk
+	es := int64(elemSize)
+	for lead, ok := w.init(region, dstBox, region); ok; ok = w.next(lead) {
+		copy(dst[w.a*es:(w.a+w.n)*es], data[w.b*es:(w.b+w.n)*es])
 	}
-	d := region.Dim()
-	rowBytes := (region.Max[d-1] - region.Min[d-1] + 1) * int64(elemSize)
-	pt := append([]int64(nil), region.Min...)
-	consumed := int64(0)
-	for {
-		do := LocalIndex(dstBox, pt) * int64(elemSize)
-		copy(dst[do:do+rowBytes], data[consumed:consumed+rowBytes])
-		consumed += rowBytes
-		k := d - 2
-		for k >= 0 {
-			pt[k]++
-			if pt[k] <= region.Max[k] {
-				break
-			}
-			pt[k] = region.Min[k]
-			k--
-		}
-		if k < 0 {
-			return consumed
-		}
-	}
+	return region.NumPoints() * es
 }
 
 // Subtract returns a minus b as a set of disjoint boxes. The result has at

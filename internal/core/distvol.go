@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -172,10 +171,10 @@ type DistMetadataVOL struct {
 
 	indexes map[string]map[string][]indexEntry // file -> dataset path -> entries
 
-	// parked holds consumer requests for files this producer does not have
-	// yet — e.g. a consumer racing ahead to the next timestep's file while
-	// we are still serving the current one. They are replayed at the start
-	// of each subsequent serve session.
+	// parked holds consumer requests for files not yet indexed on this rank
+	// — e.g. a consumer racing ahead to the next timestep's file while we
+	// are still writing it. They are answered when the file's serve session
+	// starts (see replayParked).
 	parked map[*mpi.Intercomm][]parkedReq
 
 	// servers holds the per-intercommunicator receive loops that multiplex
@@ -250,7 +249,9 @@ type ServeStats struct {
 	BytesServed int64
 	// DoneMessages is the number of consumer done notifications received.
 	DoneMessages int64
-	// ParkedRequests counts requests deferred to a later serve session.
+	// ParkedRequests counts requests that arrived before their file was
+	// indexed on this rank; each is counted once and answered when the
+	// file's serve session starts.
 	ParkedRequests int64
 	// ChunksServed is the number of stream frames sent for data queries.
 	ChunksServed int64
@@ -311,7 +312,7 @@ type QueryStats struct {
 type parkedReq struct {
 	src int
 	seq uint64
-	req []byte
+	req request
 }
 
 type icPattern struct {
@@ -457,6 +458,10 @@ func (v *DistMetadataVOL) FileCreate(name string, fapl *h5.FileAccessProps) (h5.
 	}
 	mf := fh.(*metaFile)
 	if ics := v.fileIntercomms(name, RoleProduce); len(ics) > 0 && mf.node != nil {
+		// A re-created file is not answerable until its new index is built.
+		v.serveMu.Lock()
+		delete(v.indexes, name)
+		v.serveMu.Unlock()
 		mf.closeHook = func(f *metaFile) error {
 			if !v.ServeOnClose {
 				return nil
@@ -732,15 +737,16 @@ func (v *DistMetadataVOL) icServerFor(ic *mpi.Intercomm) *icServer {
 
 // serveIntercomm implements Algorithm 2 for one intercommunicator: answer
 // redirect and data queries until all remote ranks sent done for this file.
-// Requests referencing files this rank does not have yet (a consumer racing
-// ahead to a future timestep) are parked and replayed when they become
-// answerable.
+// The file is indexed by now, so requests for it that arrived early are
+// answered first — whether or not the receive loop is already running for
+// another session.
 func (v *DistMetadataVOL) serveIntercomm(name string, ic *mpi.Intercomm) error {
 	if tr := v.track(); tr != nil {
 		t0 := tr.Begin()
 		defer func() { tr.End(t0, "core", "serve", trace.Str("file", name)) }()
 	}
 	s := v.icServerFor(ic)
+	v.replayParked(s)
 
 	// Register the session, consuming any dones that arrived early.
 	s.mu.Lock()
@@ -778,11 +784,11 @@ func (v *DistMetadataVOL) serveIntercomm(name string, ic *mpi.Intercomm) error {
 	return nil
 }
 
-// serveLoop is the single receiver for an intercommunicator. It replays
-// parked requests, then receives until every registered session has
-// finished, exiting so a blocked receive never outlives the rank. A crash
-// of this rank (or a world abort) unwinds here: the loop releases every
-// waiting session instead of killing the process with an unhandled panic.
+// serveLoop is the single receiver for an intercommunicator. It receives
+// until every registered session has finished, exiting so a blocked receive
+// never outlives the rank. A crash of this rank (or a world abort) unwinds
+// here: the loop releases every waiting session instead of killing the
+// process with an unhandled panic.
 func (v *DistMetadataVOL) serveLoop(s *icServer) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -798,14 +804,6 @@ func (v *DistMetadataVOL) serveLoop(s *icServer) {
 			s.mu.Unlock()
 		}
 	}()
-	// Replay requests parked by earlier loops.
-	v.serveMu.Lock()
-	replay := v.parked[s.ic]
-	v.parked[s.ic] = nil
-	v.serveMu.Unlock()
-	for _, pr := range replay {
-		v.processRequest(s, pr.src, pr.seq, pr.req)
-	}
 	for {
 		s.mu.Lock()
 		active := len(s.sessions)
@@ -815,133 +813,150 @@ func (v *DistMetadataVOL) serveLoop(s *icServer) {
 			return
 		}
 		s.mu.Unlock()
-		src, seq, req := s.srv.Recv()
-		v.processRequest(s, src, seq, req)
+		src, seq, raw := s.srv.Recv()
+		v.processRequest(s, src, seq, raw)
 	}
 }
 
-func (v *DistMetadataVOL) processRequest(s *icServer, src int, seq uint64, req []byte) {
-	if len(req) > 0 && req[0] == opDataStream {
-		// Streamed responses write frames directly; they never park (a
-		// missing file streams empty, like the scalar zero-piece response).
-		if adm := v.admission(); adm != nil {
-			// Admission-controlled path: dispatch on a goroutine so the
-			// receive loop keeps draining (and shedding) while up to
-			// MaxInflightServes streams run concurrently. Goroutine count is
-			// bounded by the requests actually in flight: each one either
-			// holds an admission slot, waits in a capped tenant queue, or
-			// sheds within the queue deadline.
-			go v.serveDataStreamAdmitted(adm, s, src, seq, req)
-			return
+// processRequest decodes one request — once, with the one decoder for
+// every op — and dispatches it. Nothing makes an undecodable request
+// answerable, so it is answered empty instead of parked forever.
+func (v *DistMetadataVOL) processRequest(s *icServer, src int, seq uint64, raw []byte) {
+	req, err := decodeRequest(raw)
+	if err != nil {
+		if req.op == opDataStream {
+			s.srv.NewStream(src, seq, v.chunkPool()).Close()
+		} else {
+			s.srv.Respond(src, seq, encodeBoxesResp(nil))
 		}
-		v.serveDataStream(s, src, seq, req)
 		return
+	}
+	v.dispatch(s, src, seq, req)
+}
+
+// replayParked answers the requests parked on s whose file has been indexed
+// since they arrived. A crash of this rank mid-replay unwinds here; the
+// session wait that follows reports it.
+func (v *DistMetadataVOL) replayParked(s *icServer) {
+	defer func() {
+		if r := recover(); r != nil && !mpi.IsHaltPanic(r) {
+			panic(r)
+		}
+	}()
+	v.serveMu.Lock()
+	var ready []parkedReq
+	waiting := v.parked[s.ic][:0]
+	for _, pr := range v.parked[s.ic] {
+		if _, ok := v.indexes[pr.req.file]; ok {
+			ready = append(ready, pr)
+		} else {
+			waiting = append(waiting, pr)
+		}
+	}
+	v.parked[s.ic] = waiting
+	v.serveMu.Unlock()
+	for _, pr := range ready {
+		v.dispatch(s, pr.src, pr.seq, pr.req)
+	}
+}
+
+// dispatch is the one dispatch for a decoded consumer request. A done
+// is always taken; anything else is answerable only once its file is
+// indexed on this rank — created, or even closed, is not enough, since a
+// half-built tree or a missing index would answer with a partial hierarchy,
+// an empty redirect list or an empty stream, and the consumer would read
+// zeros without an error. Unanswerable requests park until the file's serve
+// session starts. An answerable request is answered inline (metadata and
+// redirect queries), streamed under serveMu, or streamed from an admitted
+// goroutine (MaxInflightServes > 0).
+func (v *DistMetadataVOL) dispatch(s *icServer, src int, seq uint64, req request) {
+	v.instruments()
+	var t0 time.Time
+	tr := v.track()
+	if tr != nil || v.mServeLat != nil {
+		t0 = time.Now()
 	}
 	v.serveMu.Lock()
-	resp, isDone, file, park := v.handleRequest(req)
-	if park {
-		v.parked[s.ic] = append(v.parked[s.ic], parkedReq{src: src, seq: seq, req: req})
-		v.stats.ParkedRequests++
+	if req.op == opDone {
+		v.stats.DoneMessages++
 		v.serveMu.Unlock()
-		return
-	}
-	v.serveMu.Unlock()
-	if isDone {
+		v.observeServe(req, t0, 0)
 		// Acknowledge before the session bookkeeping: a fault-tolerant
 		// consumer blocks on this ack, and the server's dedup cache makes a
 		// retried done count once.
 		s.srv.Respond(src, seq, []byte{1})
 		s.mu.Lock()
-		if sess, ok := s.sessions[file]; ok {
+		if sess, ok := s.sessions[req.file]; ok {
 			sess.got++
 			if sess.got >= sess.want {
-				delete(s.sessions, file)
+				delete(s.sessions, req.file)
 				close(sess.finished)
 			}
 		} else {
 			// Done for a session not yet registered (another rank's close
 			// raced ahead); credit it when the session starts.
-			s.pendingDone[file]++
+			s.pendingDone[req.file]++
 		}
 		s.mu.Unlock()
 		return
 	}
-	if resp != nil {
+	if _, indexed := v.indexes[req.file]; !indexed {
+		v.parked[s.ic] = append(v.parked[s.ic], parkedReq{src: src, seq: seq, req: req})
+		v.stats.ParkedRequests++
+		v.serveMu.Unlock()
+		return
+	}
+	switch adm := v.admission(); {
+	case req.op != opDataStream:
+		resp := v.answer(req)
+		v.serveMu.Unlock()
+		v.observeServe(req, t0, len(resp))
 		s.srv.Respond(src, seq, resp)
+	case adm != nil:
+		v.serveMu.Unlock()
+		// Dispatch on a goroutine so the receive loop keeps draining (and
+		// shedding) while up to MaxInflightServes streams run concurrently.
+		// Goroutine count is bounded by the requests actually in flight:
+		// each one either holds an admission slot, waits in a capped tenant
+		// queue, or sheds within the queue deadline.
+		go v.serveDataStreamAdmitted(adm, s, src, seq, req)
+	default:
+		// Admission control off: the whole stream runs under serveMu,
+		// preserving single-threaded rank semantics.
+		v.countStream(v.streamResponse(s, src, seq, req))
+		v.serveMu.Unlock()
 	}
 }
 
-// handleRequest dispatches one consumer request. A nil response means
-// one-way (done). The returned file name is meaningful for done messages.
-// park=true means the request refers to a file this rank does not have yet.
-func (v *DistMetadataVOL) handleRequest(req []byte) (resp []byte, isDone bool, file string, park bool) {
-	d := &h5.Decoder{Buf: req}
-	op := d.U8()
-	file = d.String()
-	v.instruments()
+// answer builds the response to an answerable metadata or redirect query;
+// the caller holds serveMu.
+func (v *DistMetadataVOL) answer(req request) []byte {
+	if req.op == opMetadata {
+		v.stats.MetadataRequests++
+		fn, _ := v.File(req.file) // nil once the file was removed after serving
+		return encodeMetadataResp(fn)
+	}
+	var ranks []int
+	seen := map[int]bool{}
+	for _, ent := range v.indexes[req.file][req.dset] {
+		if ent.box.Dim() == req.box.Dim() && ent.box.Intersects(req.box) && !seen[ent.src] {
+			seen[ent.src] = true
+			ranks = append(ranks, ent.src)
+		}
+	}
+	v.stats.BoxQueries++
+	return encodeBoxesResp(ranks)
+}
+
+// observeServe records one inline-answered request into the serve-latency
+// histogram and the trace.
+func (v *DistMetadataVOL) observeServe(req request, t0 time.Time, bytes int) {
 	if v.mServeLat != nil {
-		start := time.Now()
-		defer func() {
-			if park {
-				return // parked requests are replayed (and then recorded) later
-			}
-			v.mServeLat.Observe(time.Since(start))
-		}()
+		v.mServeLat.Observe(time.Since(t0))
 	}
 	if tr := v.track(); tr != nil {
-		t0 := time.Now()
-		defer func() {
-			if park {
-				return // parked requests are replayed (and then recorded) later
-			}
-			tr.Span("core", "serve."+opName(op), t0, time.Now(),
-				trace.Str("file", file), trace.I64("bytes", int64(len(resp))))
-		}()
-	}
-	switch op {
-	case opMetadata:
-		fn, ok := v.File(file)
-		if !ok {
-			return nil, false, file, true
-		}
-		v.stats.MetadataRequests++
-		return encodeMetadataResp(fn), false, file, false
-	case opBoxes:
-		dset := d.String()
-		bb := decodeBox(d)
-		var ranks []int
-		seen := map[int]bool{}
-		for _, ent := range v.indexes[file][dset] {
-			if ent.box.Intersects(bb) && !seen[ent.src] {
-				seen[ent.src] = true
-				ranks = append(ranks, ent.src)
-			}
-		}
-		v.stats.BoxQueries++
-		return encodeBoxesResp(ranks), false, file, false
-	case opData:
-		dset := d.String()
-		sel := h5.DecodeDataspace(d)
-		e := &h5.Encoder{}
-		served := false
-		if fn, ok := v.File(file); ok {
-			if node, err := fn.Resolve(dset); err == nil {
-				if err := node.EncodeRegions(e, sel); err == nil {
-					served = true
-				}
-			}
-		}
-		if !served {
-			e.PutI64(0)
-		}
-		v.stats.DataQueries++
-		v.stats.BytesServed += int64(len(e.Buf))
-		return e.Buf, false, file, false
-	case opDone:
-		v.stats.DoneMessages++
-		return nil, true, file, false
-	default:
-		return encodeBoxesResp(nil), false, file, false
+		tr.Span("core", "serve."+opName(req.op), t0, time.Now(),
+			trace.Str("file", req.file), trace.I64("bytes", int64(bytes)))
 	}
 }
 
@@ -952,8 +967,6 @@ func opName(op uint8) string {
 		return "metadata"
 	case opBoxes:
 		return "boxes"
-	case opData:
-		return "data"
 	case opDone:
 		return "done"
 	case opDataStream:
@@ -998,15 +1011,6 @@ func (v *DistMetadataVOL) QueryStats() QueryStats {
 
 // --- consumer side ---
 
-// distFile is the consumer-side handle to a file living in a producer task.
-type distFile struct {
-	vol    *DistMetadataVOL
-	name   string
-	ic     *mpi.Intercomm
-	client *rpc.Client
-	root   *Node
-}
-
 // clientFor returns this rank's RPC client for an intercommunicator,
 // creating it on first use with the VOL's fault-tolerance settings (all
 // zero by default: fail-stop semantics). Set CallTimeout/CallRetries/
@@ -1035,7 +1039,7 @@ func (v *DistMetadataVOL) clientFor(ic *mpi.Intercomm) *rpc.Client {
 
 // rpcMethod classifies a request body by its protocol op so the RPC client
 // can label its per-method latency histograms ("rpc.client.call_us.boxes",
-// ".data", ".datastream", ...).
+// ".datastream", ...).
 func rpcMethod(req []byte) string {
 	if len(req) == 0 {
 		return "unknown"
@@ -1166,8 +1170,7 @@ func (v *DistMetadataVOL) openRemote(name string, ic *mpi.Intercomm) (h5.FileHan
 		}
 		return nil, fmt.Errorf("lowfive: opening %q remotely: %w", name, lastErr)
 	}
-	f := &distFile{vol: v, name: name, ic: ic, client: client, root: root}
-	return f, nil
+	return v.newRemoteFile(name, root, &liveSource{ic: ic, client: client}), nil
 }
 
 // fileFallbackOpen opens the named file through the base connector (full
@@ -1189,277 +1192,6 @@ func (v *DistMetadataVOL) fileFallbackOpen(name string) (h5.FileHandle, error) {
 	return &metaFile{vol: v.MetadataVOL, name: name, base: bh}, nil
 }
 
-// Close sends done to every producer rank, releasing its serve loop. With
-// fault tolerance on, each done is acknowledged (and retried if lost) —
-// a lost done would strand the producer's serve session. Two per-rank
-// failures are tolerated, and neither stops the remaining ranks from being
-// notified: a crashed producer (its sessions already unwound), and an
-// exhausted retry budget on the acknowledgment. The latter is the last-ack
-// race: a producer counts its final done and exits the serve loop, so a
-// corrupted or lost ack can never be replayed from the dedup cache. While
-// the serve loop is alive, any one of the retries would have been answered
-// (fresh or replayed); a terminal timeout therefore means the done was
-// counted and only its ack died, not that the done was lost.
-func (f *distFile) Close() error {
-	v := f.vol
-	var first error
-	for p := 0; p < f.ic.RemoteSize(); p++ {
-		if v != nil && v.CallTimeout > 0 {
-			if _, err := f.client.Call(p, encodeDone(f.name)); err != nil {
-				var rf *mpi.RankFailedError
-				var tmo *rpc.TimeoutError
-				if errors.As(err, &rf) || errors.As(err, &tmo) {
-					continue
-				}
-				if first == nil {
-					first = fmt.Errorf("lowfive: closing %q: %w", f.name, err)
-				}
-				continue
-			}
-		} else {
-			f.client.Notify(p, encodeDone(f.name))
-		}
-		if v != nil && v.OnDoneAcked != nil {
-			// Per-producer-rank granularity: a partially-acknowledged close
-			// (some producer ranks answered, then the task crashed) must
-			// credit exactly the acknowledged ranks on restart.
-			v.OnDoneAcked(f.ic, f.name, p)
-		}
-	}
-	return first
-}
-
-func (f *distFile) object(n *Node) *distObject { return &distObject{file: f, node: n} }
-
-func (f *distFile) GroupCreate(string) (h5.ObjectHandle, error) {
-	return nil, fmt.Errorf("lowfive: remote file %q is read-only", f.name)
-}
-func (f *distFile) GroupOpen(name string) (h5.ObjectHandle, error) {
-	return f.object(f.root).GroupOpen(name)
-}
-func (f *distFile) DatasetCreate(string, *h5.Datatype, *h5.Dataspace) (h5.DatasetHandle, error) {
-	return nil, fmt.Errorf("lowfive: remote file %q is read-only", f.name)
-}
-func (f *distFile) DatasetOpen(name string) (h5.DatasetHandle, error) {
-	return f.object(f.root).DatasetOpen(name)
-}
-func (f *distFile) Children() ([]h5.ObjectInfo, error) { return f.object(f.root).Children() }
-func (f *distFile) Delete(string) error {
-	return fmt.Errorf("lowfive: remote file %q is read-only", f.name)
-}
-func (f *distFile) AttributeWrite(string, *h5.Datatype, *h5.Dataspace, []byte) error {
-	return fmt.Errorf("lowfive: remote file %q is read-only", f.name)
-}
-func (f *distFile) AttributeRead(name string) (*h5.Datatype, *h5.Dataspace, []byte, error) {
-	return f.object(f.root).AttributeRead(name)
-}
-func (f *distFile) AttributeNames() ([]string, error) { return f.object(f.root).AttributeNames() }
-
-// distObject is a consumer-side group handle over the fetched metadata.
-type distObject struct {
-	file *distFile
-	node *Node
-}
-
-func (o *distObject) GroupCreate(string) (h5.ObjectHandle, error) {
-	return nil, fmt.Errorf("lowfive: remote file %q is read-only", o.file.name)
-}
-
-func (o *distObject) GroupOpen(name string) (h5.ObjectHandle, error) {
-	c, ok := o.node.Child(name)
-	if !ok || c.Kind != h5.KindGroup {
-		return nil, fmt.Errorf("lowfive: group %q not found under %q", name, o.node.Path())
-	}
-	return &distObject{file: o.file, node: c}, nil
-}
-
-func (o *distObject) DatasetCreate(string, *h5.Datatype, *h5.Dataspace) (h5.DatasetHandle, error) {
-	return nil, fmt.Errorf("lowfive: remote file %q is read-only", o.file.name)
-}
-
-func (o *distObject) DatasetOpen(name string) (h5.DatasetHandle, error) {
-	c, ok := o.node.Child(name)
-	if !ok || c.Kind != h5.KindDataset {
-		return nil, fmt.Errorf("lowfive: dataset %q not found under %q", name, o.node.Path())
-	}
-	return &distDataset{file: o.file, node: c}, nil
-}
-
-func (o *distObject) Children() ([]h5.ObjectInfo, error) {
-	var out []h5.ObjectInfo
-	for _, c := range o.node.Children() {
-		out = append(out, h5.ObjectInfo{Name: c.Name, Kind: c.Kind})
-	}
-	return out, nil
-}
-
-func (o *distObject) Delete(string) error {
-	return fmt.Errorf("lowfive: remote file %q is read-only", o.file.name)
-}
-
-func (o *distObject) AttributeWrite(string, *h5.Datatype, *h5.Dataspace, []byte) error {
-	return fmt.Errorf("lowfive: remote file %q is read-only", o.file.name)
-}
-
-func (o *distObject) AttributeRead(name string) (*h5.Datatype, *h5.Dataspace, []byte, error) {
-	a, ok := o.node.Attribute(name)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("lowfive: attribute %q not found on %q", name, o.node.Path())
-	}
-	return a.Type, a.Space, a.Data, nil
-}
-
-func (o *distObject) AttributeNames() ([]string, error) { return o.node.AttributeNames(), nil }
-
-func (o *distObject) Close() error { return nil }
-
-// distDataset reads via Algorithm 3.
-type distDataset struct {
-	file *distFile
-	node *Node
-}
-
-func (d *distDataset) Datatype() *h5.Datatype   { return d.node.Type }
-func (d *distDataset) Dataspace() *h5.Dataspace { return d.node.Space.Clone().SelectAll() }
-
-func (d *distDataset) Write(_, _ *h5.Dataspace, _ []byte) error {
-	return fmt.Errorf("lowfive: remote dataset %q is read-only", d.node.Path())
-}
-
-// Read implements Algorithm 3 over the streaming data plane: query the
-// common-decomposition block owners intersecting the selection's bounding
-// box for redirects, then drain one bounded-chunk stream per producer that
-// has data, scattering each frame directly into the destination buffer —
-// no whole-selection attachment is ever materialized on either side.
-func (d *distDataset) Read(memSpace, fileSpace *h5.Dataspace, data []byte) error {
-	es := d.node.Type.Size
-	if fileSpace == nil {
-		fileSpace = d.node.Space.Clone().SelectAll()
-	}
-	v := d.file.vol
-	var t0 time.Time
-	tr := v.track()
-	if tr != nil {
-		t0 = time.Now()
-	}
-	// With no memory-space mapping, frames scatter straight into the
-	// caller's buffer; otherwise they stage into one packed buffer that is
-	// scattered once at the end.
-	var dst []byte
-	staged := memSpace != nil
-	if staged {
-		dst = make([]byte, fileSpace.NumSelected()*int64(es))
-	} else {
-		dst = data[:fileSpace.NumSelected()*int64(es)]
-	}
-	tq := time.Now()
-	err := v.queryStream(d.file.client, d.file.ic, d.file.name, d.node, fileSpace, dst)
-	if tr != nil {
-		tr.Span("core", "query", t0, time.Now(),
-			trace.Str("dataset", d.node.Path()),
-			trace.I64("bytes", fileSpace.NumSelected()*int64(es)))
-	}
-	if err != nil {
-		// Even a fast failure goes to the flight recorder: a sweep that
-		// fails on this query must be able to show it afterwards.
-		reason := "file-fallback"
-		var tmo *rpc.TimeoutError
-		var ovl *rpc.OverloadedError
-		var brk *rpc.BreakerOpenError
-		switch {
-		case errors.As(err, &ovl):
-			reason = "shed"
-		case errors.As(err, &brk):
-			reason = "breaker-open"
-		case errors.As(err, &tmo):
-			reason = "retries-exhausted"
-		}
-		v.recordQueryFault(d.file.name, d.node.Path(), time.Since(tq), reason)
-		if ovl != nil || brk != nil {
-			// Overload is transient by design: the producer is alive and
-			// told us when to come back, so degrading to the file system
-			// would both mask the shed and pile more load onto shared
-			// storage. Surface the typed error; the caller backs off.
-			return fmt.Errorf("lowfive: reading %q: %w", d.node.Path(), err)
-		}
-		// The in-memory transport failed (a producer crashed, or retries
-		// ran dry). The data a crashed rank held exists nowhere else in
-		// memory — but if the producer also wrote the file to storage, the
-		// paper's file transport doubles as the recovery path. The fallback
-		// pieces cover the whole selection, overwriting any partial stream.
-		fp, ferr := v.fallbackPieces(d.file.name, d.node.Path(), fileSpace, es)
-		if ferr != nil {
-			return fmt.Errorf("lowfive: reading %q: %w (file fallback: %v)", d.node.Path(), err, ferr)
-		}
-		v.qmu.Lock()
-		v.qstats.FileFallbacks++
-		v.qmu.Unlock()
-		if tr != nil {
-			tr.Instant("core", "query.file-fallback", trace.Str("dataset", d.node.Path()))
-		}
-		AssemblePiecesInto(dst, fileSpace, fp, es)
-	}
-	if staged {
-		h5.ScatterSelected(data, memSpace, dst, es)
-	}
-	return nil
-}
-
-// QueryPieces runs the two steps of Algorithm 3 and returns the raw pieces.
-func QueryPieces(client *rpc.Client, ic *mpi.Intercomm, file string, node *Node, fileSpace *h5.Dataspace) ([]Piece, error) {
-	var v *DistMetadataVOL // no stats accounting for the bare function
-	return v.queryPieces(client, ic, file, node, fileSpace)
-}
-
-// queryPieces is QueryPieces plus consumer-side stats accounting; the
-// receiver may be nil.
-func (v *DistMetadataVOL) queryPieces(client *rpc.Client, ic *mpi.Intercomm, file string, node *Node, fileSpace *h5.Dataspace) ([]Piece, error) {
-	bb := fileSpace.Bounds()
-	if bb.IsEmpty() {
-		return nil, nil
-	}
-	start := time.Now()
-	// Step 1: redirects from the owners of intersecting blocks. Requests to
-	// all owners are pipelined (posted as nonblocking sends) before any
-	// response is awaited. An owner that fails is retried on its replicas
-	// ((owner+k) mod n holds the same index entries when ReplicationFactor
-	// is set on both sides).
-	order, boxWait, nOwners, err := v.queryOwners(client, ic, file, node, bb)
-	if err != nil {
-		return nil, err
-	}
-	// Step 2: request the data from each producer that has some, again
-	// pipelined. Data is held only by the rank that wrote it — no replica
-	// can answer for a crashed writer, so a failure here propagates and the
-	// caller degrades to the file transport.
-	var pieces []Piece
-	var dataBytes int64
-	t1 := time.Now()
-	dataResps, err := client.CallAll(order, encodeDataReq(file, node.Path(), fileSpace))
-	if err != nil {
-		return nil, err
-	}
-	for i, resp := range dataResps {
-		ps, err := decodeDataResp(resp)
-		if err != nil {
-			return nil, fmt.Errorf("lowfive: data query to producer %d: %w", order[i], err)
-		}
-		dataBytes += int64(len(resp))
-		pieces = append(pieces, ps...)
-	}
-	if v != nil {
-		v.qmu.Lock()
-		v.qstats.BoxQueries += int64(nOwners)
-		v.qstats.DataQueries += int64(len(order))
-		v.qstats.BytesFetched += dataBytes
-		v.qstats.WaitTime += boxWait + time.Since(t1)
-		v.qmu.Unlock()
-		v.instruments()
-		v.mQueryLat.Observe(time.Since(start))
-	}
-	return pieces, nil
-}
-
 // callReplicas retries a failed query on the replica owners of a block:
 // (owner+k) mod n for k < repl, which hold the same index entries when the
 // producer built the index with the matching ReplicationFactor.
@@ -1469,7 +1201,7 @@ func (v *DistMetadataVOL) callReplicas(client *rpc.Client, owner, repl, n int, r
 		dest := (owner + k) % n
 		resp, err := client.Call(dest, req)
 		if err == nil {
-			if k > 0 && v != nil {
+			if k > 0 {
 				v.qmu.Lock()
 				v.qstats.Failovers++
 				v.qmu.Unlock()
@@ -1484,23 +1216,3 @@ func (v *DistMetadataVOL) callReplicas(client *rpc.Client, owner, repl, n int, r
 	}
 	return nil, lastErr
 }
-
-func (d *distDataset) SetExtent([]int64) error {
-	return fmt.Errorf("lowfive: remote dataset %q is read-only", d.node.Path())
-}
-
-func (d *distDataset) AttributeWrite(string, *h5.Datatype, *h5.Dataspace, []byte) error {
-	return fmt.Errorf("lowfive: remote dataset %q is read-only", d.node.Path())
-}
-
-func (d *distDataset) AttributeRead(name string) (*h5.Datatype, *h5.Dataspace, []byte, error) {
-	a, ok := d.node.Attribute(name)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("lowfive: attribute %q not found on %q", name, d.node.Path())
-	}
-	return a.Type, a.Space, a.Data, nil
-}
-
-func (d *distDataset) AttributeNames() ([]string, error) { return d.node.AttributeNames(), nil }
-
-func (d *distDataset) Close() error { return nil }

@@ -1,13 +1,16 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lowfive/h5"
 	"lowfive/internal/core"
 	"lowfive/internal/grid"
+	"lowfive/internal/stage"
 	"lowfive/mpi"
 )
 
@@ -1143,5 +1146,192 @@ func TestDistReadAsConversionInSitu(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestDistStreamedOverwriteOrder(t *testing.T) {
+	// One producer writes two overlapping hyperslabs of an [8,8] u16
+	// dataset, the second overwriting the first, and streams frames so small
+	// that every read spans several of them. Each consumer read must equal
+	// the producer's ReadPacked of the same selection: segments keep triple
+	// order across frame boundaries.
+	dims := []int64{8, 8}
+	selection := func(i int) *h5.Dataspace {
+		sel := h5.NewSimple(dims...)
+		switch i {
+		case 0:
+			sel.SelectAll()
+		case 1:
+			sel.SelectHyperslab(h5.SelectSet, []int64{2, 1}, []int64{4, 6})
+		case 2:
+			sel.SelectHyperslab(h5.SelectSet, []int64{0, 0}, []int64{2, 8})
+			sel.SelectHyperslab(h5.SelectOr, []int64{4, 3}, []int64{4, 2})
+		}
+		return sel
+	}
+	const reads = 3
+	packed := make(chan [][]byte, 1)
+	err := mpi.RunWorkflow([]mpi.TaskSpec{
+		{Name: "prod", Procs: 1, Main: func(p *mpi.Proc) {
+			vol := core.NewDistMetadataVOL(p.Task, nil)
+			vol.SetIntercomm("*", p.Intercomm("cons"))
+			vol.ChunkBytes = 128
+			f, _ := h5.CreateFile("ow.h5", h5.NewFileAccessProps(vol))
+			ds, _ := f.CreateDataset("d", h5.U16, h5.NewSimple(dims...))
+			for i, slab := range [][2][]int64{{{0, 0}, {5, 8}}, {{3, 2}, {5, 4}}} {
+				sel := h5.NewSimple(dims...)
+				sel.SelectHyperslab(h5.SelectSet, slab[0], slab[1])
+				vals := make([]uint16, sel.NumSelected())
+				for k := range vals {
+					vals[k] = uint16(1000*(i+1) + k)
+				}
+				if err := ds.Write(nil, sel, h5.Bytes(vals)); err != nil {
+					t.Error(err)
+				}
+			}
+			fn, _ := vol.File("ow.h5")
+			node, err := fn.Resolve("d")
+			if err != nil {
+				t.Error(err)
+			}
+			var want [][]byte
+			for i := 0; i < reads; i++ {
+				b, _ := node.ReadPacked(selection(i))
+				want = append(want, b)
+			}
+			packed <- want
+			f.Close()
+			if st := vol.Stats(); st.ChunksServed <= reads {
+				t.Errorf("%d frames for %d reads: no read spans frames", st.ChunksServed, reads)
+			}
+		}},
+		{Name: "cons", Procs: 1, Main: func(p *mpi.Proc) {
+			want := <-packed
+			f, err := h5.OpenFile("ow.h5", distFapl(p, "prod"))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ds, _ := f.OpenDataset("d")
+			for i := 0; i < reads; i++ {
+				got := make([]byte, len(want[i]))
+				if err := ds.Read(nil, selection(i), got); err != nil {
+					t.Error(err)
+				}
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("read %d: got %v want %v", i, h5.View[uint16](got), h5.View[uint16](want[i]))
+				}
+			}
+			f.Close()
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRemoteHandlesLiveAndStaged(t *testing.T) {
+	// One read-only handle tree serves both a live open (fetched from the
+	// producer task) and a staged one (a committed epoch of the log): reads
+	// work, and every mutation is refused on file, group and dataset alike.
+	for _, staged := range []bool{false, true} {
+		t.Run(map[bool]string{false: "live", true: "staged"}[staged], func(t *testing.T) {
+			var store *stage.Store
+			if staged {
+				store = stage.NewStore(stage.Options{})
+			}
+			err := mpi.RunWorkflow([]mpi.TaskSpec{
+				{Name: "prod", Procs: 1, Main: func(p *mpi.Proc) {
+					vol := core.NewDistMetadataVOL(p.Task, nil)
+					vol.SetIntercomm("*", p.Intercomm("cons"))
+					vol.Stage = store
+					f, _ := h5.CreateFile("ro.h5", h5.NewFileAccessProps(vol))
+					f.WriteAttribute("fa", h5.U8, []byte{4})
+					g, _ := f.CreateGroup("g")
+					g.WriteAttribute("ga", h5.U8, []byte{5})
+					ds, _ := g.CreateDataset("d", h5.U8, h5.NewSimple(2))
+					ds.WriteAttribute("da", h5.U8, []byte{6})
+					ds.Write(nil, nil, []byte{1, 2})
+					if err := f.Close(); err != nil {
+						t.Error(err)
+					}
+				}},
+				{Name: "cons", Procs: 1, Main: func(p *mpi.Proc) {
+					vol := core.NewDistMetadataVOL(p.Task, nil)
+					vol.SetIntercomm("*", p.Intercomm("prod"))
+					vol.Stage = store
+					f, err := h5.OpenFile("ro.h5", h5.NewFileAccessProps(vol))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer f.Close()
+					g, err := f.OpenGroup("g")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					ds, err := g.OpenDataset("d")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for _, c := range []struct {
+						name string
+						kids func() ([]h5.ObjectInfo, error)
+						want string
+					}{{"file", f.Children, "g"}, {"group", g.Children, "d"}} {
+						if kids, err := c.kids(); err != nil || len(kids) != 1 || kids[0].Name != c.want {
+							t.Errorf("%s children %v %v", c.name, kids, err)
+						}
+					}
+					for _, c := range []struct {
+						name, attr string
+						read       func(string) (*h5.Datatype, []byte, error)
+						want       byte
+					}{{"file", "fa", f.ReadAttribute, 4}, {"group", "ga", g.ReadAttribute, 5}, {"dataset", "da", ds.ReadAttribute, 6}} {
+						if _, data, err := c.read(c.attr); err != nil || len(data) != 1 || data[0] != c.want {
+							t.Errorf("%s attribute %v %v", c.name, data, err)
+						}
+					}
+					out := make([]byte, 2)
+					if err := ds.Read(nil, nil, out); err != nil || !bytes.Equal(out, []byte{1, 2}) {
+						t.Errorf("read %v %v", out, err)
+					}
+					one := h5.NewSimple(1)
+					type mutation struct {
+						name string
+						do   func() error
+					}
+					var muts []mutation
+					for _, o := range []struct {
+						name string
+						h    h5.ObjectHandle
+					}{{"file", f.Handle()}, {"group", g.Handle()}} {
+						h := o.h
+						muts = append(muts,
+							mutation{o.name + " GroupCreate", func() error { _, err := h.GroupCreate("x"); return err }},
+							mutation{o.name + " DatasetCreate", func() error { _, err := h.DatasetCreate("x", h5.U8, one); return err }},
+							mutation{o.name + " Delete", func() error { return h.Delete("g") }},
+							mutation{o.name + " AttributeWrite", func() error { return h.AttributeWrite("x", h5.U8, one, []byte{1}) }},
+						)
+					}
+					dh := ds.Handle()
+					muts = append(muts,
+						mutation{"dataset AttributeWrite", func() error { return dh.AttributeWrite("x", h5.U8, one, []byte{1}) }},
+						mutation{"dataset Write", func() error { return dh.Write(nil, nil, []byte{9, 9}) }},
+						mutation{"dataset SetExtent", func() error { return dh.SetExtent([]int64{4}) }},
+					)
+					for _, m := range muts {
+						if err := m.do(); err == nil || !strings.Contains(err.Error(), "read-only") {
+							t.Errorf("%s: err=%v, want a read-only refusal", m.name, err)
+						}
+					}
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -83,17 +83,6 @@ func FuzzDecodeBoxesResp(f *testing.F) {
 	})
 }
 
-func FuzzDecodeDataResp(f *testing.F) {
-	e := &h5.Encoder{}
-	e.PutI64(1)
-	encodeBox(e, grid.Box{Min: []int64{0}, Max: []int64{3}})
-	e.PutBytes([]byte{1, 2, 3, 4})
-	seedMutations(f, e.Buf)
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		decodeDataResp(buf)
-	})
-}
-
 func FuzzDecodeDataspace(f *testing.F) {
 	sp, err := h5.NewSimpleMax([]int64{8, 8}, []int64{16, 16})
 	if err != nil {
@@ -120,18 +109,110 @@ func FuzzDecodeDatatype(f *testing.F) {
 	})
 }
 
+// requestFixture is a producer VOL holding outfile.h5 — /state/grid, an
+// [8,8] u16 dataset written as two overlapping hyperslabs, the second
+// overwriting the first — with its index in place, so every request op
+// reaches its answer path.
+func requestFixture(t testing.TB) (*DistMetadataVOL, *Node) {
+	vol := NewDistMetadataVOL(nil, nil)
+	fn := NewFileNode("outfile.h5")
+	g := NewGroupNode("state")
+	ds := NewDatasetNode("grid", h5.U16, h5.NewSimple(8, 8))
+	if err := g.AddChild(ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := fn.AddChild(g); err != nil {
+		t.Fatal(err)
+	}
+	var entries []indexEntry
+	for i, box := range []grid.Box{
+		{Min: []int64{0, 0}, Max: []int64{4, 7}},
+		{Min: []int64{3, 2}, Max: []int64{7, 5}},
+	} {
+		sel := h5.NewSimple(8, 8)
+		if err := sel.SelectBox(h5.SelectSet, box); err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]uint16, box.NumPoints())
+		for k := range vals {
+			vals[k] = uint16(100*(i+1) + k)
+		}
+		if err := ds.RecordWrite(nil, sel, h5.Bytes(vals)); err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, indexEntry{box: box, src: i})
+	}
+	vol.indexes["outfile.h5"] = map[string][]indexEntry{"/state/grid": entries}
+	vol.putFile("outfile.h5", fn)
+	return vol, ds
+}
+
+// segmentBuffer collects StreamRegions' segments into one payload, in place
+// of a response stream.
+type segmentBuffer struct{ payload []byte }
+
+func (b *segmentBuffer) MaxSegment() int { return 96 } // small: regions span several segments
+
+func (b *segmentBuffer) Grab(n int) []byte {
+	b.payload = append(b.payload, make([]byte, n)...)
+	return b.payload[len(b.payload)-n:]
+}
+
+// answerRaw decodes a request and runs it through its answer path the way
+// dispatch would once the file is indexed, minus the transport. A streamed
+// answer whose selection lies inside the dataset must scatter at the
+// consumer to exactly what ReadPacked assembles at the producer.
+func answerRaw(t *testing.T, vol *DistMetadataVOL, buf []byte) {
+	req, err := decodeRequest(buf)
+	if err != nil {
+		return
+	}
+	switch req.op {
+	case opMetadata, opBoxes:
+		vol.serveMu.Lock()
+		vol.answer(req)
+		vol.serveMu.Unlock()
+	case opDataStream:
+		node := vol.streamSource(req)
+		if node == nil {
+			return
+		}
+		var sb segmentBuffer
+		if err := node.StreamRegions(&sb, req.sel); err != nil {
+			t.Fatalf("streaming %v: %v", req.sel, err)
+		}
+		extent := grid.WholeExtent(node.Space.Dims())
+		for _, b := range req.sel.SelectionBoxes() {
+			if !b.IsEmpty() && !(extent.Contains(b.Min) && extent.Contains(b.Max)) {
+				return
+			}
+		}
+		if req.sel.NumSelected() > 1024 {
+			return
+		}
+		want, _ := node.ReadPacked(req.sel)
+		got := make([]byte, len(want))
+		if err := newStreamTarget(got, req.sel, 2).consume(sb.payload); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("streamed read of %v: err=%v\n got %v\nwant %v", req.sel, err, got, want)
+		}
+	}
+}
+
+// FuzzHandleRequest feeds the one request decoder and the answer paths
+// behind it. Whatever a faulty peer delivers, nothing panics, and a streamed
+// answer always places the bytes ReadPacked would. The corpus in
+// testdata/fuzz/FuzzHandleRequest adds truncated data-stream requests and
+// hostile selections.
 func FuzzHandleRequest(f *testing.F) {
-	// Valid requests for each opcode, plus mutations: the server-side
-	// dispatcher must never panic on what a faulty peer delivers.
 	seedMutations(f, encodeMetadataReq("outfile.h5"))
 	seedMutations(f, encodeBoxesReq("outfile.h5", "/state/grid", grid.Box{Min: []int64{0, 0}, Max: []int64{7, 7}}))
 	sel := h5.NewSimple(8, 8)
-	sel.SelectBox(h5.SelectSet, grid.Box{Min: []int64{0, 0}, Max: []int64{3, 3}})
-	seedMutations(f, encodeDataReq("outfile.h5", "/state/grid", sel))
+	sel.SelectBox(h5.SelectSet, grid.Box{Min: []int64{2, 1}, Max: []int64{5, 6}})
+	seedMutations(f, encodeDataStreamReq("outfile.h5", "/state/grid", sel))
 	seedMutations(f, encodeDone("outfile.h5"))
+	vol, _ := requestFixture(f)
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		vol := NewDistMetadataVOL(nil, nil)
-		vol.HandleRequestBytes(buf)
+		answerRaw(t, vol, buf)
 	})
 }
 

@@ -108,7 +108,7 @@ func (v *DistMetadataVOL) healthFor(ic *mpi.Intercomm) *rankHealth {
 // hedging reports whether query hedging is enabled: it needs a hedge delay,
 // bounded attempts, and more than one rank able to answer.
 func (v *DistMetadataVOL) hedging() bool {
-	return v != nil && v.HedgeDelay > 0 && v.CallTimeout > 0 && v.ReplicationFactor > 1
+	return v.HedgeDelay > 0 && v.CallTimeout > 0 && v.ReplicationFactor > 1
 }
 
 // hedgeWait is the effective hedge delay of a client (mirroring the rpc

@@ -14,9 +14,9 @@ import (
 const (
 	opMetadata   uint8 = iota + 1 // file metadata at open
 	opBoxes                       // Alg. 2 lines 4–8: which producers intersect a bbox
-	opData                        // Alg. 2 lines 9–14: serialize intersecting data
+	_                             // unused: keeps the wire numbers of the ops below
 	opDone                        // consumer finished with a file (no response)
-	opDataStream                  // opData answered as a chunked frame stream
+	opDataStream                  // Alg. 2 lines 9–14: intersecting data as a chunked frame stream
 )
 
 func encodeBox(e *h5.Encoder, b grid.Box) {
@@ -107,17 +107,8 @@ func decodeBoxesResp(buf []byte) ([]int, error) {
 
 // --- data query ---
 
-func encodeDataReq(file, dset string, sel *h5.Dataspace) []byte {
-	e := &h5.Encoder{}
-	e.PutU8(opData)
-	e.PutString(file)
-	e.PutString(dset)
-	h5.EncodeDataspace(e, sel)
-	return e.Buf
-}
-
-// encodeDataStreamReq is encodeDataReq with the streaming opcode: the same
-// query, answered as a sequence of bounded frames instead of one body.
+// encodeDataStreamReq asks a producer for the bytes of a dataset selection,
+// answered as a sequence of bounded frames.
 func encodeDataStreamReq(file, dset string, sel *h5.Dataspace) []byte {
 	e := &h5.Encoder{}
 	e.PutU8(opDataStream)
@@ -125,24 +116,6 @@ func encodeDataStreamReq(file, dset string, sel *h5.Dataspace) []byte {
 	e.PutString(dset)
 	h5.EncodeDataspace(e, sel)
 	return e.Buf
-}
-
-func decodeDataResp(buf []byte) ([]Piece, error) {
-	d := &h5.Decoder{Buf: buf}
-	n := d.I64()
-	// Each piece costs at least 16 bytes (box rank + data length prefix).
-	if d.Err != nil || n < 0 || n > int64(len(buf)-d.Pos)/16 {
-		return nil, fmt.Errorf("lowfive: corrupt data response")
-	}
-	out := make([]Piece, 0, n)
-	for i := int64(0); i < n; i++ {
-		p := Piece{Box: decodeBox(d), Data: d.Bytes()}
-		if d.Err != nil {
-			return nil, fmt.Errorf("lowfive: corrupt data response: %v", d.Err)
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // --- done notification ---
@@ -154,33 +127,37 @@ func encodeDone(file string) []byte {
 	return e.Buf
 }
 
-// AssemblePieces builds the fileSel-selected region (packed in selection
-// order) from rectangular pieces, applying them in order.
-func AssemblePieces(fileSel *h5.Dataspace, pieces []Piece, elemSize int) []byte {
-	dst := make([]byte, fileSel.NumSelected()*int64(elemSize))
-	AssemblePiecesInto(dst, fileSel, pieces, elemSize)
-	return dst
+// --- request decoding ---
+
+// request is one decoded consumer request; which fields are set depends on
+// op.
+type request struct {
+	op   uint8
+	file string
+	dset string        // opBoxes, opDataStream
+	box  grid.Box      // opBoxes: the read's bounding box
+	sel  *h5.Dataspace // opDataStream: the read's file selection
 }
 
-// AssemblePiecesInto scatters the pieces into dst, which holds the packed
-// fileSel selection, avoiding an intermediate buffer.
-func AssemblePiecesInto(dst []byte, fileSel *h5.Dataspace, pieces []Piece, elemSize int) {
-	es := int64(elemSize)
-	base := int64(0)
-	for _, rb := range fileSel.SelectionBoxes() {
-		for _, p := range pieces {
-			region := p.Box.Intersect(rb)
-			if !region.IsEmpty() {
-				grid.CopyRegion(dst[base*es:], rb, p.Data, p.Box, region, elemSize)
-			}
+// decodeRequest is the one decoder for every request a producer receives.
+func decodeRequest(buf []byte) (request, error) {
+	d := &h5.Decoder{Buf: buf}
+	r := request{op: d.U8(), file: d.String()}
+	switch r.op {
+	case opMetadata, opDone:
+	case opBoxes:
+		r.dset = d.String()
+		r.box = decodeBox(d)
+	case opDataStream:
+		r.dset = d.String()
+		r.sel = h5.DecodeDataspace(d)
+	default:
+		if d.Err == nil {
+			d.Err = fmt.Errorf("unknown op %d", r.op)
 		}
-		base += rb.NumPoints()
 	}
-}
-
-// HandleRequestBytes is a test hook: it dispatches a raw request buffer as
-// the serve loop would, exercising the decoder paths.
-func (v *DistMetadataVOL) HandleRequestBytes(req []byte) (resp []byte, isDone bool) {
-	resp, isDone, _, _ = v.handleRequest(req)
-	return resp, isDone
+	if d.Err != nil {
+		return r, fmt.Errorf("lowfive: corrupt %s request: %w", opName(r.op), d.Err)
+	}
+	return r, nil
 }

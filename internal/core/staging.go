@@ -163,7 +163,7 @@ func (v *DistMetadataVOL) openStagedEpoch(name string, epoch int64) (h5.FileHand
 	if v.StageSubscriber != "" {
 		v.Stage.Subscribe(name, v.StageSubscriber)
 	}
-	return &stageFile{vol: v, name: name, epoch: epoch, root: root}, nil
+	return v.newRemoteFile(name, root, &stagedSource{epoch: epoch}), nil
 }
 
 // StageReplay rebuilds this rank's in-memory tree for a file from its
@@ -225,190 +225,3 @@ func (v *DistMetadataVOL) recordQueryFault(file, dset string, d time.Duration, r
 		Time: time.Now(), File: file, Dataset: dset, Duration: d, Reason: reason,
 	})
 }
-
-// --- consumer-side staged handles ---
-
-// stageFile is a consumer's handle on one committed epoch of a staged file.
-type stageFile struct {
-	vol   *DistMetadataVOL
-	name  string
-	epoch int64
-	root  *Node
-}
-
-func (f *stageFile) object(n *Node) *stageObject { return &stageObject{file: f, node: n} }
-
-// Close acknowledges consumption of the epoch, advancing the subscriber
-// watermark. A regression (a time-travel read below the current ack) is not
-// an error at close — older acks simply do not move the watermark back.
-func (f *stageFile) Close() error {
-	v := f.vol
-	if v.StageSubscriber == "" {
-		return nil
-	}
-	if err := v.Stage.Ack(f.name, v.StageSubscriber, f.epoch); err != nil && !errors.Is(err, stage.ErrAckRegression) {
-		return err
-	}
-	return nil
-}
-
-func (f *stageFile) GroupCreate(string) (h5.ObjectHandle, error) {
-	return nil, fmt.Errorf("lowfive: staged file %q is read-only", f.name)
-}
-func (f *stageFile) GroupOpen(name string) (h5.ObjectHandle, error) {
-	return f.object(f.root).GroupOpen(name)
-}
-func (f *stageFile) DatasetCreate(string, *h5.Datatype, *h5.Dataspace) (h5.DatasetHandle, error) {
-	return nil, fmt.Errorf("lowfive: staged file %q is read-only", f.name)
-}
-func (f *stageFile) DatasetOpen(name string) (h5.DatasetHandle, error) {
-	return f.object(f.root).DatasetOpen(name)
-}
-func (f *stageFile) Children() ([]h5.ObjectInfo, error) { return f.object(f.root).Children() }
-func (f *stageFile) Delete(string) error {
-	return fmt.Errorf("lowfive: staged file %q is read-only", f.name)
-}
-func (f *stageFile) AttributeWrite(string, *h5.Datatype, *h5.Dataspace, []byte) error {
-	return fmt.Errorf("lowfive: staged file %q is read-only", f.name)
-}
-func (f *stageFile) AttributeRead(name string) (*h5.Datatype, *h5.Dataspace, []byte, error) {
-	return f.object(f.root).AttributeRead(name)
-}
-func (f *stageFile) AttributeNames() ([]string, error) { return f.root.AttributeNames(), nil }
-
-// stageObject is a group handle over the epoch's metadata snapshot.
-type stageObject struct {
-	file *stageFile
-	node *Node
-}
-
-func (o *stageObject) GroupCreate(string) (h5.ObjectHandle, error) {
-	return nil, fmt.Errorf("lowfive: staged file %q is read-only", o.file.name)
-}
-
-func (o *stageObject) GroupOpen(name string) (h5.ObjectHandle, error) {
-	c, ok := o.node.Child(name)
-	if !ok || c.Kind != h5.KindGroup {
-		return nil, fmt.Errorf("lowfive: group %q not found under %q", name, o.node.Path())
-	}
-	return &stageObject{file: o.file, node: c}, nil
-}
-
-func (o *stageObject) DatasetCreate(string, *h5.Datatype, *h5.Dataspace) (h5.DatasetHandle, error) {
-	return nil, fmt.Errorf("lowfive: staged file %q is read-only", o.file.name)
-}
-
-func (o *stageObject) DatasetOpen(name string) (h5.DatasetHandle, error) {
-	c, ok := o.node.Child(name)
-	if !ok || c.Kind != h5.KindDataset {
-		return nil, fmt.Errorf("lowfive: dataset %q not found under %q", name, o.node.Path())
-	}
-	return &stageDataset{file: o.file, node: c}, nil
-}
-
-func (o *stageObject) Children() ([]h5.ObjectInfo, error) {
-	var out []h5.ObjectInfo
-	for _, c := range o.node.Children() {
-		out = append(out, h5.ObjectInfo{Name: c.Name, Kind: c.Kind})
-	}
-	return out, nil
-}
-
-func (o *stageObject) Delete(string) error {
-	return fmt.Errorf("lowfive: staged file %q is read-only", o.file.name)
-}
-
-func (o *stageObject) AttributeWrite(string, *h5.Datatype, *h5.Dataspace, []byte) error {
-	return fmt.Errorf("lowfive: staged file %q is read-only", o.file.name)
-}
-
-func (o *stageObject) AttributeRead(name string) (*h5.Datatype, *h5.Dataspace, []byte, error) {
-	a, ok := o.node.Attribute(name)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("lowfive: attribute %q not found on %q", name, o.node.Path())
-	}
-	return a.Type, a.Space, a.Data, nil
-}
-
-func (o *stageObject) AttributeNames() ([]string, error) { return o.node.AttributeNames(), nil }
-
-func (o *stageObject) Close() error { return nil }
-
-// stageDataset reads by resolving epoch → log offsets through the store's
-// span index and assembling the intersecting chunks.
-type stageDataset struct {
-	file *stageFile
-	node *Node
-}
-
-func (d *stageDataset) Datatype() *h5.Datatype   { return d.node.Type }
-func (d *stageDataset) Dataspace() *h5.Dataspace { return d.node.Space.Clone().SelectAll() }
-
-func (d *stageDataset) Write(_, _ *h5.Dataspace, _ []byte) error {
-	return fmt.Errorf("lowfive: staged dataset %q is read-only", d.node.Path())
-}
-
-func (d *stageDataset) Read(memSpace, fileSpace *h5.Dataspace, data []byte) error {
-	es := d.node.Type.Size
-	if fileSpace == nil {
-		fileSpace = d.node.Space.Clone().SelectAll()
-	}
-	v := d.file.vol
-	start := time.Now()
-	var dst []byte
-	staged := memSpace != nil
-	if staged {
-		dst = make([]byte, fileSpace.NumSelected()*int64(es))
-	} else {
-		dst = data[:fileSpace.NumSelected()*int64(es)]
-	}
-	chunks, err := v.Stage.Chunks(d.file.name, d.file.epoch, d.node.Path(), fileSpace.Bounds())
-	if err != nil {
-		// The log no longer holds the epoch (GC truncation, replica loss):
-		// degrade to the container file, and record why even though the
-		// failed query was fast.
-		v.recordQueryFault(d.file.name, d.node.Path(), time.Since(start), "stage-truncated")
-		fp, ferr := v.fallbackPieces(d.file.name, d.node.Path(), fileSpace, es)
-		if ferr != nil {
-			return fmt.Errorf("lowfive: reading %q staged: %w (file fallback: %v)", d.node.Path(), err, ferr)
-		}
-		v.qmu.Lock()
-		v.qstats.FileFallbacks++
-		v.qmu.Unlock()
-		AssemblePiecesInto(dst, fileSpace, fp, es)
-	} else {
-		pieces := make([]Piece, len(chunks))
-		for i, c := range chunks {
-			pieces[i] = Piece{Box: c.Box, Data: c.Data}
-		}
-		AssemblePiecesInto(dst, fileSpace, pieces, es)
-	}
-	if staged {
-		h5.ScatterSelected(data, memSpace, dst, es)
-	}
-	v.instruments()
-	if v.mQueryLat != nil {
-		v.mQueryLat.ObserveSince(start)
-	}
-	return nil
-}
-
-func (d *stageDataset) AttributeWrite(string, *h5.Datatype, *h5.Dataspace, []byte) error {
-	return fmt.Errorf("lowfive: staged dataset %q is read-only", d.node.Path())
-}
-
-func (d *stageDataset) AttributeRead(name string) (*h5.Datatype, *h5.Dataspace, []byte, error) {
-	a, ok := d.node.Attribute(name)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("lowfive: attribute %q not found on %q", name, d.node.Path())
-	}
-	return a.Type, a.Space, a.Data, nil
-}
-
-func (d *stageDataset) AttributeNames() ([]string, error) { return d.node.AttributeNames(), nil }
-
-func (d *stageDataset) SetExtent([]int64) error {
-	return fmt.Errorf("lowfive: staged dataset %q is read-only", d.node.Path())
-}
-
-func (d *stageDataset) Close() error { return nil }

@@ -26,14 +26,23 @@ import (
 //
 //	[dim i64][min,max i64 per dim][byteLen i64][bytes]
 //
-// Segment order preserves triple order, so overlapping writes keep their
-// overwrite semantics at the consumer exactly as in the scalar opData path.
+// Segment order preserves triple order, so where writes overlap the later
+// one overwrites the earlier at the consumer, exactly as in ReadPacked.
+
+// segmentWriter is where StreamRegions places segments: the response stream
+// of a data query when serving.
+type segmentWriter interface {
+	// MaxSegment is the largest segment that fits one frame.
+	MaxSegment() int
+	// Grab returns n bytes of the current frame to fill in place.
+	Grab(n int) []byte
+}
 
 // StreamRegions sends the query intersection of a dataset's triples over a
 // response stream, splitting each intersection region into sub-boxes that
-// fit one frame. It is EncodeRegions without the flat buffer: bytes move
-// once, from the stored triples into pooled frames.
-func (n *Node) StreamRegions(st *rpc.Stream, query *h5.Dataspace) error {
+// fit one frame. Bytes move once, from the stored triples into pooled
+// frames.
+func (n *Node) StreamRegions(st segmentWriter, query *h5.Dataspace) error {
 	if n.Kind != h5.KindDataset {
 		return fmt.Errorf("lowfive: extract from non-dataset %q", n.Name)
 	}
@@ -74,15 +83,9 @@ func (n *Node) StreamRegions(st *rpc.Stream, query *h5.Dataspace) error {
 	return nil
 }
 
-// serveDataStream answers one opDataStream request on the legacy serialized
-// path: the whole stream runs under serveMu, preserving single-threaded
-// rank semantics when admission control is off. A file or dataset this rank
-// does not have yields an empty stream (mirroring the scalar path's
-// zero-piece response); the consumer's other producers hold the data.
-func (v *DistMetadataVOL) serveDataStream(s *icServer, src int, seq uint64, req []byte) {
-	v.serveMu.Lock()
-	defer v.serveMu.Unlock()
-	bytes, frames := v.streamResponse(s, src, seq, req)
+// countStream folds one served data stream into the stats; the caller holds
+// serveMu.
+func (v *DistMetadataVOL) countStream(bytes, frames int64) {
 	v.stats.DataQueries++
 	v.stats.BytesServed += bytes
 	v.stats.ChunksServed += frames
@@ -94,7 +97,7 @@ func (v *DistMetadataVOL) serveDataStream(s *icServer, src int, seq uint64, req 
 // and the chunk pool bounds memory — and fold the stats in under serveMu
 // afterwards. Runs on its own goroutine, so comm halt panics (this rank
 // crashing mid-stream) are recovered here instead of killing the process.
-func (v *DistMetadataVOL) serveDataStreamAdmitted(adm *admission, s *icServer, src int, seq uint64, req []byte) {
+func (v *DistMetadataVOL) serveDataStreamAdmitted(adm *admission, s *icServer, src int, seq uint64, req request) {
 	defer func() {
 		if r := recover(); r != nil && !mpi.IsHaltPanic(r) {
 			panic(r)
@@ -117,9 +120,7 @@ func (v *DistMetadataVOL) serveDataStreamAdmitted(adm *admission, s *icServer, s
 	defer adm.release()
 	bytes, frames := v.streamResponse(s, src, seq, req)
 	v.serveMu.Lock()
-	v.stats.DataQueries++
-	v.stats.BytesServed += bytes
-	v.stats.ChunksServed += frames
+	v.countStream(bytes, frames)
 	v.serveMu.Unlock()
 }
 
@@ -138,16 +139,11 @@ func (v *DistMetadataVOL) recordShed(src int, ov *ErrOverloaded) {
 	})
 }
 
-// streamResponse decodes one opDataStream request and writes the response
-// stream, returning the payload bytes and frame count. It touches no shared
-// serve state: File is guarded by its own lock and the metadata tree is
-// immutable while being served, so admitted streams may run concurrently.
-func (v *DistMetadataVOL) streamResponse(s *icServer, src int, seq uint64, req []byte) (bytes int64, frames int64) {
-	d := &h5.Decoder{Buf: req}
-	_ = d.U8()
-	file := d.String()
-	dset := d.String()
-	sel := h5.DecodeDataspace(d)
+// streamResponse writes the response stream of one data-stream request,
+// returning the payload bytes and frame count. It touches no shared serve
+// state: File is guarded by its own lock and the metadata tree is immutable
+// while being served, so admitted streams may run concurrently.
+func (v *DistMetadataVOL) streamResponse(s *icServer, src int, seq uint64, req request) (bytes int64, frames int64) {
 	v.instruments()
 	var t0 time.Time
 	tr := v.track()
@@ -155,14 +151,10 @@ func (v *DistMetadataVOL) streamResponse(s *icServer, src int, seq uint64, req [
 		t0 = time.Now()
 	}
 	st := s.srv.NewStream(src, seq, v.chunkPool())
-	if d.Err == nil && sel != nil {
-		if fn, ok := v.File(file); ok {
-			if node, err := fn.Resolve(dset); err == nil {
-				// An error mid-stream leaves a short stream; the consumer's
-				// decoder rejects a truncated segment and falls back.
-				_ = node.StreamRegions(st, sel)
-			}
-		}
+	if node := v.streamSource(req); node != nil {
+		// An error mid-stream leaves a short stream; the consumer's
+		// decoder rejects a truncated segment and falls back.
+		_ = node.StreamRegions(st, req.sel)
 	}
 	st.Close()
 	if v.mServeLat != nil {
@@ -170,10 +162,27 @@ func (v *DistMetadataVOL) streamResponse(s *icServer, src int, seq uint64, req [
 	}
 	if tr != nil {
 		tr.Span("core", "serve.datastream", t0, time.Now(),
-			trace.Str("file", file), trace.I64("bytes", st.Bytes()),
+			trace.Str("file", req.file), trace.I64("bytes", st.Bytes()),
 			trace.I64("chunks", int64(st.Frames())))
 	}
 	return st.Bytes(), int64(st.Frames())
+}
+
+// streamSource resolves the dataset a data-stream request reads, or nil when
+// this rank holds nothing for it: the file was removed after serving, the
+// path names no dataset, or the selection's rank is not the dataset's. The
+// answer is then an empty stream; the consumer's other producers hold the
+// data.
+func (v *DistMetadataVOL) streamSource(req request) *Node {
+	fn, ok := v.File(req.file)
+	if !ok {
+		return nil
+	}
+	node, err := fn.Resolve(req.dset)
+	if err != nil || node.Kind != h5.KindDataset || node.Space.Rank() != req.sel.Rank() {
+		return nil
+	}
+	return node
 }
 
 // chunkPool returns the pool streamed responses draw frames from: the
@@ -187,8 +196,9 @@ func (v *DistMetadataVOL) chunkPool() *buf.Pool {
 	return buf.SharedPool(v.ChunkBytes)
 }
 
-// streamTarget scatters stream segments directly into a packed destination
-// covering fileSel — the consumer half of the single-copy path.
+// streamTarget places the pieces of one read — stream segments, staged log
+// chunks, file-fallback reads — directly into a packed destination covering
+// fileSel: the consumer half of the single-copy path.
 type streamTarget struct {
 	dst   []byte
 	boxes []grid.Box // fileSel's selection boxes
@@ -248,15 +258,30 @@ func (t *streamTarget) consume(payload []byte) error {
 		if !r.OK() {
 			return fmt.Errorf("lowfive: truncated stream segment")
 		}
-		for i, rb := range t.boxes {
-			t.seg.IntersectInto(rb, t.region)
-			if t.region.IsEmpty() {
-				continue
-			}
-			grid.CopyRegion(t.dst[t.bases[i]*int64(t.es):], rb, data, t.seg, t.region, t.es)
-		}
+		t.scatter(t.seg, data)
 	}
 	return nil
+}
+
+// place copies one rectangular fragment — box and its row-major bytes, as
+// a staging chunk or a file read delivers it — into the destination.
+func (t *streamTarget) place(box grid.Box, data []byte) error {
+	if box.Dim() != t.seg.Dim() || int64(len(data)) != box.NumPoints()*int64(t.es) {
+		return fmt.Errorf("lowfive: fragment %v of %d bytes does not fit the read", box, len(data))
+	}
+	t.scatter(box, data)
+	return nil
+}
+
+// scatter copies a validated fragment into every selection box it overlaps.
+func (t *streamTarget) scatter(box grid.Box, data []byte) {
+	for i, rb := range t.boxes {
+		box.IntersectInto(rb, t.region)
+		if t.region.IsEmpty() {
+			continue
+		}
+		grid.CopyRegion(t.dst[t.bases[i]*int64(t.es):], rb, data, box, t.region, t.es)
+	}
 }
 
 // streamWindow is how many streams a consumer requests ahead of the one it
@@ -267,11 +292,11 @@ func (t *streamTarget) consume(payload []byte) error {
 const streamWindow = 2
 
 // queryStream runs Algorithm 3 with a streamed data step: redirect queries
-// as before, then one stream per producer holding data, drained in producer
-// order with each frame scattered straight into dst (packed over fileSpace).
-// Streams are requested a sliding window ahead of the drain cursor.
-func (v *DistMetadataVOL) queryStream(client *rpc.Client, ic *mpi.Intercomm, file string, node *Node, fileSpace *h5.Dataspace, dst []byte) error {
-	es := node.Type.Size
+// to the owners of the intersecting blocks, then one stream per producer
+// holding data, drained in producer order with each frame scattered
+// straight into target. Streams are requested a sliding window ahead of the
+// drain cursor.
+func (v *DistMetadataVOL) queryStream(client *rpc.Client, ic *mpi.Intercomm, file string, node *Node, fileSpace *h5.Dataspace, target *streamTarget) error {
 	bb := fileSpace.Bounds()
 	if bb.IsEmpty() {
 		return nil
@@ -286,7 +311,6 @@ func (v *DistMetadataVOL) queryStream(client *rpc.Client, ic *mpi.Intercomm, fil
 	if err != nil {
 		return err
 	}
-	target := newStreamTarget(dst, fileSpace, es)
 	req := encodeDataStreamReq(file, node.Path(), fileSpace)
 	t1 := time.Now()
 	calls := make([]*rpc.StreamCall, len(order))
@@ -355,14 +379,13 @@ func (v *DistMetadataVOL) queryStream(client *rpc.Client, ic *mpi.Intercomm, fil
 
 // queryOwners is step 1 of Algorithm 3: ask the owners of the intersecting
 // common-decomposition blocks which producer ranks hold data, with replica
-// failover. Shared by the scalar and streamed data paths; v may be nil (no
-// stats, no replication).
+// failover.
 func (v *DistMetadataVOL) queryOwners(client *rpc.Client, ic *mpi.Intercomm, file string, node *Node, bb grid.Box) (order []int, boxWait time.Duration, nOwners int, err error) {
 	n := ic.RemoteSize()
 	dc := grid.CommonDecomposition(node.Space.Dims(), n)
 	path := node.Path()
 	repl := 1
-	if v != nil && v.ReplicationFactor > repl {
+	if v.ReplicationFactor > repl {
 		repl = v.ReplicationFactor
 	}
 	if repl > n {

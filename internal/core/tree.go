@@ -248,99 +248,6 @@ func (n *Node) ReadPacked(fileSel *h5.Dataspace) ([]byte, error) {
 	return dst, nil
 }
 
-// ExtractRegions intersects the dataset's triples with a query selection and
-// returns one (box, packed bytes) piece per non-empty intersection — exactly
-// what a producer rank sends in answer to a consumer's data query (Alg. 2
-// lines 9–14). Pieces from later triples follow earlier ones, so a consumer
-// applying them in order preserves overwrite semantics.
-func (n *Node) ExtractRegions(query *h5.Dataspace) ([]Piece, error) {
-	if n.Kind != h5.KindDataset {
-		return nil, fmt.Errorf("lowfive: extract from non-dataset %q", n.Name)
-	}
-	es := int64(n.Type.Size)
-	var out []Piece
-	for _, tr := range n.Triples {
-		var packed []byte // fetched lazily: only if some region intersects
-		triBase := int64(0)
-		for _, tb := range tr.FileSpace.SelectionBoxes() {
-			for _, qb := range query.SelectionBoxes() {
-				region := tb.Intersect(qb)
-				if region.IsEmpty() {
-					continue
-				}
-				if packed == nil {
-					packed = tr.PackedData(int(es))
-				}
-				data := make([]byte, 0, region.NumPoints()*es)
-				data = grid.GatherRegion(data, packed[triBase*es:], tb, region, int(es))
-				out = append(out, Piece{Box: region, Data: data})
-			}
-			triBase += tb.NumPoints()
-		}
-	}
-	return out, nil
-}
-
-// Piece is a rectangular fragment of a dataset: its location in the global
-// extent and its bytes in row-major order.
-type Piece struct {
-	Box  grid.Box
-	Data []byte
-}
-
-// EncodeRegions serializes the query intersection directly into an encoder
-// as a piece count followed by (box, bytes) pairs — the single-copy serve
-// path: bytes go straight from the stored triples into the outgoing
-// message buffer.
-func (n *Node) EncodeRegions(e *h5.Encoder, query *h5.Dataspace) error {
-	if n.Kind != h5.KindDataset {
-		return fmt.Errorf("lowfive: extract from non-dataset %q", n.Name)
-	}
-	es := int64(n.Type.Size)
-	qBoxes := query.SelectionBoxes()
-	// Pass 1: count pieces and total bytes to presize the buffer.
-	count := 0
-	total := int64(0)
-	for _, tr := range n.Triples {
-		for _, tb := range tr.FileSpace.SelectionBoxes() {
-			for _, qb := range qBoxes {
-				region := tb.Intersect(qb)
-				if !region.IsEmpty() {
-					count++
-					total += int64(8+16*region.Dim()+8) + region.NumPoints()*es
-				}
-			}
-		}
-	}
-	if need := len(e.Buf) + 8 + int(total); cap(e.Buf) < need {
-		grown := make([]byte, len(e.Buf), need)
-		copy(grown, e.Buf)
-		e.Buf = grown
-	}
-	e.PutI64(int64(count))
-	// Pass 2: emit each piece, gathering bytes directly into the buffer.
-	for _, tr := range n.Triples {
-		var packed []byte
-		triBase := int64(0)
-		for _, tb := range tr.FileSpace.SelectionBoxes() {
-			for _, qb := range qBoxes {
-				region := tb.Intersect(qb)
-				if region.IsEmpty() {
-					continue
-				}
-				if packed == nil {
-					packed = tr.PackedData(int(es))
-				}
-				encodeBox(e, region)
-				e.PutI64(region.NumPoints() * es) // length prefix of the bytes
-				e.Buf = grid.GatherRegion(e.Buf, packed[triBase*es:], tb, region, int(es))
-			}
-			triBase += tb.NumPoints()
-		}
-	}
-	return nil
-}
-
 // WrittenBoxes returns the bounding boxes of every triple's file space —
 // the "local data spaces written by the individual HDF5 write operations"
 // that the index step advertises (Alg. 1 line 5–6).

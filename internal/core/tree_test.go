@@ -159,42 +159,6 @@ func TestReadPackedSubSelection(t *testing.T) {
 	}
 }
 
-func TestExtractRegions(t *testing.T) {
-	ds := NewDatasetNode("d", h5.U8, h5.NewSimple(8))
-	fs := h5.NewSimple(8)
-	fs.SelectHyperslab(h5.SelectSet, []int64{0}, []int64{4})
-	ds.RecordWrite(nil, fs, []byte{1, 2, 3, 4})
-	q := h5.NewSimple(8)
-	q.SelectHyperslab(h5.SelectSet, []int64{2}, []int64{4})
-	pieces, err := ds.ExtractRegions(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pieces) != 1 {
-		t.Fatalf("pieces=%d", len(pieces))
-	}
-	wantBox := grid.NewBox([]int64{2}, []int64{2})
-	if !pieces[0].Box.Equal(wantBox) || !bytes.Equal(pieces[0].Data, []byte{3, 4}) {
-		t.Errorf("piece %v %v", pieces[0].Box, pieces[0].Data)
-	}
-}
-
-func TestExtractRegionsNoOverlap(t *testing.T) {
-	ds := NewDatasetNode("d", h5.U8, h5.NewSimple(8))
-	fs := h5.NewSimple(8)
-	fs.SelectHyperslab(h5.SelectSet, []int64{0}, []int64{2})
-	ds.RecordWrite(nil, fs, []byte{1, 2})
-	q := h5.NewSimple(8)
-	q.SelectHyperslab(h5.SelectSet, []int64{5}, []int64{2})
-	pieces, err := ds.ExtractRegions(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pieces) != 0 {
-		t.Errorf("expected no pieces, got %v", pieces)
-	}
-}
-
 func TestWrittenBoxes(t *testing.T) {
 	ds := NewDatasetNode("d", h5.U8, h5.NewSimple(4, 4))
 	fs := h5.NewSimple(4, 4)
@@ -255,78 +219,12 @@ func TestTreeCodecCorruptInput(t *testing.T) {
 	}
 }
 
-func TestAssemblePieces(t *testing.T) {
-	sel := h5.NewSimple(8)
-	sel.SelectHyperslab(h5.SelectSet, []int64{1}, []int64{6})
-	pieces := []Piece{
-		{Box: grid.NewBox([]int64{1}, []int64{3}), Data: []byte{1, 2, 3}},
-		{Box: grid.NewBox([]int64{4}, []int64{3}), Data: []byte{4, 5, 6}},
-	}
-	got := AssemblePieces(sel, pieces, 1)
-	want := []byte{1, 2, 3, 4, 5, 6}
-	if !bytes.Equal(got, want) {
-		t.Errorf("got %v want %v", got, want)
-	}
-}
-
-func TestEncodeRegionsMatchesExtractRegions(t *testing.T) {
-	// The single-copy serve path must produce exactly the wire format the
-	// consumer's decoder expects, with the same pieces ExtractRegions finds.
-	ds := NewDatasetNode("d", h5.U16, h5.NewSimple(8, 8))
-	fs1 := h5.NewSimple(8, 8)
-	fs1.SelectHyperslab(h5.SelectSet, []int64{0, 0}, []int64{4, 8})
-	vals1 := make([]uint16, 32)
-	for i := range vals1 {
-		vals1[i] = uint16(i)
-	}
-	ds.RecordWrite(nil, fs1, h5.Bytes(vals1))
-	fs2 := h5.NewSimple(8, 8)
-	fs2.SelectHyperslab(h5.SelectSet, []int64{4, 0}, []int64{4, 8})
-	vals2 := make([]uint16, 32)
-	for i := range vals2 {
-		vals2[i] = uint16(100 + i)
-	}
-	ds.RecordWrite(nil, fs2, h5.Bytes(vals2))
-
-	q := h5.NewSimple(8, 8)
-	q.SelectHyperslab(h5.SelectSet, []int64{2, 1}, []int64{4, 3})
-
-	want, err := ds.ExtractRegions(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e h5.Encoder
-	if err := ds.EncodeRegions(&e, q); err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeDataResp(e.Buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("pieces: got %d want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !got[i].Box.Equal(want[i].Box) {
-			t.Errorf("piece %d box %v want %v", i, got[i].Box, want[i].Box)
-		}
-		if !bytes.Equal(got[i].Data, want[i].Data) {
-			t.Errorf("piece %d data differs", i)
-		}
-	}
-	// And the assembled result matches a direct packed read.
-	assembled := AssemblePieces(q, got, 2)
-	direct, _ := ds.ReadPacked(q)
-	if !bytes.Equal(assembled, direct) {
-		t.Error("assembled pieces differ from direct read")
-	}
-}
-
 func TestProtocolDecodersRejectGarbage(t *testing.T) {
-	// Property: arbitrary bytes fed to the response decoders and to the
-	// request dispatcher return errors or empty results, never panic.
+	// Property: arbitrary bytes fed to the response decoder and to the
+	// request decoder and its answer paths return errors or empty results,
+	// never panic.
 	rng := rand.New(rand.NewSource(7))
-	vol := NewDistMetadataVOL(nil, nil) // nil comm: dispatcher must not need it for parsing
+	vol, _ := requestFixture(t)
 	for i := 0; i < 500; i++ {
 		buf := make([]byte, rng.Intn(200))
 		rng.Read(buf)
@@ -337,8 +235,7 @@ func TestProtocolDecodersRejectGarbage(t *testing.T) {
 				}
 			}()
 			decodeBoxesResp(buf)
-			decodeDataResp(buf)
-			vol.HandleRequestBytes(buf)
+			answerRaw(t, vol, buf)
 		}()
 	}
 }

@@ -139,13 +139,13 @@ func Subtract(a, b Box) []Box {
 	var out []Box
 	cur := a.Clone()
 	for d := 0; d < a.Dim(); d++ {
-		// Piece below the intersection along dimension d.
+		// The slab below the intersection along dimension d.
 		if cur.Min[d] < inter.Min[d] {
 			p := cur.Clone()
 			p.Max[d] = inter.Min[d] - 1
 			out = append(out, p)
 		}
-		// Piece above the intersection along dimension d.
+		// The slab above the intersection along dimension d.
 		if cur.Max[d] > inter.Max[d] {
 			p := cur.Clone()
 			p.Min[d] = inter.Max[d] + 1

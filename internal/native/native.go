@@ -115,11 +115,16 @@ func (c *Connector) FileCreate(name string, _ *h5.FileAccessProps) (h5.FileHandl
 }
 
 // FileOpen implements h5.Connector.
-func (c *Connector) FileOpen(name string, _ *h5.FileAccessProps) (h5.FileHandle, error) {
+func (c *Connector) FileOpen(name string, _ *h5.FileAccessProps) (_ h5.FileHandle, err error) {
 	st, err := c.be.Open(name)
 	if err != nil {
 		return nil, fmt.Errorf("native: open %q: %w", name, err)
 	}
+	defer func() {
+		if err != nil {
+			st.Close()
+		}
+	}()
 	var hdr [headerSize]byte
 	if _, err := st.ReadAt(hdr[:], 0); err != nil {
 		return nil, fmt.Errorf("native: %q: reading superblock: %w", name, err)
@@ -132,6 +137,13 @@ func (c *Connector) FileOpen(name string, _ *h5.FileAccessProps) (h5.FileHandle,
 	}
 	metaOff := int64(binary.LittleEndian.Uint64(hdr[8:16]))
 	metaLen := int64(binary.LittleEndian.Uint64(hdr[16:24]))
+	size, err := st.Size()
+	if err != nil {
+		return nil, fmt.Errorf("native: %q: reading size: %w", name, err)
+	}
+	if metaOff < headerSize || metaLen < 0 || metaOff > size-metaLen {
+		return nil, fmt.Errorf("native: %q: corrupt superblock", name)
+	}
 	meta := make([]byte, metaLen)
 	if _, err := st.ReadAt(meta, metaOff); err != nil {
 		return nil, fmt.Errorf("native: %q: reading metadata block: %w", name, err)
@@ -345,14 +357,20 @@ func (d *dataset) Write(memSpace, fileSpace *h5.Dataspace, data []byte) error {
 }
 
 // Read fetches the file-space runs — as one vectored request when the
-// backend supports it — and scatters into the memSpace-selected elements
-// of data.
+// backend supports it — straight into data when memSpace is nil, and
+// otherwise into a packed buffer scattered into the memSpace-selected
+// elements of data.
 func (d *dataset) Read(memSpace, fileSpace *h5.Dataspace, data []byte) error {
 	es := int64(d.node.Type.Size)
 	if fileSpace == nil {
 		fileSpace = d.node.Space.Clone().SelectAll()
 	}
-	packed := make([]byte, fileSpace.NumSelected()*es)
+	var packed []byte
+	if n := fileSpace.NumSelected() * es; memSpace == nil {
+		packed = data[:n]
+	} else {
+		packed = make([]byte, n)
+	}
 	offs, lens := d.runLayout(fileSpace)
 	if rs, ok := d.f.st.(RunStorage); ok {
 		if err := rs.ReadRuns(packed, offs, lens); err != nil {
@@ -367,11 +385,9 @@ func (d *dataset) Read(memSpace, fileSpace *h5.Dataspace, data []byte) error {
 			pos += lens[i]
 		}
 	}
-	if memSpace == nil {
-		copy(data, packed)
-		return nil
+	if memSpace != nil {
+		h5.ScatterSelected(data, memSpace, packed, int(es))
 	}
-	h5.ScatterSelected(data, memSpace, packed, int(es))
 	return nil
 }
 

@@ -132,10 +132,17 @@ func (fs *FS) SetMetrics(r *metrics.Registry) {
 	}
 }
 
+// pageSize is the granularity of a file's backing store.
+const pageSize = 64 << 10
+
+// fileData stores a file's bytes in fixed pages allocated on first write, so
+// extending the file never moves what is already stored. A nil page is a
+// hole and reads as zeros, as does everything at or past size.
 type fileData struct {
 	mu     sync.Mutex
 	lockMu sync.Mutex // the shared-file extent lock
-	data   []byte
+	pages  [][]byte
+	size   int64 // one past the highest byte written
 	// lastWriter tracks which handle last wrote each stripe, for the
 	// extent-lock ping-pong model.
 	lastWriter map[int64]*File
@@ -332,18 +339,26 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// store copies the bytes into the backing buffer (no cost accounting).
+// store copies the bytes into the backing pages (no cost accounting).
 func (f *File) store(p []byte, off int64) {
-	f.fd.mu.Lock()
-	if need := off + int64(len(p)); int64(len(f.fd.data)) < need {
-		grown := make([]byte, need)
-		copy(grown, f.fd.data)
-		f.fd.data = grown
+	n := int64(len(p))
+	fd := f.fd
+	fd.mu.Lock()
+	fd.size = max(fd.size, off+n)
+	for len(p) > 0 {
+		pg := int(off / pageSize)
+		if pg >= len(fd.pages) {
+			fd.pages = append(fd.pages, make([][]byte, pg+1-len(fd.pages))...)
+		}
+		if fd.pages[pg] == nil {
+			fd.pages[pg] = make([]byte, pageSize)
+		}
+		c := copy(fd.pages[pg][off%pageSize:], p)
+		p, off = p[c:], off+int64(c)
 	}
-	copy(f.fd.data[off:], p)
-	f.fd.mu.Unlock()
+	fd.mu.Unlock()
 	f.fs.mu.Lock()
-	f.fs.bytesWritten += int64(len(p))
+	f.fs.bytesWritten += n
 	f.fs.mu.Unlock()
 }
 
@@ -409,19 +424,25 @@ func (f *File) ReadRuns(dst []byte, offs, lens []int64) error {
 	return nil
 }
 
-// fetch copies bytes out of the backing buffer, zero-filling past the end.
+// fetch copies bytes out of the backing pages, zero-filling holes and
+// everything past the end.
 func (f *File) fetch(p []byte, off int64) {
-	f.fd.mu.Lock()
-	n := 0
-	if off < int64(len(f.fd.data)) {
-		n = copy(p, f.fd.data[off:])
+	n := int64(len(p))
+	fd := f.fd
+	fd.mu.Lock()
+	for len(p) > 0 {
+		pg, in := off/pageSize, int(off%pageSize)
+		c := min(len(p), pageSize-in)
+		if pg < int64(len(fd.pages)) && fd.pages[pg] != nil {
+			copy(p[:c], fd.pages[pg][in:])
+		} else {
+			clear(p[:c])
+		}
+		p, off = p[c:], off+int64(c)
 	}
-	f.fd.mu.Unlock()
-	for i := n; i < len(p); i++ {
-		p[i] = 0
-	}
+	fd.mu.Unlock()
 	f.fs.mu.Lock()
-	f.fs.bytesRead += int64(len(p))
+	f.fs.bytesRead += n
 	f.fs.mu.Unlock()
 }
 
@@ -441,7 +462,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 func (f *File) Size() (int64, error) {
 	f.fd.mu.Lock()
 	defer f.fd.mu.Unlock()
-	return int64(len(f.fd.data)), nil
+	return f.fd.size, nil
 }
 
 // Close releases the handle (a no-op for the simulated store).

@@ -1095,10 +1095,14 @@ func (v *DistMetadataVOL) persistOwnership(fn *FileNode) error {
 		}
 	}
 	walk(fn.Node)
+	// Open before the allgather, write after it: the allgather then fences
+	// every rank's read of the container's metadata block from every
+	// rank's rewrite of it. A rank opening while a peer already closes
+	// would read the old block length over the new, longer block.
+	bh, openErr := v.base.FileOpen(fn.FileName, nil)
 	all := v.local.Allgather(e.Buf)
-	bh, err := v.base.FileOpen(fn.FileName, nil)
-	if err != nil {
-		return fmt.Errorf("lowfive: persisting ownership of %q: %w", fn.FileName, err)
+	if openErr != nil {
+		return fmt.Errorf("lowfive: persisting ownership of %q: %w", fn.FileName, openErr)
 	}
 	for k, blob := range all {
 		if len(blob) == 0 {

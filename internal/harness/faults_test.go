@@ -49,6 +49,14 @@ func TestFaultTrialSweepBitIdentical(t *testing.T) {
 			t.Errorf("case %s: %d chunks over %d data queries — streams were not multi-frame",
 				r.Name, r.Query.ChunksFetched, r.Query.DataQueries)
 		}
+		// A FaultCorrupt rule makes the world non-intact, which turns the
+		// rpc CRC on; the responses it discards come back only by retry.
+		for _, rule := range cases[i].Plan.Rules {
+			if rule.Action == mpi.FaultCorrupt && r.Query.Retries == 0 {
+				t.Errorf("case %s: corrupting plan cost no retry — nothing was discarded", r.Name)
+				break
+			}
+		}
 	}
 }
 

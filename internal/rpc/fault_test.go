@@ -58,14 +58,17 @@ func TestCallRetriesAfterDroppedRequest(t *testing.T) {
 
 // lossyResponseTrial runs a call whose first response is perturbed by the
 // given rule; the retry must be answered from the server's dedup cache, so
-// the handler dispatches the request exactly once.
-func lossyResponseTrial(t *testing.T, rule mpi.FaultRule) {
+// the handler dispatches the request exactly once. It returns the client's
+// counters.
+func lossyResponseTrial(t *testing.T, rule mpi.FaultRule) ClientStats {
 	t.Helper()
 	plan := mpi.FaultPlan{Seed: 3, Rules: []mpi.FaultRule{rule}}
 	var pings atomic.Int64
+	var stats ClientStats
 	err := mpi.RunWorkflow([]mpi.TaskSpec{
 		{Name: "client", Procs: 1, Main: func(p *mpi.Proc) {
 			c := faultyClient(p)
+			defer func() { stats = c.Stats() }()
 			resp, err := c.Call(0, []byte("ping"))
 			if err != nil {
 				t.Errorf("call: %v", err)
@@ -97,6 +100,7 @@ func lossyResponseTrial(t *testing.T, rule mpi.FaultRule) {
 	if pings.Load() != 1 {
 		t.Errorf("ping dispatched %d times, want 1 (dedup must replay, not re-dispatch)", pings.Load())
 	}
+	return stats
 }
 
 func TestCallRetriesAfterDroppedResponse(t *testing.T) {
@@ -106,7 +110,11 @@ func TestCallRetriesAfterDroppedResponse(t *testing.T) {
 func TestCallRetriesAfterCorruptResponse(t *testing.T) {
 	// Wherever the flips land — body (CRC fails) or header (stale sequence)
 	// — the client discards the envelope and the retry recovers.
-	lossyResponseTrial(t, mpi.FaultRule{Action: mpi.FaultCorrupt, Rank: 1, Tag: 72, Count: 1})
+	// The corrupting plan turns the CRC on, so the damaged response is
+	// discarded and only the retry recovers the call.
+	if st := lossyResponseTrial(t, mpi.FaultRule{Action: mpi.FaultCorrupt, Rank: 1, Tag: 72, Count: 1}); st.Retries == 0 {
+		t.Error("a corrupted response was accepted without a retry")
+	}
 }
 
 func TestDuplicatedRequestDispatchedOnce(t *testing.T) {

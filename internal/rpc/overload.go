@@ -71,7 +71,7 @@ func (s *Server) RespondOverloaded(src int, seq uint64, retryAfter time.Duration
 		retryAfter = minRetryAfter
 	}
 	s.Forget(src, seq)
-	s.IC.Send(src, tagResponse, seal(seq, -int64(retryAfter), nil))
+	s.IC.Send(src, tagResponse, seal(s.IC.Intact(), seq, -int64(retryAfter), nil))
 }
 
 // shedRetryAfter decodes the overload marker from a response envelope's
@@ -117,7 +117,7 @@ func (c *Client) handleShed(ss *shedState, dest int, seq uint64, overall int64, 
 		return false, &OverloadedError{Dest: dest, RetryAfter: retryAfter, Sheds: ss.sheds}
 	}
 	ss.wait(retryAfter, seq)
-	c.IC.Send(dest, tagRequest, seal(seq, overall, req))
+	c.IC.Send(dest, tagRequest, seal(c.IC.Intact(), seq, overall, req))
 	return true, nil
 }
 

@@ -8,8 +8,14 @@
 // number, a CRC, and the call's end-to-end deadline — that makes the
 // exchange safe under an unreliable transport: a duplicated request is
 // answered once (the server replays the cached response instead of
-// re-dispatching), a corrupted payload is discarded as if lost, and a
-// retried call reuses its sequence number so the server recognizes it. With
+// re-dispatching), and a retried call reuses its sequence number so the
+// server recognizes it. Integrity is asked of the world, not re-checked:
+// the CRC is computed and verified only when mpi.Intercomm.Intact reports
+// that the world can corrupt payloads (a FaultPlan with a FaultCorrupt
+// rule), and then a corrupted payload is discarded as if lost. On an
+// intact world — the chan engine hands payloads over by reference, the
+// sock engine checks and resends every wire frame itself — the CRC field
+// is 0 and no checksum pass runs. With
 // a Timeout configured, Call bounds each attempt and retries with
 // exponential backoff; a Budget bounds the whole call end to end, and the
 // deadline travels in the envelope so a server receiving a request whose
@@ -55,29 +61,38 @@ const (
 	pollInterval = 200 * time.Microsecond
 )
 
+// checksum is the envelope CRC, a variable so tests can count how many
+// passes the rpc path makes over payload bytes.
+var checksum = crc32.ChecksumIEEE
+
 // seal wraps a body in the wire envelope: sequence number, CRC, and the
 // call's absolute end-to-end deadline (UnixNano; 0 means unbounded). The
 // CRC covers the deadline too, so a corrupted deadline is discarded as
-// lost rather than silently extending or expiring a request. Deadlines are
-// absolute because all ranks share one process clock; a multi-node port
-// would carry the remaining budget instead.
-func seal(seq uint64, deadline int64, body []byte) []byte {
+// lost rather than silently extending or expiring a request. On an intact
+// world (mpi.Intercomm.Intact) the CRC field is left 0: nothing between
+// sender and receiver can change the bytes, so the pass would catch
+// nothing. Deadlines are absolute because all ranks share one process
+// clock; a multi-node port would carry the remaining budget instead.
+func seal(intact bool, seq uint64, deadline int64, body []byte) []byte {
 	buf := make([]byte, headerLen+len(body))
 	binary.LittleEndian.PutUint64(buf[0:], seq)
 	binary.LittleEndian.PutUint64(buf[12:], uint64(deadline))
 	copy(buf[headerLen:], body)
-	binary.LittleEndian.PutUint32(buf[8:], crc32.ChecksumIEEE(buf[12:]))
+	if !intact {
+		binary.LittleEndian.PutUint32(buf[8:], checksum(buf[12:]))
+	}
 	return buf
 }
 
-// unseal unwraps an envelope, verifying the CRC. ok=false means the message
-// is truncated or corrupt and must be treated as lost.
-func unseal(msg []byte) (seq uint64, deadline int64, body []byte, ok bool) {
+// unseal unwraps an envelope, verifying the CRC unless the world is
+// intact. ok=false means the message is truncated or corrupt and must be
+// treated as lost.
+func unseal(intact bool, msg []byte) (seq uint64, deadline int64, body []byte, ok bool) {
 	if len(msg) < headerLen {
 		return 0, 0, nil, false
 	}
 	seq = binary.LittleEndian.Uint64(msg[0:])
-	if crc32.ChecksumIEEE(msg[12:]) != binary.LittleEndian.Uint32(msg[8:]) {
+	if !intact && checksum(msg[12:]) != binary.LittleEndian.Uint32(msg[8:]) {
 		return 0, 0, nil, false
 	}
 	deadline = int64(binary.LittleEndian.Uint64(msg[12:]))
@@ -325,7 +340,7 @@ func (c *Client) Call(dest int, req []byte) ([]byte, error) {
 	}
 	seq := c.nextSeq()
 	dl := c.deadline()
-	c.IC.Send(dest, tagRequest, seal(seq, dl, req))
+	c.IC.Send(dest, tagRequest, seal(c.IC.Intact(), seq, dl, req))
 	return c.await(dest, seq, dl, req)
 }
 
@@ -345,7 +360,7 @@ func (c *Client) CallAll(dests []int, req []byte) ([][]byte, error) {
 	dl := c.deadline() // posted together, so the calls share one deadline
 	for i, d := range dests {
 		seqs[i] = c.nextSeq()
-		c.IC.Send(d, tagRequest, seal(seqs[i], dl, req))
+		c.IC.Send(d, tagRequest, seal(c.IC.Intact(), seqs[i], dl, req))
 	}
 	out := make([][]byte, len(dests))
 	for i, d := range dests {
@@ -365,7 +380,7 @@ func (c *Client) CallAll(dests []int, req []byte) ([][]byte, error) {
 func (c *Client) Notify(dest int, req []byte) {
 	// No deadline: a notification with no reply has no caller to give up,
 	// so the server must never reject it as expired.
-	c.IC.Send(dest, tagRequest, seal(c.nextSeq(), 0, req))
+	c.IC.Send(dest, tagRequest, seal(c.IC.Intact(), c.nextSeq(), 0, req))
 }
 
 // await blocks for the response carrying seq from dest, resending the
@@ -394,7 +409,7 @@ func (c *Client) await(dest int, seq uint64, overall int64, req []byte) (resp []
 		// Fail-stop mode: block until the response (or a peer crash) arrives.
 		for {
 			msg, _ := c.IC.Recv(dest, tagResponse)
-			rseq, rdl, body, ok := unseal(msg)
+			rseq, rdl, body, ok := unseal(c.IC.Intact(), msg)
 			if ok && rseq == seq {
 				if ra, isShed := shedRetryAfter(rdl); isShed {
 					buf.Release(msg)
@@ -435,7 +450,7 @@ func (c *Client) await(dest int, seq uint64, overall int64, req []byte) (resp []
 				spin.Wait(pollInterval)
 				continue
 			}
-			rseq, rdl, body, ok := unseal(msg)
+			rseq, rdl, body, ok := unseal(c.IC.Intact(), msg)
 			if ok && rseq == seq {
 				if ra, isShed := shedRetryAfter(rdl); isShed {
 					buf.Release(msg)
@@ -476,7 +491,7 @@ func (c *Client) await(dest int, seq uint64, overall int64, req []byte) (resp []
 		}
 		down = nil
 		c.noteRetry(dest, attempt+1)
-		c.IC.Send(dest, tagRequest, seal(seq, overall, req))
+		c.IC.Send(dest, tagRequest, seal(c.IC.Intact(), seq, overall, req))
 	}
 }
 
@@ -503,7 +518,7 @@ func (c *Client) CallHedged(dest, hedge int, req []byte) (resp []byte, winner in
 	c.instruments()
 	seq := c.nextSeq()
 	overall := c.deadline()
-	c.IC.Send(dest, tagRequest, seal(seq, overall, req))
+	c.IC.Send(dest, tagRequest, seal(c.IC.Intact(), seq, overall, req))
 	hd := c.HedgeDelay
 	if hd <= 0 {
 		hd = c.Timeout / 4
@@ -521,7 +536,7 @@ func (c *Client) CallHedged(dest, hedge int, req []byte) (resp []byte, winner in
 			c.Track.Instant("rpc", "rpc.hedge",
 				trace.I64("primary", int64(dest)), trace.I64("hedge", int64(hedge)))
 		}
-		c.IC.Send(hedge, tagRequest, seal(seq, overall, req))
+		c.IC.Send(hedge, tagRequest, seal(c.IC.Intact(), seq, overall, req))
 		targets = append(targets, hedge)
 	}
 	attempts := 1
@@ -551,7 +566,7 @@ func (c *Client) CallHedged(dest, hedge int, req []byte) (resp []byte, winner in
 					continue
 				}
 				progress = true
-				rseq, rdl, body, ok := unseal(msg)
+				rseq, rdl, body, ok := unseal(c.IC.Intact(), msg)
 				if ok && rseq == seq {
 					if ra, isShed := shedRetryAfter(rdl); isShed {
 						// This target shed us: count it, feed its breaker,
@@ -619,7 +634,7 @@ func (c *Client) CallHedged(dest, hedge int, req []byte) (resp []byte, winner in
 		}
 		for _, d := range targets {
 			c.noteRetry(d, attempt+1)
-			c.IC.Send(d, tagRequest, seal(seq, overall, req))
+			c.IC.Send(d, tagRequest, seal(c.IC.Intact(), seq, overall, req))
 		}
 	}
 }
@@ -716,7 +731,7 @@ func (s *Server) ServeOne() int {
 func (s *Server) Recv() (src int, seq uint64, req []byte) {
 	for {
 		msg, st := s.IC.Recv(mpi.AnySource, tagRequest)
-		rseq, deadline, body, ok := unseal(msg)
+		rseq, deadline, body, ok := unseal(s.IC.Intact(), msg)
 		if !ok {
 			continue // corrupt on the wire; treated as lost
 		}
@@ -736,7 +751,7 @@ func (s *Server) Recv() (src int, seq uint64, req []byte) {
 		if cached, dup := s.register(st.Source, rseq); dup {
 			if cached != nil {
 				// Already answered: replay the response for the retry.
-				s.IC.Send(st.Source, tagResponse, seal(rseq, 0, cached.resp))
+				s.IC.Send(st.Source, tagResponse, seal(s.IC.Intact(), rseq, 0, cached.resp))
 			}
 			continue
 		}
@@ -755,7 +770,7 @@ func (s *Server) Respond(src int, seq uint64, resp []byte) {
 		}
 	}
 	s.mu.Unlock()
-	s.IC.Send(src, tagResponse, seal(seq, 0, resp))
+	s.IC.Send(src, tagResponse, seal(s.IC.Intact(), seq, 0, resp))
 }
 
 // register records a (src, seq) sighting. It returns dup=true when the

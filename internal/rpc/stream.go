@@ -11,17 +11,18 @@
 //	[seq 8][crc32 4][deadline 8][idx 4][flags 1][payload]
 //
 // The CRC covers deadline+idx+flags+payload, so the existing
-// corrupt-discard logic applies unchanged (response frames carry a zero
-// deadline — only requests are budget-checked). Recovery reuses the scalar retry contract: if a frame
-// is lost or corrupted the client times out and resends the request (same
-// seq); the server forgets a stream's seq as soon as its last frame is sent,
-// so the retry re-dispatches the handler, which re-streams from frame 0 and
-// the client discards every index it has already consumed.
+// corrupt-discard logic applies unchanged; like every envelope's, it is 0
+// and unchecked on an intact world. Response frames carry a zero deadline
+// — only requests are budget-checked. Recovery reuses the scalar retry
+// contract: if a frame is lost or corrupted the client times out and
+// resends the request (same seq); the server forgets a stream's seq as
+// soon as its last frame is sent, so the retry re-dispatches the handler,
+// which re-streams from frame 0 and the client discards every index it
+// has already consumed.
 package rpc
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"time"
 
 	"lowfive/internal/buf"
@@ -94,7 +95,11 @@ func (st *Stream) send(frame []byte, last bool) {
 		flags |= flagLast
 	}
 	frame[headerLen+4] = flags
-	binary.LittleEndian.PutUint32(frame[8:], crc32.ChecksumIEEE(frame[12:]))
+	var crc uint32 // pooled frame: an intact world leaves the field 0
+	if !st.srv.IC.Intact() {
+		crc = checksum(frame[12:])
+	}
+	binary.LittleEndian.PutUint32(frame[8:], crc)
 	st.srv.IC.Send(st.src, tagResponse, frame)
 	st.idx++
 	st.frames++
@@ -135,7 +140,7 @@ func (c *Client) StartStream(dest int, req []byte) *StreamCall {
 	seq := c.nextSeq()
 	dl := c.deadline()
 	sent := time.Now()
-	c.IC.Send(dest, tagRequest, seal(seq, dl, req))
+	c.IC.Send(dest, tagRequest, seal(c.IC.Intact(), seq, dl, req))
 	return &StreamCall{c: c, dest: dest, seq: seq, overall: dl, req: req, sent: sent}
 }
 
@@ -287,7 +292,7 @@ func (sc *StreamCall) Drain(onFrame func(payload []byte) error) (err error) {
 			down = nil
 		}
 		c.noteRetry(sc.dest, attempt+1)
-		c.IC.Send(sc.dest, tagRequest, seal(sc.seq, sc.overall, sc.req))
+		c.IC.Send(sc.dest, tagRequest, seal(c.IC.Intact(), sc.seq, sc.overall, sc.req))
 	}
 }
 
@@ -355,12 +360,17 @@ func (sc *StreamCall) Discard() {
 }
 
 // shedCheck recognizes an overloaded reply addressed to this stream: a
-// sealed empty body (too short to be a frame — accept requires idx+flags)
-// whose envelope deadline is negative, carrying -RetryAfter. The message is
-// not released; the caller owns it either way.
+// sealed empty body whose envelope deadline is negative, carrying
+// -RetryAfter. A shed reply is exactly headerLen bytes and every frame is
+// longer (accept requires idx+flags), so a frame is left for accept to
+// verify — once — without an unseal here. The message is not released;
+// the caller owns it either way.
 func (sc *StreamCall) shedCheck(msg []byte) (retryAfter time.Duration, isShed bool) {
-	rseq, rdl, body, ok := unseal(msg)
-	if !ok || rseq != sc.seq || len(body) != 0 {
+	if len(msg) != headerLen {
+		return 0, false
+	}
+	rseq, rdl, _, ok := unseal(sc.c.IC.Intact(), msg)
+	if !ok || rseq != sc.seq {
 		return 0, false
 	}
 	return shedRetryAfter(rdl)
@@ -371,7 +381,7 @@ func (sc *StreamCall) shedCheck(msg []byte) (retryAfter time.Duration, isShed bo
 // stale seq, an already-consumed index from a re-stream, or a gapped index
 // after a loss — is discarded and released; retry recovers the gap.
 func (sc *StreamCall) accept(msg []byte) (payload []byte, last bool, ok bool) {
-	rseq, _, body, ok := unseal(msg)
+	rseq, _, body, ok := unseal(sc.c.IC.Intact(), msg)
 	if !ok || rseq != sc.seq || len(body) < 5 {
 		buf.Release(msg)
 		return nil, false, false

@@ -158,6 +158,26 @@ func WithFaultPlan(plan FaultPlan) Option {
 	return func(w *World) { w.faultPlan = &plan }
 }
 
+// corrupts reports whether any rule of the plan flips payload bytes.
+func (p FaultPlan) corrupts() bool {
+	for _, r := range p.Rules {
+		if r.Action == FaultCorrupt {
+			return true
+		}
+	}
+	return false
+}
+
+// Intact reports whether every payload the world delivers arrives exactly
+// as it was sent. The chan engine hands a payload over by reference, and
+// the sock engine checks a CRC-32C on every frame and resends what fails
+// it, so only an attached FaultPlan with a FaultCorrupt rule makes it
+// false; a sock WirePlan does not. The plan is fixed when the world is
+// built and shared by every rank of a run, so all ranks agree and the
+// answer never changes. Layers above use it to skip end-to-end checksums
+// that could only ever catch injected corruption.
+func (w *World) Intact() bool { return w.intact }
+
 // RankFailedError is the typed failure delivered to a rank blocked on (or
 // probing for) a message from a crashed peer, instead of letting the whole
 // world sit in a deadlock until the watchdog fires. It propagates by panic

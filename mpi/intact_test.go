@@ -1,0 +1,86 @@
+package mpi
+
+import (
+	"sync"
+	"testing"
+
+	"lowfive/internal/transport"
+)
+
+// TestIntactTruthTable pins which worlds report Intact: every world
+// except one whose fault plan can flip payload bytes.
+func TestIntactTruthTable(t *testing.T) {
+	cases := []struct {
+		name string
+		opts []Option
+		want bool
+	}{
+		{"no-plan", nil, true},
+		{"empty-plan", []Option{WithFaultPlan(FaultPlan{Seed: 1})}, true},
+		{"drop-delay-duplicate", []Option{WithFaultPlan(FaultPlan{Seed: 1, Rules: []FaultRule{
+			{Action: FaultDrop, Rank: AnyRank, Tag: AnyTag, Count: 1},
+			{Action: FaultDelay, Rank: AnyRank, Tag: AnyTag},
+			{Action: FaultDuplicate, Rank: AnyRank, Tag: AnyTag},
+			{Action: FaultPartition, Rank: 0, Dst: DstRank(1), Tag: AnyTag},
+			{Action: FaultThrottle, Rank: AnyRank, Tag: AnyTag, Bandwidth: 1 << 20},
+			{Action: FaultCrash, Rank: 1, Tag: AnyTag, After: 1 << 30},
+		}})}, true},
+		{"corrupt-only", []Option{WithFaultPlan(FaultPlan{Seed: 1, Rules: []FaultRule{
+			{Action: FaultCorrupt, Rank: AnyRank, Tag: AnyTag},
+		}})}, false},
+		// A corrupt rule that can never fire still makes the world
+		// non-intact: the answer is a property of the plan, fixed at build
+		// time, never of what has fired so far.
+		{"corrupt-after-others-never-armed", []Option{WithFaultPlan(FaultPlan{Seed: 1, Rules: []FaultRule{
+			{Action: FaultDrop, Rank: AnyRank, Tag: AnyTag, Count: 1},
+			{Action: FaultCorrupt, Rank: 0, Tag: 71, After: 1 << 30},
+		}})}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWorld(2, tc.opts...)
+			if got := w.Intact(); got != tc.want {
+				t.Fatalf("World.Intact() = %v, want %v", got, tc.want)
+			}
+			ic := NewIntercomm(w, 7, []int{0}, []int{1}, 0, true)
+			if got := ic.Intact(); got != tc.want {
+				t.Fatalf("Intercomm.Intact() = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestIntactSockWorldWithCorruptingWirePlan: wire corruption on a sock
+// world is caught by the frame CRC-32C and resent by the session, so it
+// leaves the world intact on every rank.
+func TestIntactSockWorldWithCorruptingWirePlan(t *testing.T) {
+	const size = 2
+	coord, err := transport.NewCoordinator("unix", t.TempDir()+"/coord.sock", size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	plan := &WirePlan{Seed: 12, Rules: []WireRule{{Action: WireCorrupt, Src: WireAnyRank}}}
+	worlds := make([]*World, size)
+	errs := make([]error, size)
+	var wg sync.WaitGroup
+	for r := 0; r < size; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			worlds[r], errs[r] = NewSockWorld(SockWorldConfig{
+				Network: "unix", Coord: coord.Addr(), Rank: r, Size: size, Wire: plan,
+			})
+		}(r)
+	}
+	wg.Wait()
+	for r := range worlds {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		defer worlds[r].Close()
+		if !worlds[r].Intact() {
+			t.Errorf("rank %d: sock world with a corrupting WirePlan reports not intact", r)
+		}
+	}
+}

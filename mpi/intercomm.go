@@ -37,6 +37,10 @@ func (ic *Intercomm) LocalSize() int { return len(ic.local) }
 // RemoteSize returns the size of the remote group.
 func (ic *Intercomm) RemoteSize() int { return len(ic.remote) }
 
+// Intact reports whether the world under this intercomm delivers every
+// payload intact (World.Intact).
+func (ic *Intercomm) Intact() bool { return ic.world.intact }
+
 // sendID/recvID split the context by direction so that simultaneous traffic
 // A→B and B→A with equal (src, tag) never cross-matches.
 func (ic *Intercomm) sendID() uint64 {

@@ -228,6 +228,7 @@ func RunWorkflowSupervised(specs []TaskSpec, sup Supervisor, opts ...Option) (*W
 					// supervisor still consults policy.
 					e.crashed = true
 				}
+				w.markExited(wr)
 				exits <- e
 			}()
 			specs[ti].Main(p)

@@ -170,3 +170,91 @@ func TestSupervisedBackoffAndAttempts(t *testing.T) {
 		t.Fatalf("consumer completed %d times, want 1", completed)
 	}
 }
+
+// exitEarlySpecs is one two-rank task whose rank 0 returns at once, the
+// way a rank quits its epoch loop on an error, while rank 1 enters a
+// collective that needs rank 0.
+func exitEarlySpecs() []TaskSpec {
+	return []TaskSpec{{
+		Name:  "producer",
+		Procs: 2,
+		Main: func(p *Proc) {
+			if p.Task.Rank() == 1 {
+				p.Task.Allgather([]byte{1})
+			}
+		},
+	}}
+}
+
+// runBounded runs f and fails the test if it has not returned in time.
+func runBounded(t *testing.T, f func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(20 * time.Second):
+		t.Fatal("a collective whose peer had exited never returned")
+		return nil
+	}
+}
+
+// TestCollectiveFailsOncePeerExited: a rank blocked in a collective on a
+// peer whose main has returned gets RankFailedError instead of waiting
+// forever, supervised or not.
+func TestCollectiveFailsOncePeerExited(t *testing.T) {
+	t.Run("supervised", func(t *testing.T) {
+		stats, err := runBoundedStats(t, func() (*WorkflowStats, error) {
+			return RunWorkflowSupervised(exitEarlySpecs(), Supervisor{})
+		})
+		var tf *TaskFailure
+		if !errors.As(err, &tf) || tf.Task != "producer" || tf.Rank != 1 {
+			t.Fatalf("got %v, want the stranded rank 1 reported as a task failure", err)
+		}
+		if len(stats.Failures) != 1 {
+			t.Fatalf("failures %+v, want exactly the stranded rank", stats.Failures)
+		}
+	})
+	t.Run("unsupervised", func(t *testing.T) {
+		err := runBounded(t, func() error { return RunWorkflow(exitEarlySpecs()) })
+		var rf *RankFailedError
+		if !errors.As(err, &rf) || rf.Rank != 0 {
+			t.Fatalf("got %v, want *RankFailedError{Rank: 0}", err)
+		}
+	})
+}
+
+func runBoundedStats(t *testing.T, f func() (*WorkflowStats, error)) (*WorkflowStats, error) {
+	t.Helper()
+	var stats *WorkflowStats
+	err := runBounded(t, func() error {
+		var err error
+		stats, err = f()
+		return err
+	})
+	return stats, err
+}
+
+// TestCollectiveCompletesFromExitedPeer: a peer that did its part and
+// returned has left its messages queued, so a late rank still completes
+// the collective from them.
+func TestCollectiveCompletesFromExitedPeer(t *testing.T) {
+	err := runBounded(t, func() error {
+		return RunWorkflow([]TaskSpec{{
+			Name:  "t",
+			Procs: 3,
+			Main: func(p *Proc) {
+				if p.Task.Rank() != 0 {
+					time.Sleep(20 * time.Millisecond) // root has long returned
+				}
+				if got := p.Task.Bcast(0, []byte("root")); string(got) != "root" {
+					t.Errorf("rank %d: Bcast = %q", p.Task.Rank(), got)
+				}
+			},
+		}})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -45,9 +45,13 @@ type World struct {
 	// crashed ranks so peers blocked on them fail fast instead of hanging.
 	faultPlan *FaultPlan
 	fault     *faultState
+	intact    bool // no FaultCorrupt rule in faultPlan; see Intact
 	failed    []atomic.Bool
 	failedCh  []chan struct{}
 	crashed   atomic.Int64
+	// exited marks ranks whose main has returned in this process; see
+	// peerGone.
+	exited []atomic.Bool
 
 	// supervision state (active only under RunWorkflowSupervised): per-rank
 	// heartbeats, incarnation counters for restart, application epoch
@@ -251,6 +255,7 @@ func newWorldCore(size int, watchdog time.Duration, opts []Option) *World {
 		w.boxes[i] = newMailbox()
 	}
 	w.failed = make([]atomic.Bool, size)
+	w.exited = make([]atomic.Bool, size)
 	w.failedCh = make([]chan struct{}, size)
 	for i := range w.failedCh {
 		w.failedCh[i] = make(chan struct{})
@@ -258,8 +263,10 @@ func newWorldCore(size int, watchdog time.Duration, opts []Option) *World {
 	w.beats = make([]atomic.Int64, size)
 	w.incs = make([]atomic.Uint32, size)
 	w.epochs = make([]atomic.Int64, size)
+	w.intact = true
 	if w.faultPlan != nil {
 		w.fault = newFaultState(*w.faultPlan, size)
+		w.intact = !w.faultPlan.corrupts()
 	}
 	if w.tracer != nil {
 		w.tracks = make([]*trace.Track, size)
@@ -396,6 +403,7 @@ func (w *World) reviveRank(worldRank int) uint32 {
 	b.cond.Broadcast()
 	b.mu.Unlock()
 	w.failedCh[worldRank] = make(chan struct{})
+	w.exited[worldRank].Store(false)
 	w.failed[worldRank].Store(false)
 	w.crashed.Add(-1)
 	w.beats[worldRank].Store(time.Now().UnixNano())
@@ -438,6 +446,7 @@ func (w *World) Run(main func(c *Comm)) error {
 		wg.Add(1)
 		go func(c *Comm) {
 			defer wg.Done()
+			defer w.markExited(c.Rank())
 			defer func() {
 				if rec := recover(); rec != nil {
 					if _, isCrash := rec.(rankCrashPanic); isCrash {
@@ -663,7 +672,7 @@ func (b *mailbox) take(w *World, self int, commID uint64, src, tag, worldSrc int
 				return m
 			}
 		}
-		if worldSrc >= 0 && w.failed[worldSrc].Load() {
+		if w.peerGone(worldSrc, tag) {
 			panic(&RankFailedError{Rank: worldSrc})
 		}
 		if !b.waiting {
@@ -705,10 +714,34 @@ func (b *mailbox) tryTake(w *World, self int, commID uint64, src, tag, worldSrc 
 			return m
 		}
 	}
-	if worldSrc >= 0 && w.failed[worldSrc].Load() {
+	if w.peerGone(worldSrc, tag) {
 		panic(&RankFailedError{Rank: worldSrc})
 	}
 	return nil
+}
+
+// peerGone reports, after a receive found nothing queued, that nothing
+// matching can ever arrive from worldSrc: the peer crashed, or the receive
+// is part of a collective (an internal tag) and the peer's main has
+// already returned. Collective messages are never delayed by fault
+// injection and a rank enqueues its part before it returns, so an exited
+// peer that left nothing queued has left the collective for good — a rank
+// that quit early on an error must not strand its task siblings.
+func (w *World) peerGone(worldSrc, tag int) bool {
+	if worldSrc < 0 {
+		return false
+	}
+	return w.failed[worldSrc].Load() || (tag < AnyTag && w.exited[worldSrc].Load())
+}
+
+// markExited records that a rank's main returned (normally or by panic)
+// and wakes every mailbox so receivers blocked on it in a collective
+// re-check peerGone.
+func (w *World) markExited(worldRank int) {
+	w.exited[worldRank].Store(true)
+	for _, b := range w.boxes {
+		b.wakeAll()
+	}
 }
 
 // deliver hands the message to the transport engine for the destination

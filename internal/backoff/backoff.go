@@ -1,11 +1,12 @@
 // Package backoff is the repo's one implementation of full-jitter
-// exponential backoff, shared by the RPC layer's down-peer poll pacer and
-// the sock transport's reconnect loop. Both face the same thundering-herd
-// shape: many actors notice the same failure at the same instant, and a
-// fixed retry interval keeps them synchronized forever after. Full jitter
-// (each wait uniform in [base, cur], cur doubling to a ceiling) decorrelates
-// them; see "Exponential Backoff And Jitter" (AWS Architecture Blog) for
-// why full jitter beats equal or decorrelated jitter for contended retries.
+// exponential backoff, shared by the RPC client's wait after a shed reply
+// and the sock transport's reconnect loop. Both face the same
+// thundering-herd shape: many actors notice the same failure at the same
+// instant, and a fixed retry interval keeps them synchronized forever
+// after. Full jitter (each wait uniform in [base, cur], cur doubling to a
+// ceiling) decorrelates them; see "Exponential Backoff And Jitter" (AWS
+// Architecture Blog) for why full jitter beats equal or decorrelated
+// jitter for contended retries.
 package backoff
 
 import (
@@ -22,14 +23,14 @@ var seeds atomic.Uint64
 // usable; construct with New.
 type Backoff struct {
 	rng  uint64        // xorshift64 state, private per instance
-	base time.Duration // floor of every wait, and the post-Reset ceiling
+	base time.Duration // floor of every wait, and the first ceiling
 	cur  time.Duration // current ceiling, doubles per step
 	max  time.Duration // hard ceiling
 }
 
 // New builds a backoff whose waits start uniform in [base, base] and grow
-// to uniform in [base, max]. base and max are clamped to at least 1ms and
-// base respectively. extra perturbs the seed so callers with a natural
+// to uniform in [base, max]. A non-positive base becomes 1ms, and a max
+// below base is raised to base. extra perturbs the seed so callers with a natural
 // identity (a peer rank, a call id) decorrelate even against instances
 // created in the same nanosecond on another machine.
 func New(base, max time.Duration, extra uint64) *Backoff {
@@ -70,10 +71,6 @@ func (b *Backoff) Next(deadline time.Time) time.Duration {
 	}
 	return d
 }
-
-// Reset drops the ceiling back to the base interval — called whenever the
-// peer is observed healthy, so a later failure starts a fresh ramp.
-func (b *Backoff) Reset() { b.cur = b.base }
 
 // Ceiling reports the current jitter ceiling, exposed so tests can verify
 // ramp and saturation without sleeping through a schedule.

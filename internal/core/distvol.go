@@ -115,7 +115,7 @@ type DistMetadataVOL struct {
 	// over ChunkBytes.
 	ChunkPool *buf.Pool
 
-	// WaitForRestart makes consumer-side RPC clients keep polling when a
+	// WaitForRestart makes consumer-side RPC clients keep waiting when a
 	// producer rank has crashed, instead of failing over immediately: under
 	// a supervised workflow the producer may be relaunched, and retried
 	// requests reach the fresh incarnation. The retry budget

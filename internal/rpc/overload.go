@@ -8,8 +8,8 @@
 // zero deadline field (only requests are budget-checked), so a *negative*
 // deadline is free wire space. RespondOverloaded seals an empty body whose
 // deadline field holds -RetryAfter nanoseconds; the CRC covers it like any
-// envelope, and every receive path (Call, CallAll, CallHedged, stream Drain)
-// recognizes it by sign. No new message format, no collision with any legal
+// envelope, and the client's one wait loop recognizes it by sign for every
+// call shape. No new message format, no collision with any legal
 // response body.
 package rpc
 

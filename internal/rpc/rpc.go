@@ -15,18 +15,28 @@
 // rule), and then a corrupted payload is discarded as if lost. On an
 // intact world — the chan engine hands payloads over by reference, the
 // sock engine checks and resends every wire frame itself — the CRC field
-// is 0 and no checksum pass runs. With
-// a Timeout configured, Call bounds each attempt and retries with
-// exponential backoff; a Budget bounds the whole call end to end, and the
-// deadline travels in the envelope so a server receiving a request whose
-// budget is already spent rejects it without dispatching work no one
-// awaits. CallHedged races the primary against a replica after a hedge
-// delay, the tail-latency defense of Dean & Barroso's "The Tail at Scale".
-// A crashed peer surfaces as a typed error instead of a hang.
+// is 0 and no checksum pass runs. With a Timeout configured, Call bounds
+// each attempt and retries with exponential backoff; a Budget bounds the
+// whole call end to end, and the deadline travels in the envelope so a
+// server receiving a request whose budget is already spent rejects it
+// without dispatching work no one awaits. CallHedged races the primary
+// against a replica after a hedge delay, the tail-latency defense of Dean
+// & Barroso's "The Tail at Scale". A crashed peer surfaces as a typed
+// error instead of a hang.
+//
+// Every call shape — Call and CallAll, CallHedged, a stream's Drain and
+// Discard — waits in one attempt loop (call.wait), which owns each rule
+// once: the attempt deadline clamped to the Budget, resend under the same
+// seq, retry backoff, shed handling, breaker feedback, waiting out a
+// crashed peer under RetryFailed, and the typed errors. The loop blocks in
+// one deadline-aware receive (mpi.Intercomm.RecvUntil) and never polls:
+// without a Timeout it blocks until answered, with one it wakes at the
+// attempt's deadline.
 package rpc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -56,9 +66,6 @@ const (
 	// more than this many sequence numbers behind the newest are pruned.
 	// Duplicates are reorderings of recent traffic, never arbitrarily old.
 	dedupWindow = 256
-
-	// pollInterval paces the timeout-mode receive poll.
-	pollInterval = 200 * time.Microsecond
 )
 
 // checksum is the envelope CRC, a variable so tests can count how many
@@ -154,14 +161,15 @@ type Client struct {
 	// Backoff is the wait after the first timed-out attempt; it doubles per
 	// retry. Zero means retry immediately.
 	Backoff time.Duration
-	// RetryFailed keeps polling when the addressed peer has crashed instead
+	// RetryFailed keeps waiting when the addressed peer has crashed instead
 	// of failing the call immediately: under a supervised workflow the peer
 	// may be torn down and relaunched, and a retried request (sends to a
 	// dead rank are silently dropped) reaches the fresh incarnation. The
 	// call still fails once the retry budget is spent with the peer down,
 	// with a *CallError wrapping mpi.RankFailedError — so the budget bounds
-	// how long a restart may take. Requires a Timeout; the fail-stop path
-	// ignores it.
+	// how long a restart may take. The wait is a blocking receive, so the
+	// waiting rank never looks hung to heartbeat detection. Requires a
+	// Timeout; the fail-stop path ignores it.
 	RetryFailed bool
 	// Budget bounds each call end to end: however many attempts the retry
 	// schedule would still allow, the call fails once the budget is spent.
@@ -338,10 +346,10 @@ func (c *Client) Call(dest int, req []byte) ([]byte, error) {
 	if err := c.breakerAllow(dest, req); err != nil {
 		return nil, err
 	}
-	seq := c.nextSeq()
-	dl := c.deadline()
-	c.IC.Send(dest, tagRequest, seal(c.IC.Intact(), seq, dl, req))
-	return c.await(dest, seq, dl, req)
+	cl := c.newCall(dest, c.nextSeq(), c.deadline(), req)
+	cl.post(dest)
+	resp, _, err := cl.await()
+	return resp, err
 }
 
 // CallAll pipelines the same request to several remote ranks: all sends are
@@ -364,7 +372,8 @@ func (c *Client) CallAll(dests []int, req []byte) ([][]byte, error) {
 	}
 	out := make([][]byte, len(dests))
 	for i, d := range dests {
-		resp, err := c.await(d, seqs[i], dl, req)
+		cl := c.newCall(d, seqs[i], dl, req)
+		resp, _, err := cl.await()
 		if err != nil {
 			return out, err
 		}
@@ -383,127 +392,17 @@ func (c *Client) Notify(dest int, req []byte) {
 	c.IC.Send(dest, tagRequest, seal(c.IC.Intact(), c.nextSeq(), 0, req))
 }
 
-// await blocks for the response carrying seq from dest, resending the
-// request on timeout (same sequence number — the server deduplicates).
-// Responses with other sequence numbers are stale replies to abandoned
-// attempts and are discarded. overall (the envelope deadline, 0 for none)
-// caps the whole call: no attempt outlives it, and once it passes the call
-// fails even with retries left.
-func (c *Client) await(dest int, seq uint64, overall int64, req []byte) (resp []byte, err error) {
-	start := time.Now()
-	attempts := 1
-	c.instruments()
-	defer func() { c.observe(req, start, attempts) }()
-	defer func() {
-		if r := recover(); r != nil {
-			if rf, ok := r.(*mpi.RankFailedError); ok {
-				c.breakerOnFailure(dest, req)
-				resp, err = nil, &CallError{Dest: dest, Attempts: attempts, Elapsed: time.Since(start), Err: rf}
-				return
-			}
-			panic(r)
-		}
-	}()
-	var ss shedState
-	if c.Timeout <= 0 {
-		// Fail-stop mode: block until the response (or a peer crash) arrives.
-		for {
-			msg, _ := c.IC.Recv(dest, tagResponse)
-			rseq, rdl, body, ok := unseal(c.IC.Intact(), msg)
-			if ok && rseq == seq {
-				if ra, isShed := shedRetryAfter(rdl); isShed {
-					buf.Release(msg)
-					retry, serr := c.handleShed(&ss, dest, seq, overall, ra, req)
-					if !retry {
-						return nil, serr
-					}
-					continue
-				}
-				c.breakerOnSuccess(dest, req)
-				return body, nil
-			}
-			// Stale or corrupt — possibly a pooled frame from an abandoned
-			// stream; recycle it.
-			buf.Release(msg)
-		}
-	}
-	backoff := c.Backoff
-	var down *mpi.RankFailedError
-	pacer := newPollPacer(c.Timeout)
-	for attempt := 0; ; attempt++ {
-		attempts = attempt + 1
-		deadline := time.Now().Add(c.Timeout)
-		if overall != 0 {
-			if od := time.Unix(0, overall); od.Before(deadline) {
-				deadline = od
-			}
-		}
-		for time.Now().Before(deadline) {
-			msg, got, pd := c.tryRecv(dest)
-			if pd != nil {
-				down = pd
-				pacer.wait(deadline)
-				continue
-			}
-			if !got {
-				pacer.reset()
-				spin.Wait(pollInterval)
-				continue
-			}
-			rseq, rdl, body, ok := unseal(c.IC.Intact(), msg)
-			if ok && rseq == seq {
-				if ra, isShed := shedRetryAfter(rdl); isShed {
-					buf.Release(msg)
-					retry, serr := c.handleShed(&ss, dest, seq, overall, ra, req)
-					if !retry {
-						return nil, serr
-					}
-					// A shed proves the server alive: restart the attempt
-					// clock for the post-backoff resend instead of charging
-					// the sleep against this attempt's receive window.
-					deadline = time.Now().Add(c.Timeout)
-					if overall != 0 {
-						if od := time.Unix(0, overall); od.Before(deadline) {
-							deadline = od
-						}
-					}
-					continue
-				}
-				c.breakerOnSuccess(dest, req)
-				return body, nil
-			}
-			buf.Release(msg)
-		}
-		spent := overall != 0 && time.Now().UnixNano() >= overall
-		if attempt >= c.Retries || spent {
-			c.timeouts.Add(1)
-			c.mTimeouts.Inc()
-			c.breakerOnFailure(dest, req)
-			if down != nil {
-				return nil, &CallError{Dest: dest, Attempts: attempts, Elapsed: time.Since(start), Err: down}
-			}
-			to := &TimeoutError{Dest: dest, Timeout: c.Timeout, Attempts: attempts, Elapsed: time.Since(start)}
-			return nil, &CallError{Dest: dest, Attempts: attempts, Elapsed: time.Since(start), Err: to}
-		}
-		if backoff > 0 {
-			spin.Wait(backoff)
-			backoff *= 2
-		}
-		down = nil
-		c.noteRetry(dest, attempt+1)
-		c.IC.Send(dest, tagRequest, seal(c.IC.Intact(), seq, overall, req))
-	}
-}
-
 // CallHedged sends req to dest and, if no response arrives within
-// HedgeDelay (or dest is observed down), also to hedge — racing the
-// primary against a replica so one straggling or partitioned rank cannot
-// hold the call to its full timeout. The first valid response wins and is
-// returned with the rank that produced it; the loser's late response is
-// discarded by sequence matching on a later call. Requires a Timeout and a
-// distinct hedge rank, otherwise it degrades to a plain Call.
+// HedgeDelay, or dest is observed down or sheds the call, also to hedge —
+// racing the primary against a replica so one straggling or partitioned
+// rank cannot hold the call to its full timeout. The first valid response
+// wins and is returned with the rank that produced it; the loser's late
+// response is discarded by sequence matching on a later call. The delay
+// defaults to a quarter of Timeout, so without either the hedge goes out
+// only on a crash or a shed. A hedge equal to dest degrades to a plain
+// Call.
 func (c *Client) CallHedged(dest, hedge int, req []byte) (resp []byte, winner int, err error) {
-	if c.Timeout <= 0 || hedge == dest {
+	if hedge == dest {
 		resp, err = c.Call(dest, req)
 		return resp, dest, err
 	}
@@ -514,167 +413,277 @@ func (c *Client) CallHedged(dest, hedge int, req []byte) (resp []byte, winner in
 		resp, err = c.Call(hedge, req)
 		return resp, hedge, err
 	}
-	start := time.Now()
-	c.instruments()
-	seq := c.nextSeq()
-	overall := c.deadline()
-	c.IC.Send(dest, tagRequest, seal(c.IC.Intact(), seq, overall, req))
+	cl := c.newCall(dest, c.nextSeq(), c.deadline(), req)
+	cl.to[1], cl.want = hedge, 2
+	cl.post(dest)
 	hd := c.HedgeDelay
 	if hd <= 0 {
 		hd = c.Timeout / 4
 	}
-	targets := []int{dest}
-	downs := make(map[int]*mpi.RankFailedError)
-	shedRA := make(map[int]time.Duration) // last RetryAfter per shed target
-	shedCount := 0
-	hedgedSent := false
-	sendHedge := func() {
-		hedgedSent = true
-		c.hedged.Add(1)
-		c.mHedged.Inc()
-		if c.Track != nil {
-			c.Track.Instant("rpc", "rpc.hedge",
-				trace.I64("primary", int64(dest)), trace.I64("hedge", int64(hedge)))
-		}
-		c.IC.Send(hedge, tagRequest, seal(c.IC.Intact(), seq, overall, req))
-		targets = append(targets, hedge)
+	if hd > 0 {
+		cl.hedgeAt = time.Now().Add(hd)
 	}
-	attempts := 1
-	defer func() { c.observe(req, start, attempts) }()
-	backoff := c.Backoff
-	pacer := newPollPacer(c.Timeout)
-	for attempt := 0; ; attempt++ {
-		attempts = attempt + 1
-		deadline := time.Now().Add(c.Timeout)
-		if overall != 0 {
-			if od := time.Unix(0, overall); od.Before(deadline) {
-				deadline = od
-			}
-		}
-		for time.Now().Before(deadline) {
-			if !hedgedSent && (time.Since(start) >= hd || downs[dest] != nil || shedRA[dest] > 0) {
-				sendHedge()
-			}
-			progress := false
-			for _, d := range targets {
-				msg, got, pd := c.tryRecvSafe(d)
-				if pd != nil {
-					downs[d] = pd
-					continue
-				}
-				if !got {
-					continue
-				}
-				progress = true
-				rseq, rdl, body, ok := unseal(c.IC.Intact(), msg)
-				if ok && rseq == seq {
-					if ra, isShed := shedRetryAfter(rdl); isShed {
-						// This target shed us: count it, feed its breaker,
-						// and let the race continue — the other target (or
-						// the next timed resend) may still answer.
-						buf.Release(msg)
-						c.noteShed(d)
-						c.breakerOnFailure(d, req)
-						shedRA[d] = ra
-						shedCount++
-						continue
-					}
-					c.breakerOnSuccess(d, req)
-					if d == hedge {
-						c.hedgeWins.Add(1)
-						c.mHedgeWin.Inc()
-					}
-					return body, d, nil
-				}
-				buf.Release(msg)
-			}
-			if !progress {
-				if !c.RetryFailed && hedgedSent && downs[dest] != nil && downs[hedge] != nil {
-					// Both targets are down and no restart is coming.
-					c.timeouts.Add(1)
-					c.mTimeouts.Inc()
-					return nil, dest, &CallError{Dest: dest, Attempts: attempts, Elapsed: time.Since(start), Err: downs[dest]}
-				}
-				if len(downs) > 0 {
-					pacer.wait(deadline)
-				} else {
-					pacer.reset()
-					spin.Wait(pollInterval)
-				}
-			}
-		}
-		spent := overall != 0 && time.Now().UnixNano() >= overall
-		if attempt >= c.Retries || spent {
-			c.timeouts.Add(1)
-			c.mTimeouts.Inc()
-			c.breakerOnFailure(dest, req)
-			if hedgedSent {
-				c.breakerOnFailure(hedge, req)
-			}
-			if pd := downs[dest]; pd != nil {
-				return nil, dest, &CallError{Dest: dest, Attempts: attempts, Elapsed: time.Since(start), Err: pd}
-			}
-			if ra := shedRA[dest]; ra > 0 && shedCount > 0 {
-				// The primary's last word was a shed, not silence: surface
-				// the overload (with its backoff hint) rather than a timeout.
-				return nil, dest, &OverloadedError{Dest: dest, RetryAfter: ra, Sheds: shedCount}
-			}
-			to := &TimeoutError{Dest: dest, Timeout: c.Timeout, Attempts: attempts, Elapsed: time.Since(start)}
-			return nil, dest, &CallError{Dest: dest, Attempts: attempts, Elapsed: time.Since(start), Err: to}
-		}
-		if backoff > 0 {
-			spin.Wait(backoff)
-			backoff *= 2
-		}
-		for d := range downs {
-			delete(downs, d)
-		}
-		for d := range shedRA {
-			delete(shedRA, d)
-		}
-		for _, d := range targets {
-			c.noteRetry(d, attempt+1)
-			c.IC.Send(d, tagRequest, seal(c.IC.Intact(), seq, overall, req))
+	resp, winner, err = cl.await()
+	if err != nil {
+		return nil, dest, err
+	}
+	if winner == hedge {
+		c.hedgeWins.Add(1)
+		c.mHedgeWin.Inc()
+	}
+	return resp, winner, nil
+}
+
+// call is one request's progress through the client's wait loop. Every
+// call shape — Call and CallAll, CallHedged, a stream's Drain and Discard —
+// runs the same loop and differs only in what it does with each response
+// and in the few policy fields below.
+type call struct {
+	c        *Client
+	req      []byte
+	seq      uint64
+	overall  int64  // envelope deadline, UnixNano; 0 when the client has no Budget
+	to       [2]int // ranks the request goes to: the primary, then a hedge
+	n, want  int    // targets sent to so far, and allowed (2 for a hedged call)
+	start    time.Time
+	attempts int
+	backoff  time.Duration
+	deadline time.Time            // the attempt's end; zero blocks until answered
+	hedgeAt  time.Time            // when a pending hedge goes out unprompted (zero: never)
+	down     *mpi.RankFailedError // every target crashed this attempt and RetryFailed waits it out
+	ss       shedState
+	shedRA   time.Duration // the primary's last shed this attempt, for a hedged call's error
+	discard  bool          // Discard: a quiet attempt, a shed or a crash ends the wait, silently
+	idx      uint32        // a stream's next frame index; re-asking a crashed peer rewinds it
+}
+
+// newCall prepares a call of req to dest under seq. The caller posts the
+// request.
+func (c *Client) newCall(dest int, seq uint64, overall int64, req []byte) call {
+	return call{c: c, req: req, seq: seq, overall: overall, to: [2]int{dest}, n: 1, want: 1, attempts: 1, backoff: c.Backoff}
+}
+
+// post sends the call's request to dest (again, on a retry: the server
+// deduplicates by seq).
+func (cl *call) post(dest int) {
+	cl.c.IC.Send(dest, tagRequest, seal(cl.c.IC.Intact(), cl.seq, cl.overall, cl.req))
+}
+
+// begin starts the first attempt; a stream's clock already runs from
+// StartStream.
+func (cl *call) begin() {
+	cl.c.instruments()
+	if cl.start.IsZero() {
+		cl.start = time.Now()
+	}
+	cl.arm()
+}
+
+// observe records the finished call on the metrics plane.
+func (cl *call) observe() { cl.c.observe(cl.req, cl.start, cl.attempts) }
+
+// arm starts an attempt: its deadline is Timeout from now, clamped to the
+// Budget. Without a Timeout there is no deadline, so the call blocks until
+// answered and never resends.
+func (cl *call) arm() {
+	if cl.c.Timeout <= 0 {
+		return
+	}
+	cl.deadline = time.Now().Add(cl.c.Timeout)
+	if cl.overall != 0 {
+		if od := time.Unix(0, cl.overall); od.Before(cl.deadline) {
+			cl.deadline = od
 		}
 	}
 }
 
-// tryRecvSafe is tryRecv with a crashed peer always surfaced as a value
-// instead of a panic, regardless of RetryFailed: a hedged call outlives the
-// death of one of its targets as long as the other can still answer.
-func (c *Client) tryRecvSafe(dest int) (msg []byte, got bool, down *mpi.RankFailedError) {
+// await waits for a scalar call's response body and the rank that sent it.
+func (cl *call) await() (body []byte, src int, err error) {
+	cl.begin()
+	defer cl.observe()
+	_, body, src, err = cl.wait()
+	if err != nil {
+		return nil, src, err
+	}
+	cl.c.breakerOnSuccess(src, cl.req)
+	return body, src, nil
+}
+
+// wait is the client's one wait loop. It blocks until a response carrying
+// the call's seq arrives and returns it — the caller owns msg, which body
+// aliases — or returns the call's final error. On the way it releases
+// stale and corrupt messages, handles sheds, sends a pending hedge, waits
+// out crashed targets under RetryFailed, and ends each quiet attempt
+// through retry.
+func (cl *call) wait() (msg, body []byte, src int, err error) {
+	c := cl.c
+	for {
+		msg, src, ok, down := cl.recv()
+		switch {
+		case down != nil:
+			switch {
+			case cl.n < cl.want:
+				cl.sendHedge() // the primary is gone; the hedge may still answer
+			case cl.discard:
+				return nil, nil, src, down
+			case c.RetryFailed && !cl.deadline.IsZero():
+				cl.down = down // a supervisor may relaunch it: wait out the attempt
+			default:
+				c.breakerOnFailure(cl.to[0], cl.req)
+				return nil, nil, src, cl.callError(down)
+			}
+		case ok:
+			rseq, rdl, body, valid := unseal(c.IC.Intact(), msg)
+			if !valid || rseq != cl.seq {
+				// Stale or corrupt — possibly a pooled frame from an
+				// abandoned stream; recycle it.
+				buf.Release(msg)
+				continue
+			}
+			ra, shed := shedRetryAfter(rdl)
+			if !shed {
+				return msg, body, src, nil
+			}
+			buf.Release(msg)
+			if err := cl.shed(src, ra); err != nil {
+				return nil, nil, src, err
+			}
+		case cl.n < cl.want && !cl.hedgeAt.IsZero() && !time.Now().Before(cl.hedgeAt):
+			cl.sendHedge()
+		default:
+			if err := cl.retry(); err != nil {
+				return nil, nil, cl.to[0], err
+			}
+		}
+	}
+}
+
+// recv is one blocking receive on the call's targets, until the attempt
+// deadline or a pending hedge's send time. Waiting out crashed targets, it
+// blocks on no source at all, so the rank still counts as blocked in a
+// receive and heartbeat hang detection leaves it alone. A crash of every
+// target comes back as down rather than a panic.
+func (cl *call) recv() (msg []byte, src int, ok bool, down *mpi.RankFailedError) {
 	defer func() {
 		if r := recover(); r != nil {
-			if rf, ok := r.(*mpi.RankFailedError); ok {
-				msg, got, down = nil, false, rf
-				return
-			}
-			panic(r)
-		}
-	}()
-	return c.tryRecv(dest)
-}
-
-// tryRecv polls for one response message from dest. With RetryFailed set, a
-// crashed peer surfaces as a non-nil down error instead of a panic, so the
-// polling loops can wait out a supervised restart window; without it the
-// mpi.RankFailedError panic propagates (fail-stop behavior, recovered by the
-// callers' deferred handlers).
-func (c *Client) tryRecv(dest int) (msg []byte, got bool, down *mpi.RankFailedError) {
-	if c.RetryFailed {
-		defer func() {
-			if r := recover(); r != nil {
-				if rf, ok := r.(*mpi.RankFailedError); ok {
-					msg, got, down = nil, false, rf
-					return
-				}
+			rf, isRF := r.(*mpi.RankFailedError)
+			if !isRF {
 				panic(r)
 			}
-		}()
+			down = rf
+		}
+	}()
+	srcs, until := cl.to[:cl.n], cl.deadline
+	if cl.down != nil {
+		srcs = nil
 	}
-	msg, _, got = c.IC.TryRecv(dest, tagResponse)
-	return msg, got, nil
+	if cl.n < cl.want && !cl.hedgeAt.IsZero() && (until.IsZero() || cl.hedgeAt.Before(until)) {
+		until = cl.hedgeAt
+	}
+	msg, st, ok := cl.c.IC.RecvUntil(srcs, tagResponse, until)
+	return msg, st.Source, ok, nil
 }
+
+// sendHedge races the hedge rank against the primary.
+func (cl *call) sendHedge() {
+	c := cl.c
+	c.hedged.Add(1)
+	c.mHedged.Inc()
+	if c.Track != nil {
+		c.Track.Instant("rpc", "rpc.hedge",
+			trace.I64("primary", int64(cl.to[0])), trace.I64("hedge", int64(cl.to[1])))
+	}
+	cl.post(cl.to[1])
+	cl.n = 2
+}
+
+// shed handles an overloaded reply from src. Discard stops; a hedged call
+// counts it, feeds src's breaker and races on, sending the hedge if the
+// primary shed; any other call backs off and resends through handleShed,
+// restarting the attempt clock because a shed proves the server alive.
+func (cl *call) shed(src int, ra time.Duration) error {
+	c := cl.c
+	switch {
+	case cl.discard:
+		return errGaveUp
+	case cl.want > 1:
+		cl.ss.sheds++
+		c.noteShed(src)
+		c.breakerOnFailure(src, cl.req)
+		if src == cl.to[0] {
+			cl.shedRA = ra
+			if cl.n < cl.want {
+				cl.sendHedge()
+			}
+		}
+		return nil
+	}
+	retry, err := c.handleShed(&cl.ss, src, cl.seq, cl.overall, ra, cl.req)
+	if retry {
+		cl.arm()
+	}
+	return err
+}
+
+// retry ends an attempt whose deadline passed unanswered. The call fails
+// once its retries or its Budget are spent — with the crash it waited out,
+// the primary's last shed, or a timeout — and otherwise backs off and
+// resends to every target under the same seq. Discard gives up at once.
+func (cl *call) retry() error {
+	c := cl.c
+	if cl.discard {
+		return errGaveUp
+	}
+	spent := cl.overall != 0 && time.Now().UnixNano() >= cl.overall
+	if cl.attempts > c.Retries || spent {
+		c.timeouts.Add(1)
+		c.mTimeouts.Inc()
+		for _, d := range cl.to[:cl.n] {
+			c.breakerOnFailure(d, cl.req)
+		}
+		switch {
+		case cl.down != nil:
+			return cl.callError(cl.down)
+		case cl.shedRA > 0:
+			// The primary's last word was a shed, not silence: surface the
+			// overload (with its backoff hint) rather than a timeout.
+			return &OverloadedError{Dest: cl.to[0], RetryAfter: cl.shedRA, Sheds: cl.ss.sheds}
+		}
+		return cl.callError(&TimeoutError{Dest: cl.to[0], Timeout: c.Timeout, Attempts: cl.attempts, Elapsed: time.Since(cl.start)})
+	}
+	if cl.backoff > 0 {
+		spin.Wait(cl.backoff)
+		cl.backoff *= 2
+	}
+	if cl.down != nil {
+		// Re-asking a peer that crashed (and may have been relaunched by a
+		// supervisor) restarts a stream's cursor too: a restarted producer
+		// may segment the re-streamed response differently (its rejoined
+		// triples need not match the originals), so skipping "already
+		// consumed" indices could skip regions the new segmentation packs
+		// there. Re-consuming is safe — streamed frames are self-describing
+		// box-addressed scatters, applied in stream order. Plain loss
+		// recovery keeps the cursor: the re-stream is identical and
+		// consumed indices are skipped.
+		cl.idx = 0
+	}
+	cl.down, cl.shedRA = nil, 0
+	for _, d := range cl.to[:cl.n] {
+		c.noteRetry(d, cl.attempts)
+		cl.post(d)
+	}
+	cl.attempts++
+	cl.arm()
+	return nil
+}
+
+// callError wraps a failure of the call with its primary rank.
+func (cl *call) callError(err error) error {
+	return &CallError{Dest: cl.to[0], Attempts: cl.attempts, Elapsed: time.Since(cl.start), Err: err}
+}
+
+// errGaveUp ends a Discard; nobody sees it.
+var errGaveUp = errors.New("rpc: discard gave up")
 
 // Handler processes one request from remote rank src. Returning a nil
 // response with respond=false means the request was a one-way notification.

@@ -26,8 +26,6 @@ import (
 	"time"
 
 	"lowfive/internal/buf"
-	"lowfive/internal/spin"
-	"lowfive/mpi"
 )
 
 const (
@@ -124,8 +122,7 @@ type StreamCall struct {
 	seq     uint64
 	overall int64 // absolute end-to-end deadline from the client's Budget
 	req     []byte
-	next    uint32
-	sent    time.Time // when StartStream posted the request, for the latency histogram
+	sent    time.Time // when StartStream posted the request
 	err     error     // breaker fast-fail, surfaced by Drain before any receive
 }
 
@@ -135,13 +132,11 @@ type StreamCall struct {
 // sent; Drain returns the *BreakerOpenError immediately.
 func (c *Client) StartStream(dest int, req []byte) *StreamCall {
 	if err := c.breakerAllow(dest, req); err != nil {
-		return &StreamCall{c: c, dest: dest, req: req, sent: time.Now(), err: err}
+		return &StreamCall{err: err}
 	}
-	seq := c.nextSeq()
-	dl := c.deadline()
-	sent := time.Now()
-	c.IC.Send(dest, tagRequest, seal(c.IC.Intact(), seq, dl, req))
-	return &StreamCall{c: c, dest: dest, seq: seq, overall: dl, req: req, sent: sent}
+	sc := &StreamCall{c: c, dest: dest, seq: c.nextSeq(), overall: c.deadline(), req: req, sent: time.Now()}
+	c.IC.Send(dest, tagRequest, seal(c.IC.Intact(), sc.seq, sc.overall, req))
+	return sc
 }
 
 // Drain receives the stream's frames in order, invoking onFrame with each
@@ -151,149 +146,14 @@ func (c *Client) StartStream(dest int, req []byte) *StreamCall {
 //
 // Loss recovery mirrors Call: with a Timeout configured, a silent gap
 // resends the request (same seq) and the server re-streams from frame 0;
-// already-consumed indices are discarded. A crashed peer returns a
+// already-consumed indices are discarded. Each accepted frame starts a
+// fresh attempt, still within the Budget. A crashed peer returns a
 // *CallError wrapping mpi.RankFailedError.
-func (sc *StreamCall) Drain(onFrame func(payload []byte) error) (err error) {
+func (sc *StreamCall) Drain(onFrame func(payload []byte) error) error {
 	if sc.err != nil {
 		return sc.err // breaker fast-fail: the request was never sent
 	}
-	c := sc.c
-	start := time.Now()
-	attempts := 1
-	// The stream's latency covers the whole call — StartStream's request
-	// send to the last frame — labeled by the request's method (the
-	// data-stream op), like any scalar call.
-	c.instruments()
-	defer func() { c.observe(sc.req, sc.sent, attempts) }()
-	defer func() {
-		if r := recover(); r != nil {
-			if rf, ok := r.(*mpi.RankFailedError); ok {
-				c.breakerOnFailure(sc.dest, sc.req)
-				err = &CallError{Dest: sc.dest, Attempts: attempts, Elapsed: time.Since(start), Err: rf}
-				return
-			}
-			panic(r)
-		}
-	}()
-	var ss shedState
-	if c.Timeout <= 0 {
-		// Fail-stop mode: the transport delivers in order and never drops,
-		// so block per frame until the last flag.
-		for {
-			msg, _ := c.IC.Recv(sc.dest, tagResponse)
-			if ra, isShed := sc.shedCheck(msg); isShed {
-				buf.Release(msg)
-				retry, serr := c.handleShed(&ss, sc.dest, sc.seq, sc.overall, ra, sc.req)
-				if !retry {
-					return serr
-				}
-				continue
-			}
-			payload, last, ok := sc.accept(msg)
-			if !ok {
-				continue
-			}
-			ferr := onFrame(payload)
-			buf.Release(msg)
-			if ferr != nil {
-				return ferr
-			}
-			if last {
-				c.breakerOnSuccess(sc.dest, sc.req)
-				return nil
-			}
-		}
-	}
-	backoff := c.Backoff
-	var down *mpi.RankFailedError
-	for attempt := 0; ; attempt++ {
-		attempts = attempt + 1
-		deadline := time.Now().Add(c.Timeout)
-		if sc.overall != 0 {
-			if od := time.Unix(0, sc.overall); od.Before(deadline) {
-				deadline = od
-			}
-		}
-		for time.Now().Before(deadline) {
-			msg, got, pd := c.tryRecv(sc.dest)
-			if pd != nil {
-				down = pd
-				spin.Wait(pollInterval)
-				continue
-			}
-			if !got {
-				spin.Wait(pollInterval)
-				continue
-			}
-			if ra, isShed := sc.shedCheck(msg); isShed {
-				buf.Release(msg)
-				retry, serr := c.handleShed(&ss, sc.dest, sc.seq, sc.overall, ra, sc.req)
-				if !retry {
-					return serr
-				}
-				// The post-backoff resend re-streams from frame 0; the
-				// cursor stays put so already-consumed indices are skipped,
-				// exactly like loss recovery. A shed proves the server
-				// alive, so restart the attempt clock.
-				deadline = time.Now().Add(c.Timeout)
-				if sc.overall != 0 {
-					if od := time.Unix(0, sc.overall); od.Before(deadline) {
-						deadline = od
-					}
-				}
-				continue
-			}
-			payload, last, ok := sc.accept(msg)
-			if !ok {
-				continue
-			}
-			ferr := onFrame(payload)
-			buf.Release(msg)
-			if ferr != nil {
-				return ferr
-			}
-			if last {
-				c.breakerOnSuccess(sc.dest, sc.req)
-				return nil
-			}
-			// Progress: each accepted frame refreshes the deadline and the
-			// retry budget.
-			deadline = time.Now().Add(c.Timeout)
-			attempt = 0
-			backoff = c.Backoff
-		}
-		spent := sc.overall != 0 && time.Now().UnixNano() >= sc.overall
-		if attempt >= c.Retries || spent {
-			c.timeouts.Add(1)
-			c.mTimeouts.Inc()
-			c.breakerOnFailure(sc.dest, sc.req)
-			if down != nil {
-				return &CallError{Dest: sc.dest, Attempts: attempts, Elapsed: time.Since(start), Err: down}
-			}
-			to := &TimeoutError{Dest: sc.dest, Timeout: c.Timeout, Attempts: attempts, Elapsed: time.Since(start)}
-			return &CallError{Dest: sc.dest, Attempts: attempts, Elapsed: time.Since(start), Err: to}
-		}
-		if backoff > 0 {
-			spin.Wait(backoff)
-			backoff *= 2
-		}
-		if down != nil {
-			// The peer crashed mid-stream (and may be relaunched by a
-			// supervisor). Restart the accept cursor along with the
-			// re-dispatch: a restarted producer may segment the re-streamed
-			// response differently (its rejoined triples need not match the
-			// originals), so discarding "already consumed" indices could
-			// skip regions the new segmentation packs there. Re-consuming
-			// is safe on this path — streamed frames are self-describing
-			// box-addressed scatters, applied in stream order. Plain loss
-			// recovery (no crash) keeps the cursor: the re-stream is
-			// identical and consumed indices are skipped as before.
-			sc.next = 0
-			down = nil
-		}
-		c.noteRetry(sc.dest, attempt+1)
-		c.IC.Send(sc.dest, tagRequest, seal(c.IC.Intact(), sc.seq, sc.overall, sc.req))
-	}
+	return sc.drain(onFrame)
 }
 
 // Discard drains the stream's remaining frames without consuming them,
@@ -301,96 +161,58 @@ func (sc *StreamCall) Drain(onFrame func(payload []byte) error) (err error) {
 // that is abandoning streams it already started after another producer
 // failed. An overloaded reply ends the discard immediately (the server
 // refused; nothing more is coming), as does a crashed peer. In timeout mode
-// the discard gives up after one quiet Timeout; stragglers that arrive later
-// are released by the stale-seq handling of subsequent calls.
+// the discard gives up after one quiet attempt; stragglers that arrive
+// later are released by the stale-seq handling of subsequent calls.
 func (sc *StreamCall) Discard() {
-	if sc.err != nil {
-		return // never sent
+	if sc.err == nil {
+		sc.drain(nil)
 	}
-	c := sc.c
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(*mpi.RankFailedError); ok {
-				return
-			}
-			panic(r)
+}
+
+// drain runs the stream's wait, accepting exactly the next frame index each
+// time. Anything else — an already-consumed index from a re-stream, or a
+// gapped index after a loss — is released; retry recovers the gap. A nil
+// onFrame discards: the call then feeds neither the metrics nor the
+// breaker.
+func (sc *StreamCall) drain(onFrame func(payload []byte) error) error {
+	cl := sc.c.newCall(sc.dest, sc.seq, sc.overall, sc.req)
+	// The stream's clock — its latency histogram, labeled by the request's
+	// method (the data-stream op), and a CallError's Elapsed — runs from
+	// StartStream's send, like any scalar call's.
+	cl.start = sc.sent
+	cl.begin()
+	cl.discard = onFrame == nil
+	if !cl.discard {
+		defer cl.observe()
+	}
+	for {
+		msg, body, src, err := cl.wait()
+		if err != nil {
+			return err
 		}
-	}()
-	if c.Timeout <= 0 {
-		for {
-			msg, _ := c.IC.Recv(sc.dest, tagResponse)
-			if _, isShed := sc.shedCheck(msg); isShed {
-				buf.Release(msg)
-				return
-			}
-			_, last, ok := sc.accept(msg)
-			if !ok {
-				continue
-			}
+		if len(body) < 5 || binary.LittleEndian.Uint32(body) != cl.idx {
 			buf.Release(msg)
-			if last {
-				return
-			}
-		}
-	}
-	deadline := time.Now().Add(c.Timeout)
-	for time.Now().Before(deadline) {
-		msg, got, pd := c.tryRecv(sc.dest)
-		if pd != nil {
-			return
-		}
-		if !got {
-			spin.Wait(pollInterval)
 			continue
 		}
-		if _, isShed := sc.shedCheck(msg); isShed {
-			buf.Release(msg)
-			return
+		cl.idx++
+		var ferr error
+		if onFrame != nil {
+			ferr = onFrame(body[5:])
 		}
-		_, last, ok := sc.accept(msg)
-		if !ok {
-			continue
-		}
+		last := body[4]&flagLast != 0
 		buf.Release(msg)
+		if ferr != nil {
+			return ferr
+		}
 		if last {
-			return
+			if !cl.discard {
+				sc.c.breakerOnSuccess(src, sc.req)
+			}
+			return nil
 		}
-		deadline = time.Now().Add(c.Timeout)
+		// A stream that is moving is not quiet: each frame starts a fresh
+		// attempt, with its retries and backoff, still within the Budget.
+		cl.attempts, cl.backoff = 1, sc.c.Backoff
+		cl.arm()
 	}
-}
-
-// shedCheck recognizes an overloaded reply addressed to this stream: a
-// sealed empty body whose envelope deadline is negative, carrying
-// -RetryAfter. A shed reply is exactly headerLen bytes and every frame is
-// longer (accept requires idx+flags), so a frame is left for accept to
-// verify — once — without an unseal here. The message is not released;
-// the caller owns it either way.
-func (sc *StreamCall) shedCheck(msg []byte) (retryAfter time.Duration, isShed bool) {
-	if len(msg) != headerLen {
-		return 0, false
-	}
-	rseq, rdl, _, ok := unseal(sc.c.IC.Intact(), msg)
-	if !ok || rseq != sc.seq {
-		return 0, false
-	}
-	return shedRetryAfter(rdl)
-}
-
-// accept validates one received message against the stream: envelope CRC,
-// sequence number, and the exact next frame index. Anything else — corrupt,
-// stale seq, an already-consumed index from a re-stream, or a gapped index
-// after a loss — is discarded and released; retry recovers the gap.
-func (sc *StreamCall) accept(msg []byte) (payload []byte, last bool, ok bool) {
-	rseq, _, body, ok := unseal(sc.c.IC.Intact(), msg)
-	if !ok || rseq != sc.seq || len(body) < 5 {
-		buf.Release(msg)
-		return nil, false, false
-	}
-	idx := binary.LittleEndian.Uint32(body[0:4])
-	if idx != sc.next {
-		buf.Release(msg)
-		return nil, false, false
-	}
-	sc.next++
-	return body[5:], body[4]&flagLast != 0, true
 }

@@ -164,22 +164,7 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status) {
 	if src != AnySource {
 		c.checkRank(src)
 	}
-	tr := c.Track()
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	self := c.ranks[c.rank]
-	c.world.opGate(self, c.inc)
-	if c.world.fault != nil {
-		c.world.injectRecv(self, tag, tr)
-	}
-	m := c.world.boxes[self].take(c.world, self, c.id, src, tag, c.worldSrc(src), c.inc, true)
-	if tr != nil {
-		tr.Span("mpi", "recv", t0, time.Now(),
-			trace.I64("src", int64(m.Src)), trace.I64("tag", int64(m.Tag)),
-			trace.I64("bytes", int64(len(m.Data))))
-	}
+	m := c.world.recv(c.ranks[c.rank], c.id, []int{src}, c.ranks, tag, c.inc, time.Time{}, c.Track(), "recv")
 	return m.Data, Status{Source: m.Src, Tag: m.Tag, Bytes: len(m.Data)}
 }
 
@@ -189,10 +174,8 @@ func (c *Comm) Probe(src, tag int) Status {
 	if src != AnySource {
 		c.checkRank(src)
 	}
-	self := c.ranks[c.rank]
-	c.world.opGate(self, c.inc)
-	m := c.world.boxes[self].take(c.world, self, c.id, src, tag, c.worldSrc(src), c.inc, false)
-	return Status{Source: m.Src, Tag: m.Tag, Bytes: len(m.Data)}
+	st, _ := c.world.peek(c.ranks[c.rank], c.id, src, c.ranks, tag, c.inc, time.Time{})
+	return st
 }
 
 // Iprobe reports whether a message matching (src, tag) is available.
@@ -200,22 +183,7 @@ func (c *Comm) Iprobe(src, tag int) (Status, bool) {
 	if src != AnySource {
 		c.checkRank(src)
 	}
-	self := c.ranks[c.rank]
-	c.world.opGate(self, c.inc)
-	m := c.world.boxes[self].tryTake(c.world, self, c.id, src, tag, c.worldSrc(src), c.inc, false)
-	if m == nil {
-		return Status{}, false
-	}
-	return Status{Source: m.Src, Tag: m.Tag, Bytes: len(m.Data)}, true
-}
-
-// worldSrc maps a communicator-local source rank to its world rank, or -1
-// for AnySource (no single peer to watch for failure).
-func (c *Comm) worldSrc(src int) int {
-	if src == AnySource {
-		return -1
-	}
-	return c.ranks[src]
+	return c.world.peek(c.ranks[c.rank], c.id, src, c.ranks, tag, c.inc, probeNow)
 }
 
 // deriveID computes a child communicator id that every member arrives at

@@ -98,32 +98,22 @@ func (ic *Intercomm) Send(dest, tag int, data []byte) {
 // given tag (or AnyTag) arrives. With a tracer attached, the span covers
 // the time blocked waiting.
 func (ic *Intercomm) Recv(src, tag int) ([]byte, Status) {
-	tr := ic.Track()
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	self := ic.local[ic.rank]
-	ic.world.opGate(self, ic.inc)
-	if ic.world.fault != nil {
-		ic.world.injectRecv(self, tag, tr)
-	}
-	m := ic.world.boxes[self].take(ic.world, self, ic.recvID(), src, tag, ic.worldSrc(src), ic.inc, true)
-	if tr != nil {
-		tr.Span("mpi", "ic.recv", t0, time.Now(),
-			trace.I64("src", int64(m.Src)), trace.I64("tag", int64(m.Tag)),
-			trace.I64("bytes", int64(len(m.Data))))
-	}
-	return m.Data, Status{Source: m.Src, Tag: m.Tag, Bytes: len(m.Data)}
+	data, st, _ := ic.RecvUntil([]int{src}, tag, time.Time{})
+	return data, st
 }
 
-// TryRecv receives a matching message from the remote group if one is
-// already queued, without blocking. The RPC client's timeout path polls
-// with it so a lost reply surfaces as a timeout instead of a hang.
-func (ic *Intercomm) TryRecv(src, tag int) ([]byte, Status, bool) {
-	self := ic.local[ic.rank]
-	ic.world.opGate(self, ic.inc)
-	m := ic.world.boxes[self].tryTake(ic.world, self, ic.recvID(), src, tag, ic.worldSrc(src), ic.inc, true)
+// RecvUntil receives a message with the given tag (or AnyTag) from any of
+// the remote ranks srcs (AnySource matches every one), blocking until one
+// arrives or deadline passes; ok is false only when the deadline passed
+// first. A zero deadline blocks like Recv; a deadline already passed takes
+// only what is queued. However long it waits it is one receive operation,
+// for fault injection (OnRecv rules) as for the heartbeat, and the rank
+// counts as blocked in a receive throughout. It panics with
+// RankFailedError only once every rank of srcs has crashed, so a wait on
+// two replicas outlives the death of one; an empty srcs matches nothing
+// and waits out the deadline.
+func (ic *Intercomm) RecvUntil(srcs []int, tag int, deadline time.Time) ([]byte, Status, bool) {
+	m := ic.world.recv(ic.local[ic.rank], ic.recvID(), srcs, ic.remote, tag, ic.inc, deadline, ic.Track(), "ic.recv")
 	if m == nil {
 		return nil, Status{}, false
 	}
@@ -133,29 +123,12 @@ func (ic *Intercomm) TryRecv(src, tag int) ([]byte, Status, bool) {
 // Probe blocks until a matching message from the remote group is available,
 // without receiving it.
 func (ic *Intercomm) Probe(src, tag int) Status {
-	self := ic.local[ic.rank]
-	ic.world.opGate(self, ic.inc)
-	m := ic.world.boxes[self].take(ic.world, self, ic.recvID(), src, tag, ic.worldSrc(src), ic.inc, false)
-	return Status{Source: m.Src, Tag: m.Tag, Bytes: len(m.Data)}
+	st, _ := ic.world.peek(ic.local[ic.rank], ic.recvID(), src, ic.remote, tag, ic.inc, time.Time{})
+	return st
 }
 
 // Iprobe reports whether a matching message from the remote group is
 // available.
 func (ic *Intercomm) Iprobe(src, tag int) (Status, bool) {
-	self := ic.local[ic.rank]
-	ic.world.opGate(self, ic.inc)
-	m := ic.world.boxes[self].tryTake(ic.world, self, ic.recvID(), src, tag, ic.worldSrc(src), ic.inc, false)
-	if m == nil {
-		return Status{}, false
-	}
-	return Status{Source: m.Src, Tag: m.Tag, Bytes: len(m.Data)}, true
-}
-
-// worldSrc maps a remote-group source rank to its world rank, or -1 for
-// AnySource.
-func (ic *Intercomm) worldSrc(src int) int {
-	if src == AnySource {
-		return -1
-	}
-	return ic.remote[src]
+	return ic.world.peek(ic.local[ic.rank], ic.recvID(), src, ic.remote, tag, ic.inc, probeNow)
 }

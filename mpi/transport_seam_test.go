@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lowfive/internal/transport"
 )
@@ -258,4 +260,170 @@ func TestSeamSockPeerDeath(t *testing.T) {
 	if !worlds[0].RankFailed(1) {
 		t.Fatal("world 0 does not record rank 1 as failed")
 	}
+}
+
+// The RecvUntil suite joins world rank 0 (the receiver) to ranks 1 and 2
+// (its two sources, remote ranks 0 and 1) through an intercomm, on every
+// engine. A source that must outlive the receiver's wait parks until the
+// receiver's bye, because on the sock engine a rank that returns closes
+// its endpoint, which its peers see as a crash.
+func runRecvUntil(t *testing.T, main func(c *Comm, ic *Intercomm)) {
+	t.Helper()
+	for _, be := range transportBackends() {
+		t.Run(be.name, func(t *testing.T) {
+			err := be.run(t, 3, func(c *Comm) {
+				ic := NewIntercomm(c.world, 77, []int{0}, []int{1, 2}, 0, true)
+				if c.Rank() > 0 {
+					ic = NewIntercomm(c.world, 77, []int{1, 2}, []int{0}, c.Rank()-1, false)
+				}
+				main(c, ic)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+const (
+	tagData = 5
+	tagBye  = 6
+)
+
+// die ends a rank the way its engine loses one: the chan engine marks it
+// failed, the sock engine closes its endpoint (a process death).
+func die(c *Comm) {
+	if c.world.localRank >= 0 {
+		c.world.Close()
+		return
+	}
+	c.world.markFailed(c.Rank())
+}
+
+// awaitFailed blocks until this rank's world has seen rank r crash.
+func awaitFailed(c *Comm, r int) {
+	for start := time.Now(); !c.world.RankFailed(r); time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			panic(fmt.Sprintf("rank %d never saw rank %d fail", c.Rank(), r))
+		}
+	}
+}
+
+func TestSeamRecvUntilQueuedMessage(t *testing.T) {
+	runRecvUntil(t, func(c *Comm, ic *Intercomm) {
+		switch c.Rank() {
+		case 0:
+			ic.Recv(0, tagBye) // sent after both data messages, on the same link
+			data, st, ok := ic.RecvUntil([]int{0, 1}, tagData, time.Now())
+			if !ok || string(data) != "first" || st.Source != 0 {
+				panic(fmt.Sprintf("probe with a passed deadline: %q from %d ok=%v", data, st.Source, ok))
+			}
+			start := time.Now()
+			data, _, ok = ic.RecvUntil([]int{0}, tagData, start.Add(time.Hour))
+			if !ok || string(data) != "second" || time.Since(start) > time.Second {
+				panic(fmt.Sprintf("queued receive: %q ok=%v after %v", data, ok, time.Since(start)))
+			}
+			ic.Send(0, tagBye, nil)
+			ic.Send(1, tagBye, nil)
+		case 1:
+			ic.Send(0, tagData, []byte("first"))
+			ic.Send(0, tagData, []byte("second"))
+			ic.Send(0, tagBye, nil)
+			ic.Recv(0, tagBye)
+		default:
+			ic.Recv(0, tagBye)
+		}
+	})
+}
+
+func TestSeamRecvUntilDeadline(t *testing.T) {
+	runRecvUntil(t, func(c *Comm, ic *Intercomm) {
+		if c.Rank() > 0 {
+			ic.Recv(0, tagBye)
+			return
+		}
+		const wait = 50 * time.Millisecond
+		start := time.Now()
+		_, _, ok := ic.RecvUntil([]int{0, 1}, tagData, start.Add(wait))
+		took := time.Since(start)
+		if ok || took < wait || took > wait+time.Second {
+			panic(fmt.Sprintf("empty mailbox: ok=%v after %v, want not-ok at %v", ok, took, wait))
+		}
+		ic.Send(0, tagBye, nil)
+		ic.Send(1, tagBye, nil)
+	})
+}
+
+func TestSeamRecvUntilOutlivesOneSource(t *testing.T) {
+	runRecvUntil(t, func(c *Comm, ic *Intercomm) {
+		switch c.Rank() {
+		case 0:
+			awaitFailed(c, 2)
+			data, st, ok := ic.RecvUntil([]int{0, 1}, tagData, time.Now().Add(10*time.Second))
+			if !ok || string(data) != "alive" || st.Source != 0 {
+				panic(fmt.Sprintf("with one source crashed: %q from %d ok=%v", data, st.Source, ok))
+			}
+			ic.Send(0, tagBye, nil)
+		case 1:
+			awaitFailed(c, 2)
+			time.Sleep(20 * time.Millisecond) // let rank 0 block first
+			ic.Send(0, tagData, []byte("alive"))
+			ic.Recv(0, tagBye)
+		default:
+			die(c)
+		}
+	})
+}
+
+func TestSeamRecvUntilAllSourcesGone(t *testing.T) {
+	runRecvUntil(t, func(c *Comm, ic *Intercomm) {
+		if c.Rank() > 0 {
+			die(c)
+			return
+		}
+		start := time.Now()
+		var rf *RankFailedError
+		func() {
+			defer func() { rf, _ = recover().(*RankFailedError) }()
+			ic.RecvUntil([]int{0, 1}, tagData, start.Add(10*time.Second))
+		}()
+		if rf == nil || rf.Rank != 1 || time.Since(start) > 5*time.Second {
+			panic(fmt.Sprintf("both sources crashed: got %v after %v, want RankFailedError for rank 1", rf, time.Since(start)))
+		}
+	})
+}
+
+func TestSeamRecvUntilCountsAsBlocked(t *testing.T) {
+	runRecvUntil(t, func(c *Comm, ic *Intercomm) {
+		if c.Rank() > 0 {
+			ic.Recv(0, tagBye)
+			return
+		}
+		var blocked atomic.Bool
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !blocked.Load() {
+				select {
+				case <-done:
+					return
+				case <-time.After(time.Millisecond):
+					blocked.Store(c.world.RankProgress(0).Blocked)
+				}
+			}
+		}()
+		_, _, ok := ic.RecvUntil([]int{0}, tagData, time.Now().Add(300*time.Millisecond))
+		close(done)
+		wg.Wait()
+		if ok || !blocked.Load() {
+			panic(fmt.Sprintf("timed wait: ok=%v, seen blocked=%v", ok, blocked.Load()))
+		}
+		if c.world.RankProgress(0).Blocked {
+			panic("still marked blocked after the wait ended")
+		}
+		ic.Send(0, tagBye, nil)
+		ic.Send(1, tagBye, nil)
+	})
 }

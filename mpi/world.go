@@ -50,7 +50,7 @@ type World struct {
 	failedCh  []chan struct{}
 	crashed   atomic.Int64
 	// exited marks ranks whose main has returned in this process; see
-	// peerGone.
+	// sourcesGone.
 	exited []atomic.Bool
 
 	// supervision state (active only under RunWorkflowSupervised): per-rank
@@ -640,17 +640,80 @@ func matches(m *message, commID uint64, src, tag int) bool {
 	return true
 }
 
-// take removes and returns the first message matching (commID, src, tag),
-// blocking until one arrives. remove=false peeks without removing (Probe).
-// self is the receiving world rank; worldSrc is the world rank the local
-// src maps to (or -1 for AnySource) so a receive blocked on a crashed peer
-// fails with RankFailedError instead of hanging. inc is the incarnation of
-// the communicator handle performing the receive: after a supervisor
-// restart, a stale waiter from the previous incarnation re-checks it on
-// every wakeup and dies instead of stealing the new incarnation's messages.
-func (b *mailbox) take(w *World, self int, commID uint64, src, tag, worldSrc int, inc uint32, remove bool) *message {
+// find returns the index of the first queued message on commID with a
+// matching tag from one of srcs, or -1. A one-source receive, which every
+// caller but a hedged rpc wait makes, scans with one source comparison per
+// message: a consumer's mailbox can hold many frames of its other streams.
+func (b *mailbox) find(commID uint64, srcs []int, tag int) int {
+	if len(srcs) == 1 {
+		src := srcs[0]
+		for i, m := range b.msgs {
+			if matches(m, commID, src, tag) {
+				return i
+			}
+		}
+		return -1
+	}
+	for i, m := range b.msgs {
+		for _, src := range srcs {
+			if matches(m, commID, src, tag) {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// recv is the receive under Comm.Recv and Intercomm.RecvUntil: the
+// operation gate and the OnRecv fault rules run once, then take removes
+// the message, or returns nil at the deadline. With a tracer attached,
+// the span covers the time blocked waiting.
+func (w *World) recv(self int, commID uint64, srcs, ranks []int, tag int, inc uint32, deadline time.Time, tr *trace.Track, span string) *message {
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	w.opGate(self, inc)
+	if w.fault != nil {
+		w.injectRecv(self, tag, tr)
+	}
+	m := w.boxes[self].take(w, self, commID, srcs, ranks, tag, inc, true, deadline)
+	if m != nil && tr != nil {
+		tr.Span("mpi", span, t0, time.Now(),
+			trace.I64("src", int64(m.Src)), trace.I64("tag", int64(m.Tag)),
+			trace.I64("bytes", int64(len(m.Data))))
+	}
+	return m
+}
+
+// peek is the probe under Probe and Iprobe: the status of a matching
+// message, without receiving it, waiting until deadline (see take).
+func (w *World) peek(self int, commID uint64, src int, ranks []int, tag int, inc uint32, deadline time.Time) (Status, bool) {
+	w.opGate(self, inc)
+	m := w.boxes[self].take(w, self, commID, []int{src}, ranks, tag, inc, false, deadline)
+	if m == nil {
+		return Status{}, false
+	}
+	return Status{Source: m.Src, Tag: m.Tag, Bytes: len(m.Data)}, true
+}
+
+// take removes and returns the first message on commID with the given tag
+// (or AnyTag) from one of srcs — local ranks of a group whose world ranks
+// ranks lists, or AnySource. remove=false peeks without removing (Probe).
+// A zero deadline blocks until a message arrives; otherwise take returns
+// nil once the deadline passes, at once when it already has (Iprobe), and
+// a blocking wait arms one timer to wake it. While it waits the mailbox is
+// marked waiting, so the watchdog and the supervisor see a blocked rank. A
+// receive whose every source has crashed fails with RankFailedError (naming
+// the first) instead of hanging; an empty srcs matches nothing and waits
+// out its deadline. inc is the incarnation of the handle performing the
+// receive: after a supervisor restart, a stale waiter from the previous
+// incarnation re-checks it on every wakeup and dies instead of stealing
+// the new incarnation's messages.
+func (b *mailbox) take(w *World, self int, commID uint64, srcs, ranks []int, tag int, inc uint32, remove bool, deadline time.Time) *message {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	var timer *time.Timer
 	for {
 		if w.aborted.Load() {
 			panic(&AbortedError{Err: w.abortReason()})
@@ -663,24 +726,38 @@ func (b *mailbox) take(w *World, self int, commID uint64, src, tag, worldSrc int
 		if w.supervised && w.incs[self].Load() != inc {
 			panic(rankCrashPanic{rank: self})
 		}
-		for i, m := range b.msgs {
-			if matches(m, commID, src, tag) {
-				if remove {
-					b.msgs = append(b.msgs[:i], b.msgs[i+1:]...)
-				}
-				b.received++
-				return m
+		if i := b.find(commID, srcs, tag); i >= 0 {
+			m := b.msgs[i]
+			if remove {
+				b.msgs = append(b.msgs[:i], b.msgs[i+1:]...)
 			}
+			b.received++
+			if timer != nil {
+				timer.Stop()
+			}
+			return m
 		}
-		if w.peerGone(worldSrc, tag) {
-			panic(&RankFailedError{Rank: worldSrc})
+		if w.sourcesGone(srcs, ranks, tag) {
+			panic(&RankFailedError{Rank: ranks[srcs[0]]})
+		}
+		if !deadline.IsZero() {
+			d := time.Until(deadline)
+			if d <= 0 {
+				return nil
+			}
+			if timer == nil {
+				timer = time.AfterFunc(d, b.wakeAll)
+			}
 		}
 		if !b.waiting {
 			b.waiting = true
 			b.waitSince = time.Now()
 		}
-		b.waitSrc, b.waitTag = src, tag
-		b.waitWorldSrc = worldSrc
+		b.waitSrc, b.waitWorldSrc = AnySource, -1
+		if len(srcs) > 0 && srcs[0] != AnySource {
+			b.waitSrc, b.waitWorldSrc = srcs[0], ranks[srcs[0]]
+		}
+		b.waitTag = tag
 		w.blocked.Add(1)
 		b.cond.Wait()
 		w.blocked.Add(-1)
@@ -691,52 +768,33 @@ func (b *mailbox) take(w *World, self int, commID uint64, src, tag, worldSrc int
 	}
 }
 
-// tryTake is the nonblocking variant (Iprobe). Like take, it raises
-// RankFailedError when the probed peer has crashed and nothing from it is
-// queued, so polling loops learn of the failure instead of spinning.
-func (b *mailbox) tryTake(w *World, self int, commID uint64, src, tag, worldSrc int, inc uint32, remove bool) *message {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if w.aborted.Load() {
-		panic(&AbortedError{Err: w.abortReason()})
-	}
-	if w.failed[self].Load() {
-		panic(rankCrashPanic{rank: self})
-	}
-	if w.supervised && w.incs[self].Load() != inc {
-		panic(rankCrashPanic{rank: self})
-	}
-	for i, m := range b.msgs {
-		if matches(m, commID, src, tag) {
-			if remove {
-				b.msgs = append(b.msgs[:i], b.msgs[i+1:]...)
-			}
-			return m
-		}
-	}
-	if w.peerGone(worldSrc, tag) {
-		panic(&RankFailedError{Rank: worldSrc})
-	}
-	return nil
-}
+// probeNow is a deadline already passed: take looks at what is queued and
+// returns without waiting (Iprobe).
+var probeNow = time.Unix(0, 1)
 
-// peerGone reports, after a receive found nothing queued, that nothing
-// matching can ever arrive from worldSrc: the peer crashed, or the receive
-// is part of a collective (an internal tag) and the peer's main has
-// already returned. Collective messages are never delayed by fault
+// sourcesGone reports, after a receive found nothing queued, that nothing
+// matching can ever arrive from any of srcs: each source crashed, or the
+// receive is part of a collective (an internal tag) and the source's main
+// has already returned. Collective messages are never delayed by fault
 // injection and a rank enqueues its part before it returns, so an exited
 // peer that left nothing queued has left the collective for good — a rank
-// that quit early on an error must not strand its task siblings.
-func (w *World) peerGone(worldSrc, tag int) bool {
-	if worldSrc < 0 {
-		return false
+// that quit early on an error must not strand its task siblings. AnySource
+// and an empty srcs name no peer to watch and are never gone.
+func (w *World) sourcesGone(srcs, ranks []int, tag int) bool {
+	for _, s := range srcs {
+		if s == AnySource {
+			return false
+		}
+		if r := ranks[s]; !w.failed[r].Load() && !(tag < AnyTag && w.exited[r].Load()) {
+			return false
+		}
 	}
-	return w.failed[worldSrc].Load() || (tag < AnyTag && w.exited[worldSrc].Load())
+	return len(srcs) > 0
 }
 
 // markExited records that a rank's main returned (normally or by panic)
 // and wakes every mailbox so receivers blocked on it in a collective
-// re-check peerGone.
+// re-check sourcesGone.
 func (w *World) markExited(worldRank int) {
 	w.exited[worldRank].Store(true)
 	for _, b := range w.boxes {

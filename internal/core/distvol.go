@@ -240,8 +240,10 @@ func (v *DistMetadataVOL) instruments() {
 type ServeStats struct {
 	// MetadataRequests is the number of file-metadata requests answered.
 	MetadataRequests int64
-	// BoxQueries is the number of redirect (intersection) queries answered
-	// from the distributed index (Alg. 2 lines 4-8).
+	// BoxQueries is the number of redirect queries answered from the
+	// distributed index (Alg. 2 lines 4-8). A consumer asks each owner once
+	// per dataset per open file, so this counts redirect fetches, not reads;
+	// it equals the consumers' QueryStats.BoxQueries.
 	BoxQueries int64
 	// DataQueries is the number of data queries served (Alg. 2 lines 9-14).
 	DataQueries int64
@@ -272,7 +274,9 @@ type QueryStats struct {
 	// requests issued to a producer rank).
 	MetadataFetches int64
 	// BoxQueries is the number of redirect queries issued to the owners of
-	// intersecting common-decomposition blocks (Alg. 3 step 1).
+	// intersecting common-decomposition blocks (Alg. 3 step 1). Each owner
+	// is asked once per dataset per open file and later reads use its cached
+	// answer, so this counts redirect fetches, not reads.
 	BoxQueries int64
 	// DataQueries is the number of data requests issued to producers that
 	// hold intersecting boxes (Alg. 3 step 2).
@@ -827,7 +831,7 @@ func (v *DistMetadataVOL) processRequest(s *icServer, src int, seq uint64, raw [
 		if req.op == opDataStream {
 			s.srv.NewStream(src, seq, v.chunkPool()).Close()
 		} else {
-			s.srv.Respond(src, seq, encodeBoxesResp(nil))
+			s.srv.Respond(src, seq, encodeBoxesResp(nil, 0))
 		}
 		return
 	}
@@ -922,30 +926,28 @@ func (v *DistMetadataVOL) dispatch(s *icServer, src int, seq uint64, req request
 		go v.serveDataStreamAdmitted(adm, s, src, seq, req)
 	default:
 		// Admission control off: the whole stream runs under serveMu,
-		// preserving single-threaded rank semantics.
+		// preserving single-threaded rank semantics. A halt mid-stream (this
+		// rank crashed, or the world was torn down) unwinds to serveLoop's
+		// recover, so the unlock is deferred: the rank's main goroutine may
+		// still reach FileCreate, which takes serveMu.
+		defer v.serveMu.Unlock()
 		v.countStream(v.streamResponse(s, src, seq, req))
-		v.serveMu.Unlock()
 	}
 }
 
 // answer builds the response to an answerable metadata or redirect query;
-// the caller holds serveMu.
+// the caller holds serveMu. A redirect query is answered with all of this
+// rank's index entries for the dataset, not just those meeting the read: the
+// index cannot change while the file is served, so the consumer fetches it
+// once per open file.
 func (v *DistMetadataVOL) answer(req request) []byte {
 	if req.op == opMetadata {
 		v.stats.MetadataRequests++
 		fn, _ := v.File(req.file) // nil once the file was removed after serving
 		return encodeMetadataResp(fn)
 	}
-	var ranks []int
-	seen := map[int]bool{}
-	for _, ent := range v.indexes[req.file][req.dset] {
-		if ent.box.Dim() == req.box.Dim() && ent.box.Intersects(req.box) && !seen[ent.src] {
-			seen[ent.src] = true
-			ranks = append(ranks, ent.src)
-		}
-	}
 	v.stats.BoxQueries++
-	return encodeBoxesResp(ranks)
+	return encodeBoxesResp(v.indexes[req.file][req.dset], req.box.Dim())
 }
 
 // observeServe records one inline-answered request into the serve-latency

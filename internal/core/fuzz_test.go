@@ -73,12 +73,38 @@ func FuzzDecodeTree(f *testing.F) {
 	})
 }
 
+// redirectAnswerFixture is an owner's answer for a 2-D dataset served by
+// four producers: three entries, one of them a replica of another block's.
+func redirectAnswerFixture() []byte {
+	return encodeBoxesResp([]indexEntry{
+		{box: grid.Box{Min: []int64{0, 0}, Max: []int64{3, 7}}, src: 0},
+		{box: grid.Box{Min: []int64{4, 0}, Max: []int64{7, 7}}, src: 2},
+		{box: grid.Box{Min: []int64{2, 2}, Max: []int64{5, 5}}, src: 3},
+	}, 2)
+}
+
+// FuzzDecodeBoxesResp: a redirect answer is input from another process.
+// Whatever it holds, the decoder never panics, and an answer it accepts
+// has exactly the entries its length holds, each a box of the dataset's
+// rank from a producer that exists. The corpus in
+// testdata/fuzz/FuzzDecodeBoxesResp holds hostile counts, ranks and
+// sources.
 func FuzzDecodeBoxesResp(f *testing.F) {
-	seedMutations(f, encodeBoxesResp([]int{0, 2, 5}))
+	const rank, producers = 2, 4
+	seedMutations(f, redirectAnswerFixture())
+	all := grid.Box{Min: []int64{math.MinInt64, math.MinInt64}, Max: []int64{math.MaxInt64, math.MaxInt64}}
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		ranks, err := decodeBoxesResp(buf)
-		if err == nil && int64(len(ranks)) > int64(len(buf))/8 {
-			t.Errorf("accepted %d ranks from %d bytes", len(ranks), len(buf))
+		a, err := decodeBoxesResp(buf, rank, producers)
+		if err != nil {
+			return
+		}
+		if 8+a.len()*boxEntrySize(rank) != len(buf) {
+			t.Errorf("accepted %d entries from %d bytes", a.len(), len(buf))
+		}
+		for i := 0; i < a.len(); i++ {
+			if src, _ := a.match(i, all); src < 0 || src >= producers {
+				t.Errorf("accepted source rank %d of %d producers", src, producers)
+			}
 		}
 	})
 }
@@ -168,10 +194,19 @@ func answerRaw(t *testing.T, vol *DistMetadataVOL, buf []byte) {
 		return
 	}
 	switch req.op {
-	case opMetadata, opBoxes:
+	case opMetadata:
 		vol.serveMu.Lock()
 		vol.answer(req)
 		vol.serveMu.Unlock()
+	case opBoxes:
+		// Whatever was asked, the answer is one the consumer's decoder
+		// accepts: the fixture's two producers, the query's rank.
+		vol.serveMu.Lock()
+		resp := vol.answer(req)
+		vol.serveMu.Unlock()
+		if _, err := decodeBoxesResp(resp, req.box.Dim(), 2); err != nil {
+			t.Errorf("redirect answer for %v: %v", req.box, err)
+		}
 	case opDataStream:
 		node := vol.streamSource(req)
 		if node == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"lowfive/h5"
@@ -73,6 +74,10 @@ func decodeMetadataResp(buf []byte) (*Node, error) {
 
 // --- box (redirect) query ---
 
+// encodeBoxesReq asks the owner of a common-decomposition block for its
+// index entries of one dataset. The owner answers with every entry of bb's
+// rank, whatever its bounds: the consumer caches the answer for the life of
+// the open file and filters it against each read itself (see redirect).
 func encodeBoxesReq(file, dset string, bb grid.Box) []byte {
 	e := &h5.Encoder{}
 	e.PutU8(opBoxes)
@@ -82,27 +87,81 @@ func encodeBoxesReq(file, dset string, bb grid.Box) []byte {
 	return e.Buf
 }
 
-func encodeBoxesResp(ranks []int) []byte {
-	e := &h5.Encoder{}
-	e.PutI64(int64(len(ranks)))
-	for _, r := range ranks {
-		e.PutI64(int64(r))
+// boxEntrySize is the wire size of one redirect entry, [box][src i64], for
+// boxes of the given rank.
+func boxEntrySize(rank int) int { return 8 + 16*rank + 8 }
+
+// encodeBoxesResp answers a redirect query with the owner's index entries
+// of the given rank, in index order:
+//
+//	[count i64] then count × [box][src i64]
+func encodeBoxesResp(entries []indexEntry, rank int) []byte {
+	n := 0
+	for _, ent := range entries {
+		if ent.box.Dim() == rank {
+			n++
+		}
+	}
+	e := &h5.Encoder{Buf: make([]byte, 0, 8+n*boxEntrySize(rank))}
+	e.PutI64(int64(n))
+	for _, ent := range entries {
+		if ent.box.Dim() == rank {
+			encodeBox(e, ent.box)
+			e.PutI64(int64(ent.src))
+		}
 	}
 	return e.Buf
 }
 
-func decodeBoxesResp(buf []byte) ([]int, error) {
+// redirectAnswer is one owner's validated answer to a redirect query, read
+// in place: caching it copies nothing.
+type redirectAnswer struct {
+	entries []byte // boxEntrySize(rank) bytes per entry
+	rank    int
+}
+
+func (a redirectAnswer) len() int { return len(a.entries) / boxEntrySize(a.rank) }
+
+// match returns entry i's source rank and whether its box intersects bb, a
+// box of the answer's rank.
+func (a redirectAnswer) match(i int, bb grid.Box) (src int, hit bool) {
+	e := a.entries[i*boxEntrySize(a.rank):]
+	hit = true
+	for d := 0; d < a.rank; d++ {
+		lo := int64(binary.LittleEndian.Uint64(e[8+16*d:]))
+		hi := int64(binary.LittleEndian.Uint64(e[16+16*d:]))
+		if min(hi, bb.Max[d]) < max(lo, bb.Min[d]) {
+			hit = false
+			break
+		}
+	}
+	return int(binary.LittleEndian.Uint64(e[8+16*a.rank:])), hit
+}
+
+// decodeBoxesResp validates a redirect answer for a dataset of the given
+// rank served by a task of the given size. The answer comes from another
+// process, so a count its length disagrees with, a box of another rank and
+// a source outside [0, producers) are all corrupt; none of them reaches a
+// stream request.
+func decodeBoxesResp(buf []byte, rank, producers int) (redirectAnswer, error) {
+	size := boxEntrySize(rank)
 	d := &h5.Decoder{Buf: buf}
 	n := d.I64()
-	// Each rank entry is 8 bytes; a count the buffer cannot hold is corrupt.
-	if d.Err != nil || n < 0 || n > int64(len(buf)-d.Pos)/8 {
-		return nil, fmt.Errorf("lowfive: corrupt box-query response")
+	rest := len(buf) - d.Pos
+	if d.Err != nil || rest%size != 0 || n != int64(rest/size) {
+		return redirectAnswer{}, fmt.Errorf("lowfive: corrupt box-query response: %d entries in %d bytes", n, len(buf))
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(d.I64())
+	a := redirectAnswer{entries: buf[d.Pos:], rank: rank}
+	for i := 0; i < int(n); i++ {
+		e := a.entries[i*size:]
+		if r := int64(binary.LittleEndian.Uint64(e)); r != int64(rank) {
+			return redirectAnswer{}, fmt.Errorf("lowfive: corrupt box-query response: box of rank %d for a rank-%d dataset", r, rank)
+		}
+		if src := int64(binary.LittleEndian.Uint64(e[size-8:])); src < 0 || src >= int64(producers) {
+			return redirectAnswer{}, fmt.Errorf("lowfive: corrupt box-query response: source rank %d of %d producers", src, producers)
+		}
 	}
-	return out, d.Err
+	return a, nil
 }
 
 // --- data query ---
@@ -135,7 +194,7 @@ type request struct {
 	op   uint8
 	file string
 	dset string        // opBoxes, opDataStream
-	box  grid.Box      // opBoxes: the read's bounding box
+	box  grid.Box      // opBoxes: a read's bounding box; only its rank is used
 	sel  *h5.Dataspace // opDataStream: the read's file selection
 }
 

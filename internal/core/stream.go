@@ -291,12 +291,13 @@ func (t *streamTarget) scatter(box grid.Box, data []byte) {
 // starve the stream at the drain cursor.
 const streamWindow = 2
 
-// queryStream runs Algorithm 3 with a streamed data step: redirect queries
-// to the owners of the intersecting blocks, then one stream per producer
+// queryStream runs Algorithm 3 with a streamed data step: the redirect
+// answers of the intersecting blocks' owners (asked once per open file, see
+// redirect), then one stream per producer
 // holding data, drained in producer order with each frame scattered
 // straight into target. Streams are requested a sliding window ahead of the
 // drain cursor.
-func (v *DistMetadataVOL) queryStream(client *rpc.Client, ic *mpi.Intercomm, file string, node *Node, fileSpace *h5.Dataspace, target *streamTarget) error {
+func (v *DistMetadataVOL) queryStream(client *rpc.Client, ic *mpi.Intercomm, file string, rd *redirect, fileSpace *h5.Dataspace, target *streamTarget) error {
 	bb := fileSpace.Bounds()
 	if bb.IsEmpty() {
 		return nil
@@ -307,11 +308,11 @@ func (v *DistMetadataVOL) queryStream(client *rpc.Client, ic *mpi.Intercomm, fil
 		csBefore = client.Stats()
 	}
 	start := time.Now()
-	order, boxWait, nOwners, err := v.queryOwners(client, ic, file, node, bb)
+	order, boxWait, err := v.queryOwners(client, ic, file, rd, bb)
 	if err != nil {
 		return err
 	}
-	req := encodeDataStreamReq(file, node.Path(), fileSpace)
+	req := encodeDataStreamReq(file, rd.path, fileSpace)
 	t1 := time.Now()
 	calls := make([]*rpc.StreamCall, len(order))
 	started := 0
@@ -340,7 +341,6 @@ func (v *DistMetadataVOL) queryStream(client *rpc.Client, ic *mpi.Intercomm, fil
 		startThrough(i + 1 + streamWindow)
 	}
 	v.qmu.Lock()
-	v.qstats.BoxQueries += int64(nOwners)
 	v.qstats.DataQueries += int64(len(order))
 	v.qstats.BytesFetched += dataBytes
 	v.qstats.ChunksFetched += chunks
@@ -359,7 +359,7 @@ func (v *DistMetadataVOL) queryStream(client *rpc.Client, ic *mpi.Intercomm, fil
 			Time:      time.Now(),
 			Epoch:     v.local.World().Epoch(self),
 			File:      file,
-			Dataset:   node.Path(),
+			Dataset:   rd.path,
 			Box:       fmt.Sprintf("%v-%v", bb.Min, bb.Max),
 			Producers: order,
 			Attempts:  1 + cs.Retries - csBefore.Retries,
@@ -375,67 +375,4 @@ func (v *DistMetadataVOL) queryStream(client *rpc.Client, ic *mpi.Intercomm, fil
 		})
 	}
 	return nil
-}
-
-// queryOwners is step 1 of Algorithm 3: ask the owners of the intersecting
-// common-decomposition blocks which producer ranks hold data, with replica
-// failover.
-func (v *DistMetadataVOL) queryOwners(client *rpc.Client, ic *mpi.Intercomm, file string, node *Node, bb grid.Box) (order []int, boxWait time.Duration, nOwners int, err error) {
-	n := ic.RemoteSize()
-	dc := grid.CommonDecomposition(node.Space.Dims(), n)
-	path := node.Path()
-	repl := 1
-	if v.ReplicationFactor > repl {
-		repl = v.ReplicationFactor
-	}
-	if repl > n {
-		repl = n
-	}
-	owners := dc.Intersecting(bb)
-	withData := map[int]bool{}
-	t0 := time.Now()
-	boxReq := encodeBoxesReq(file, path, bb)
-	var resps [][]byte
-	if v.hedging() {
-		// Each owner's query races it against its healthiest replica (all
-		// replicas hold the same index entries), with EWMA-driven demotion
-		// of a straggling owner — so one slow or partitioned rank costs a
-		// hedge delay, not a full timeout ladder.
-		resps = make([][]byte, len(owners))
-		for i, o := range owners {
-			resps[i], err = v.hedgedCall(client, ic, o, repl, n, boxReq)
-			if err != nil {
-				return nil, 0, len(owners), err
-			}
-		}
-	} else if resps, err = client.CallAll(owners, boxReq); err != nil {
-		if repl <= 1 {
-			return nil, 0, len(owners), err
-		}
-		if resps == nil {
-			resps = make([][]byte, len(owners))
-		}
-		for i := range owners {
-			if resps[i] != nil {
-				continue
-			}
-			resps[i], err = v.callReplicas(client, owners[i], repl, n, boxReq)
-			if err != nil {
-				return nil, 0, len(owners), err
-			}
-		}
-	}
-	for i, resp := range resps {
-		ranks, derr := decodeBoxesResp(resp)
-		if derr != nil {
-			return nil, 0, len(owners), fmt.Errorf("lowfive: redirect query %d: %w", i, derr)
-		}
-		for _, r := range ranks {
-			if !withData[r] {
-				withData[r] = true
-				order = append(order, r)
-			}
-		}
-	}
-	return order, time.Since(t0), len(owners), nil
 }

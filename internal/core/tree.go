@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"lowfive/h5"
@@ -273,10 +274,17 @@ func NewFileNode(name string) *FileNode {
 	return &FileNode{Node: NewGroupNode("/"), FileName: name}
 }
 
-// Resolve walks a slash-separated path from this node.
+// Resolve walks a slash-separated path from this node. Empty segments —
+// leading, trailing or doubled slashes — are skipped; the walk allocates
+// nothing.
 func (n *Node) Resolve(path string) (*Node, error) {
 	cur := n
-	for _, seg := range splitSegs(path) {
+	for rest := path; rest != ""; {
+		var seg string
+		seg, rest, _ = strings.Cut(rest, "/")
+		if seg == "" {
+			continue
+		}
 		c, ok := cur.Child(seg)
 		if !ok {
 			return nil, fmt.Errorf("lowfive: %q not found under %q", seg, cur.Path())
@@ -286,21 +294,8 @@ func (n *Node) Resolve(path string) (*Node, error) {
 	return cur, nil
 }
 
+// splitSegs returns the non-empty segments of a slash-separated path, the
+// ones Resolve walks.
 func splitSegs(path string) []string {
-	var segs []string
-	cur := ""
-	for _, r := range path {
-		if r == '/' {
-			if cur != "" {
-				segs = append(segs, cur)
-				cur = ""
-			}
-			continue
-		}
-		cur += string(r)
-	}
-	if cur != "" {
-		segs = append(segs, cur)
-	}
-	return segs
+	return strings.FieldsFunc(path, func(r rune) bool { return r == '/' })
 }

@@ -56,6 +56,52 @@ func TestTreeStructure(t *testing.T) {
 	}
 }
 
+// TestResolveSegments: Resolve skips the empty segments of leading,
+// trailing and doubled slashes, the same segments splitSegs returns.
+func TestResolveSegments(t *testing.T) {
+	fn := buildSampleTree(t)
+	for _, c := range []struct {
+		path string
+		want string // Path of the node reached; "" when Resolve fails
+		segs int
+	}{
+		{"", "/", 0},
+		{"/", "/", 0},
+		{"//", "/", 0},
+		{"group1/grid", "/group1/grid", 2},
+		{"/group1/grid", "/group1/grid", 2},
+		{"group1/grid/", "/group1/grid", 2},
+		{"//group1//grid//", "/group1/grid", 2},
+		{"group2", "/group2", 1},
+		{"/group2/", "/group2", 1},
+		{"group1/missing", "", 2},
+		{"/missing/", "", 1},
+		{"group1/grid/deeper", "", 3},
+	} {
+		n, err := fn.Resolve(c.path)
+		switch {
+		case c.want == "" && err == nil:
+			t.Errorf("Resolve(%q) = %q, want an error", c.path, n.Path())
+		case c.want != "" && (err != nil || n.Path() != c.want):
+			t.Errorf("Resolve(%q) = %v, %v, want %q", c.path, n, err, c.want)
+		}
+		if got := splitSegs(c.path); len(got) != c.segs {
+			t.Errorf("splitSegs(%q) = %q, want %d segments", c.path, got, c.segs)
+		}
+	}
+}
+
+func TestResolveAllocatesNothing(t *testing.T) {
+	fn := buildSampleTree(t)
+	var n *Node
+	if allocs := testing.AllocsPerRun(100, func() { n, _ = fn.Resolve("/group1//grid/") }); allocs != 0 {
+		t.Errorf("Resolve allocated %v times per run, want 0", allocs)
+	}
+	if n == nil || n.Path() != "/group1/grid" {
+		t.Errorf("Resolve reached %v", n)
+	}
+}
+
 func TestAddChildToDataset(t *testing.T) {
 	ds := NewDatasetNode("d", h5.U8, h5.NewSimple(4))
 	if err := ds.AddChild(NewGroupNode("g")); err == nil {
@@ -234,7 +280,7 @@ func TestProtocolDecodersRejectGarbage(t *testing.T) {
 					t.Fatalf("panic on %d bytes: %v", len(buf), rec)
 				}
 			}()
-			decodeBoxesResp(buf)
+			decodeBoxesResp(buf, 2, 4)
 			answerRaw(t, vol, buf)
 		}()
 	}

@@ -124,8 +124,23 @@ func (b Box) IntersectInto(o, out Box) {
 	}
 }
 
-// Intersects reports whether the two boxes share at least one point.
-func (b Box) Intersects(o Box) bool { return !b.Intersect(o).IsEmpty() }
+// Intersects reports whether the two boxes share at least one point: what
+// !b.Intersect(o).IsEmpty() reports, comparing bounds instead of building the
+// intersection.
+func (b Box) Intersects(o Box) bool {
+	if b.Dim() != o.Dim() {
+		panic("grid: intersecting boxes of different dimension")
+	}
+	if b.Dim() == 0 {
+		return false
+	}
+	for d := range b.Min {
+		if min64(b.Max[d], o.Max[d]) < max64(b.Min[d], o.Min[d]) {
+			return false
+		}
+	}
+	return true
+}
 
 // String renders the box as [min..max] per dimension.
 func (b Box) String() string {

@@ -225,3 +225,64 @@ func TestIntersectPropertyCommutesAndBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// intersectPanics reports whether b.Intersect(o) panics, as it does for
+// boxes of different dimensionality.
+func intersectPanics(b, o Box) (empty, panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	return b.Intersect(o).IsEmpty(), false
+}
+
+func intersectsPanics(b, o Box) (hit, panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	return b.Intersects(o), false
+}
+
+// TestIntersectsAgreesWithIntersect: over random boxes — empty ones, touching
+// ones, zero-dimensional ones and pairs of different dimensionality —
+// Intersects answers exactly what Intersect(..).IsEmpty() answers, and
+// panics where it panics.
+func TestIntersectsAgreesWithIntersect(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	randBox := func(dim int) Box {
+		b := Box{Min: make([]int64, dim), Max: make([]int64, dim)}
+		for d := 0; d < dim; d++ {
+			b.Min[d] = rng.Int63n(12) - 2
+			b.Max[d] = b.Min[d] + rng.Int63n(8) - 2 // sometimes Max < Min
+		}
+		return b
+	}
+	hits := 0
+	for i := 0; i < 20000; i++ {
+		da := rng.Intn(4)
+		db := da
+		if rng.Intn(8) == 0 {
+			db = rng.Intn(4)
+		}
+		a, b := randBox(da), randBox(db)
+		empty, p1 := intersectPanics(a, b)
+		hit, p2 := intersectsPanics(a, b)
+		if p1 != p2 || (!p1 && hit == empty) {
+			t.Fatalf("%v vs %v: Intersects=%v (panic %v), Intersect empty=%v (panic %v)", a, b, hit, p2, empty, p1)
+		}
+		if hit {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no random pair intersected: the test exercises nothing")
+	}
+}
+
+func TestIntersectsAllocatesNothing(t *testing.T) {
+	a := NewBox([]int64{0, 0, 0}, []int64{8, 8, 8})
+	b := NewBox([]int64{4, 4, 4}, []int64{8, 8, 8})
+	c := NewBox([]int64{9, 0, 0}, []int64{8, 8, 8})
+	var hit, miss bool
+	if n := testing.AllocsPerRun(100, func() { hit, miss = a.Intersects(b), a.Intersects(c) }); n != 0 {
+		t.Errorf("Intersects allocated %v times per run, want 0", n)
+	}
+	if !hit || miss {
+		t.Errorf("Intersects = %v, %v, want true, false", hit, miss)
+	}
+}

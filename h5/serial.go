@@ -3,6 +3,7 @@ package h5
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"lowfive/internal/grid"
 )
@@ -200,8 +201,20 @@ func DecodeDataspace(d *Decoder) *Dataspace {
 		return &Dataspace{dims: []int64{1}, kind: selNone}
 	}
 	s := &Dataspace{dims: make([]int64, nd)}
+	// Every extent is positive and the point count fits an int64, as
+	// NewSimple guarantees; anything else would make a reader size a
+	// buffer from a garbage count.
+	points := int64(1)
 	for i := range s.dims {
 		s.dims[i] = d.I64()
+		if d.Err != nil {
+			break
+		}
+		if s.dims[i] <= 0 || s.dims[i] > math.MaxInt64/points {
+			d.fail("dataspace extent")
+			return &Dataspace{dims: []int64{1}, kind: selNone}
+		}
+		points *= s.dims[i]
 	}
 	if d.U8() == 1 {
 		s.maxDims = make([]int64, nd)

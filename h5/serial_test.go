@@ -1,6 +1,7 @@
 package h5
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -74,5 +75,34 @@ func TestDataspaceDecodeRejectsBadRank(t *testing.T) {
 	e2.PutI64(0)
 	if _, err := UnmarshalDataspace(e2.Buf); err == nil {
 		t.Error("zero rank should fail")
+	}
+}
+
+func TestDataspaceDecodeRejectsBadExtent(t *testing.T) {
+	encode := func(dims ...int64) []byte {
+		var e Encoder
+		e.PutI64(int64(len(dims)))
+		for _, d := range dims {
+			e.PutI64(d)
+		}
+		e.PutU8(0)             // no max extent
+		e.PutU8(uint8(selAll)) // all selected: the point count is the extent
+		e.PutI64(0)            // boxes
+		e.PutI64(0)            // points
+		return e.Buf
+	}
+	for _, dims := range [][]int64{
+		{0, 8}, {8, -1}, {math.MinInt64},
+		{1 << 32, 1 << 32}, // 2^64 points
+		{math.MaxInt64, 2},
+		{3, math.MaxInt64 / 2},
+	} {
+		if _, err := UnmarshalDataspace(encode(dims...)); err == nil {
+			t.Errorf("extent %v decoded", dims)
+		}
+	}
+	s, err := UnmarshalDataspace(encode(1<<31, 1<<31))
+	if err != nil || s.NumPoints() != 1<<62 {
+		t.Fatalf("largest representable extent: %v, %d points", err, s.NumPoints())
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // The sock fault sweep: each case runs a real multi-process world — one OS
-// process per rank over TCP or Unix sockets — with a seeded WirePlan
+// process per rank over TCP or Unix sockets — with a seeded wire FaultPlan
 // sabotaging the wire below the frame codec, and proves the transport's
 // reconnect/resume/resend machinery keeps the data bit-identical to the
 // in-proc chan-engine reference. Four cases exercise wire recovery under
@@ -26,7 +26,7 @@ import (
 type SockFaultCase struct {
 	// Name labels the case; Network is "tcp" or "unix".
 	Name, Network string
-	// Spec is the full child-process workload, including the WirePlan and
+	// Spec is the full child-process workload, including the wire FaultPlan and
 	// recovery tuning that ride the spawn environment.
 	Spec rankmain.Spec
 	// KillRank, when >= 0, is SIGKILLed KillAfter into the run and
@@ -61,7 +61,7 @@ type SockFaultResult struct {
 // create/serve/read/validate) that mid-stream faults land on live
 // sessions. FastRecovery tightens the transport's tear/redial/resend
 // timings so recovery converges in milliseconds.
-func volFaultSpec(wire *mpi.WirePlan) rankmain.Spec {
+func volFaultSpec(wire *mpi.FaultPlan) rankmain.Spec {
 	return rankmain.Spec{
 		Producers: 2, Consumers: 2, Epochs: 3,
 		Workload: "vol", GridPoints: 512, Particles: 128,
@@ -80,8 +80,8 @@ func DefaultSockFaultCases() []SockFaultCase {
 			// A producer's connection hard-resets mid-frame, twice. The
 			// sender sees the write error, redials, resumes and resends.
 			Name: "conn-reset-midstream", Network: "tcp",
-			Spec: volFaultSpec(&mpi.WirePlan{Seed: 11, Rules: []mpi.WireRule{
-				{Action: mpi.WireReset, Src: 0, After: 8, Count: 2},
+			Spec: volFaultSpec(&mpi.FaultPlan{Seed: 11, Rules: []mpi.FaultRule{
+				{Action: mpi.FaultReset, Rank: 0, After: 8, Count: 2},
 			}}),
 			KillRank: -1, WantReconnects: true, WantResent: true,
 		},
@@ -90,18 +90,18 @@ func DefaultSockFaultCases() []SockFaultCase {
 			// mangled sequence prefix) rejects the frame and parks at its
 			// resume point; the sender's ack stall tears and resends.
 			Name: "corrupt-on-wire", Network: "unix",
-			Spec: volFaultSpec(&mpi.WirePlan{Seed: 12, Rules: []mpi.WireRule{
-				{Action: mpi.WireCorrupt, Src: 1, After: 6, Count: 2},
+			Spec: volFaultSpec(&mpi.FaultPlan{Seed: 12, Rules: []mpi.FaultRule{
+				{Action: mpi.FaultCorrupt, Rank: 1, After: 6, Count: 2},
 			}}),
 			KillRank: -1, WantReconnects: true, WantResent: true,
 		},
 		{
-			// Every rank's outgoing wire paced to 256 KiB/s. Nothing to
+			// Every link out of every rank paced to 256 KiB/s. Nothing to
 			// recover — the assertion is that real backpressure (slept
 			// writes under the send lock) perturbs no byte of the data.
 			Name: "throttled-link", Network: "unix",
-			Spec: volFaultSpec(&mpi.WirePlan{Seed: 13, Rules: []mpi.WireRule{
-				{Action: mpi.WireThrottle, Src: mpi.WireAnyRank, After: 2, Bandwidth: 256 << 10},
+			Spec: volFaultSpec(&mpi.FaultPlan{Seed: 13, Rules: []mpi.FaultRule{
+				{Action: mpi.FaultThrottle, Rank: mpi.AnyRank, After: 2, Bandwidth: 256 << 10},
 			}}),
 			KillRank: -1,
 		},
@@ -111,8 +111,8 @@ func DefaultSockFaultCases() []SockFaultCase {
 			// window, and the link heals on its own. Only the ack-progress
 			// timeout can detect it; resume/resend repairs it.
 			Name: "partition-then-heal", Network: "tcp",
-			Spec: volFaultSpec(&mpi.WirePlan{Seed: 14, Rules: []mpi.WireRule{
-				{Action: mpi.WirePartition, Src: 0, After: 6, Count: 1, Duration: 250 * time.Millisecond},
+			Spec: volFaultSpec(&mpi.FaultPlan{Seed: 14, Rules: []mpi.FaultRule{
+				{Action: mpi.FaultPartition, Rank: 0, After: 6, Count: 1, Duration: 250 * time.Millisecond},
 			}}),
 			KillRank: -1, WantReconnects: true, WantResent: true,
 		},
@@ -124,8 +124,8 @@ func DefaultSockFaultCases() []SockFaultCase {
 			Name: "kill-under-wire-faults", Network: "unix",
 			Spec: func() rankmain.Spec {
 				s := defaultSockSpec()
-				s.Wire = &mpi.WirePlan{Seed: 15, Rules: []mpi.WireRule{
-					{Action: mpi.WireCorrupt, Src: 1, After: 5, Count: 1},
+				s.Wire = &mpi.FaultPlan{Seed: 15, Rules: []mpi.FaultRule{
+					{Action: mpi.FaultCorrupt, Rank: 1, After: 5, Count: 1},
 				}}
 				s.FastRecovery = true
 				return s
@@ -137,7 +137,7 @@ func DefaultSockFaultCases() []SockFaultCase {
 }
 
 // SockFaultSweep runs the wire-fault matrix: for each case it computes the
-// in-proc reference digests, spawns the rank processes with the WirePlan
+// in-proc reference digests, spawns the rank processes with the wire FaultPlan
 // riding their environment, optionally SIGKILLs and respawns one rank, and
 // verifies (a) every consumer's data is bit-identical to the fault-free
 // in-proc run and (b) the summed recovery counters prove the faults were
@@ -162,7 +162,7 @@ func (c Config) SockFaultSweep(cases []SockFaultCase) ([]SockFaultResult, error)
 }
 
 // faultRef computes the in-proc chan-engine reference digests for a case's
-// workload. The chan engine never sees the WirePlan, so this is the
+// workload. The chan engine never sees the wire plan, so this is the
 // fault-free truth the faulted sock run must reproduce.
 func faultRef(spec rankmain.Spec) ([]uint64, error) {
 	if spec.Workload == "vol" {

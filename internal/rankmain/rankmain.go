@@ -49,10 +49,10 @@ type Spec struct {
 	// is unused.
 	Workload              string
 	GridPoints, Particles int64
-	// Wire injects seeded wire-level faults into every rank process's
-	// outgoing connections; it rides the child-process environment as
-	// part of the spec.
-	Wire *mpi.WirePlan `json:"wire,omitempty"`
+	// Wire injects seeded faults into every rank process's outgoing
+	// connection writes (mpi.SockWorldConfig.Wire, which validates it); it
+	// rides the child-process environment as part of the spec.
+	Wire *mpi.FaultPlan `json:"wire,omitempty"`
 	// FastRecovery tightens the sock engine's recovery timings so fault
 	// cases tear/redial/resend in milliseconds.
 	FastRecovery bool

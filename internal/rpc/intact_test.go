@@ -217,11 +217,11 @@ func TestStreamShedRecognised(t *testing.T) {
 	}
 }
 
-// TestStreamOverSockWorldWithCorruptingWirePlan: on a sock world, seeded
+// TestStreamOverSockWorldWithWireCorruption: on a sock world, seeded
 // byte flips on the wire are caught by the frame CRC-32C and resent by the
 // session, so rpc runs with its own CRC off and still delivers the stream
 // byte-identical.
-func TestStreamOverSockWorldWithCorruptingWirePlan(t *testing.T) {
+func TestStreamOverSockWorldWithWireCorruption(t *testing.T) {
 	n := countChecksums(t)
 	const size = 2
 	const reps, grab = 64, 1024
@@ -231,8 +231,8 @@ func TestStreamOverSockWorldWithCorruptingWirePlan(t *testing.T) {
 	}
 	defer coord.Close()
 	// World rank 1 is the server: its response frames take the flips.
-	plan := &mpi.WirePlan{Seed: 12, Rules: []mpi.WireRule{
-		{Action: mpi.WireCorrupt, Src: 1, After: 6, Count: 2},
+	plan := &mpi.FaultPlan{Seed: 12, Rules: []mpi.FaultRule{
+		{Action: mpi.FaultCorrupt, Rank: 1, After: 6, Count: 2},
 	}}
 	tuning := mpi.SockTuning{
 		HandshakeTimeout:  500 * time.Millisecond,
@@ -247,7 +247,7 @@ func TestStreamOverSockWorldWithCorruptingWirePlan(t *testing.T) {
 		{Name: "client", Procs: 1, Main: func(p *mpi.Proc) {
 			ic := p.Intercomm("server")
 			if !ic.Intact() {
-				t.Error("sock world with a corrupting WirePlan reports not intact")
+				t.Error("sock world with a corrupting wire plan reports not intact")
 			}
 			c := &Client{IC: ic, Timeout: 5 * time.Second, Retries: 2}
 			if err := c.StartStream(0, []byte("data")).Drain(func(b []byte) error {

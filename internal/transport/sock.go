@@ -68,9 +68,10 @@ type SockConfig struct {
 	// feed metrics counters and the flight recorder.
 	OnRecovery func(ev RecoveryEvent)
 
-	// WirePlan, if set, injects seeded wire-level faults into this rank's
-	// outgoing connections (tests and fault sweeps).
-	WirePlan *WirePlan
+	// Faults, if set, injects seeded faults into this rank's outgoing
+	// connection writes (tests and fault sweeps). DialSock returns a
+	// *RuleError for a rule the wire cannot honour.
+	Faults *Plan
 
 	// JoinTimeout bounds the wait at the world barrier; a world that
 	// does not form in time surfaces as *JoinTimeoutError instead of a
@@ -194,7 +195,7 @@ type SockStats struct {
 // the coordinator's call, not a connection error's.
 type Sock struct {
 	cfg    SockConfig
-	faults *wireFaults
+	faults *Injector // nil: no Faults plan
 	ln     net.Listener
 	coord  net.Conn
 	addr   string
@@ -259,7 +260,8 @@ type recvState struct {
 // whole world has joined (the world barrier), then returns a ready
 // endpoint. The returned engine's reader goroutines call cfg.Deliver. A
 // world that does not form within cfg.JoinTimeout returns
-// *JoinTimeoutError.
+// *JoinTimeoutError; a cfg.Faults rule the wire cannot honour returns its
+// *RuleError before anything is dialled.
 func DialSock(cfg SockConfig) (*Sock, error) {
 	if cfg.Rank < 0 || cfg.Rank >= cfg.Size {
 		return nil, fmt.Errorf("transport: rank %d out of range for world size %d", cfg.Rank, cfg.Size)
@@ -268,13 +270,20 @@ func DialSock(cfg SockConfig) (*Sock, error) {
 		return nil, fmt.Errorf("transport: SockConfig.Deliver is required")
 	}
 	cfg.fill()
+	var faults *Injector
+	if cfg.Faults != nil {
+		var err error
+		if faults, err = NewInjector(*cfg.Faults, cfg.Size, Wire); err != nil {
+			return nil, err
+		}
+	}
 	ln, err := listenSock(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := &Sock{
 		cfg:    cfg,
-		faults: newWireFaults(cfg.WirePlan, cfg.Rank),
+		faults: faults,
 		ln:     ln,
 		peers:  make([]sockPeer, cfg.Size),
 		recv:   make([]recvState, cfg.Size),
@@ -637,7 +646,7 @@ func (s *Sock) dialSession(dst int, addr string, inc uint32, attempt uint64) (ne
 	if err != nil {
 		return nil, 0, err
 	}
-	conn := s.faults.wrap(raw, dst)
+	conn := s.faults.wrap(raw, s.cfg.Rank, dst)
 	data := binary.LittleEndian.AppendUint32(nil, inc)
 	data = binary.LittleEndian.AppendUint64(data, attempt)
 	hello := s.ctlFrame(ctlHello, data)

@@ -121,10 +121,10 @@ func TestSockResetMidFrameRecovers(t *testing.T) {
 	_, socks, inbox := dialWorldCfg(t, "tcp", 2, func(r int, cfg *SockConfig) {
 		fastRecovery(cfg)
 		if r == 0 {
-			cfg.WirePlan = &WirePlan{Seed: 11, Rules: []WireRule{
+			cfg.Faults = &Plan{Seed: 11, Rules: []Rule{
 				// Writes toward rank 1: hello, frame 0, then the inline
 				// burst. The sixth write (data frame 4) dies mid-buffer.
-				{Action: WireReset, Src: 0, Dst: WireDst(1), After: 5, Count: 1},
+				{Action: Reset, Rank: 0, Dst: DstRank(1), After: 5, Count: 1},
 			}}
 		}
 	})
@@ -150,8 +150,8 @@ func TestSockCorruptOnWireRecovers(t *testing.T) {
 	_, socks, inbox := dialWorldCfg(t, "tcp", 2, func(r int, cfg *SockConfig) {
 		fastRecovery(cfg)
 		if r == 0 {
-			cfg.WirePlan = &WirePlan{Seed: 23, Rules: []WireRule{
-				{Action: WireCorrupt, Src: 0, Dst: WireDst(1), After: 3, Count: 1},
+			cfg.Faults = &Plan{Seed: 23, Rules: []Rule{
+				{Action: Corrupt, Rank: 0, Dst: DstRank(1), After: 3, Count: 1},
 			}}
 		}
 	})
@@ -171,8 +171,8 @@ func TestSockSilentDropRecovers(t *testing.T) {
 	_, socks, inbox := dialWorldCfg(t, "tcp", 2, func(r int, cfg *SockConfig) {
 		fastRecovery(cfg)
 		if r == 0 {
-			cfg.WirePlan = &WirePlan{Seed: 31, Rules: []WireRule{
-				{Action: WireDrop, Src: 0, Dst: WireDst(1), After: 10, Count: 1},
+			cfg.Faults = &Plan{Seed: 31, Rules: []Rule{
+				{Action: Drop, Rank: 0, Dst: DstRank(1), After: 10, Count: 1},
 			}}
 		}
 	})
@@ -191,11 +191,11 @@ func TestSockTrailingDropAckStall(t *testing.T) {
 	_, socks, inbox := dialWorldCfg(t, "tcp", 2, func(r int, cfg *SockConfig) {
 		fastRecovery(cfg)
 		if r == 0 {
-			cfg.WirePlan = &WirePlan{Seed: 43, Rules: []WireRule{
+			cfg.Faults = &Plan{Seed: 43, Rules: []Rule{
 				// Hello, frame 0, frames 1..3 inline pass; the sixth write
 				// — the final data frame — vanishes with no successor to
 				// reveal the gap.
-				{Action: WireDrop, Src: 0, Dst: WireDst(1), After: n, Count: 1},
+				{Action: Drop, Rank: 0, Dst: DstRank(1), After: n, Count: 1},
 			}}
 		}
 	})

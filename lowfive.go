@@ -170,11 +170,14 @@ const DefaultChunkBytes = buf.DefaultChunkBytes
 
 // --- fault injection and fault tolerance ---
 
-// FaultPlan is a seeded, deterministic set of fault-injection rules attached
-// to a workflow with mpi.WithFaultPlan: messages on matching user tags are
-// delayed, dropped, duplicated or corrupted, and a rule can crash a rank
-// outright. Use it to exercise the fault-tolerant transport (RPC retries,
-// index replication, file fallback) under test.
+// FaultPlan is a seeded, deterministic set of fault-injection rules. Attached
+// to a workflow with mpi.WithFaultPlan, messages on matching user tags are
+// delayed, dropped, duplicated or corrupted, links are partitioned or
+// throttled, and a rule can crash or hang a rank. The same plan, as a sock
+// world's mpi.SockWorldConfig.Wire, perturbs that process's connection
+// writes instead. Each attach point rejects a rule it cannot honour. Use it
+// to exercise the fault-tolerant transport (RPC retries, index
+// replication, file fallback, reconnect and resend) under test.
 type FaultPlan = mpi.FaultPlan
 
 // FaultRule arms one fault of a FaultPlan.

@@ -5,17 +5,30 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"lowfive/internal/transport"
 )
+
+// newInjector builds the message-layer runtime a world of size ranks
+// would attach for plan.
+func newInjector(t *testing.T, plan FaultPlan, size int) *transport.Injector {
+	t.Helper()
+	in, err := transport.NewInjector(plan, size, transport.Messages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
 
 func TestFaultDecideDeterministic(t *testing.T) {
 	plan := FaultPlan{Seed: 42, Rules: []FaultRule{
 		{Action: FaultDrop, Rank: AnyRank, Tag: AnyTag, Prob: 0.5},
 	}}
 	record := func() []bool {
-		fs := newFaultState(plan, 4)
+		fs := newInjector(t, plan, 4)
 		var out []bool
 		for op := 0; op < 200; op++ {
-			_, _, fired := fs.decide(op%4, op%3, op%7, false)
+			_, fired := fs.Decide(op%4, op%3, op%7, false, 8)
 			out = append(out, fired)
 		}
 		return out
@@ -39,7 +52,7 @@ func TestFaultDecideDeterministic(t *testing.T) {
 }
 
 func TestFaultRuleGating(t *testing.T) {
-	fs := newFaultState(FaultPlan{Rules: []FaultRule{
+	fs := newInjector(t, FaultPlan{Rules: []FaultRule{
 		{Action: FaultDrop, Rank: 1, Tag: 9, After: 2, Count: 3},
 	}}, 2)
 	// Wrong rank, wrong tag, recv-side, and internal tags never match.
@@ -47,14 +60,14 @@ func TestFaultRuleGating(t *testing.T) {
 		rank, tag int
 		recv      bool
 	}{{0, 9, false}, {1, 8, false}, {1, 9, true}, {1, -5, false}} {
-		if _, _, fired := fs.decide(args.rank, 0, args.tag, args.recv); fired {
+		if _, fired := fs.Decide(args.rank, 0, args.tag, args.recv, 8); fired {
 			t.Errorf("case %d: rule fired on non-matching op", i)
 		}
 	}
 	// Matching ops: 2 pass (After), 3 fire (Count), then the rule is spent.
 	var got []bool
 	for i := 0; i < 8; i++ {
-		_, _, fired := fs.decide(1, 0, 9, false)
+		_, fired := fs.Decide(1, 0, 9, false, 8)
 		got = append(got, fired)
 	}
 	want := []bool{false, false, true, true, true, false, false, false}
@@ -443,5 +456,66 @@ func TestCleanPathNoCopy(t *testing.T) {
 	}, WithFaultPlan(plan))
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFaultPlanRejectedAtAttach: a rule the layer cannot honour is rejected
+// when the plan is attached — NewWorld panics with it (as with a bad size)
+// and NewSockWorld returns it, before anything is dialled. Each case puts
+// one bad rule behind a good one, so the error must name rule 1.
+func TestFaultPlanRejectedAtAttach(t *testing.T) {
+	good := FaultRule{Action: FaultDrop, Rank: AnyRank, Count: 1}
+	cases := []struct {
+		name string
+		wire bool
+		rule FaultRule
+	}{
+		{"message-reset", false, FaultRule{Action: FaultReset, Rank: 0}},
+		{"message-unknown", false, FaultRule{Action: FaultAction(42), Rank: 0}},
+		{"message-throttle-zero", false, FaultRule{Action: FaultThrottle, Rank: 0}},
+		{"message-throttle-negative", false, FaultRule{Action: FaultThrottle, Rank: 0, Bandwidth: -1}},
+		{"wire-duplicate", true, FaultRule{Action: FaultDuplicate, Rank: 0}},
+		{"wire-crash", true, FaultRule{Action: FaultCrash, Rank: 0}},
+		{"wire-hang", true, FaultRule{Action: FaultHang, Rank: 0}},
+		{"wire-onrecv", true, FaultRule{Action: FaultDrop, Rank: 0, OnRecv: true}},
+		{"wire-tag", true, FaultRule{Action: FaultDrop, Rank: 0, Tag: 3}},
+		{"wire-anytag", true, FaultRule{Action: FaultDrop, Rank: 0, Tag: AnyTag}},
+		{"wire-unknown", true, FaultRule{Action: FaultAction(42), Rank: 0}},
+		{"wire-throttle-zero", true, FaultRule{Action: FaultThrottle, Rank: 0}},
+	}
+	check := func(t *testing.T, err error, want transport.Layer, rule FaultRule) {
+		t.Helper()
+		var re *transport.RuleError
+		if !errors.As(err, &re) {
+			t.Fatalf("err %v, want a *transport.RuleError", err)
+		}
+		if re.Layer != want || re.Index != 1 || re.Action != rule.Action || re.Reason == "" {
+			t.Fatalf("got %+v, want rule 1 (%v) at the %v layer", re, rule.Action, want)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := FaultPlan{Seed: 1, Rules: []FaultRule{good, tc.rule}}
+			cfg := SockWorldConfig{Network: "unix", Rank: 0, Size: 2}
+			if tc.wire {
+				cfg.Wire = &plan
+				_, err := NewSockWorld(cfg)
+				check(t, err, transport.Wire, tc.rule)
+				return
+			}
+			_, err := NewSockWorld(cfg, WithFaultPlan(plan))
+			check(t, err, transport.Messages, tc.rule)
+			func() {
+				defer func() {
+					err, _ := recover().(error)
+					check(t, err, transport.Messages, tc.rule)
+				}()
+				NewWorld(2, WithFaultPlan(plan))
+			}()
+		})
+	}
+	// Every other action attaches at the message layer.
+	for a := FaultDelay; a <= FaultThrottle; a++ {
+		NewWorld(2, WithFaultPlan(FaultPlan{Rules: []FaultRule{{Action: a, Bandwidth: 1}}}))
 	}
 }

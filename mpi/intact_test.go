@@ -50,17 +50,17 @@ func TestIntactTruthTable(t *testing.T) {
 	}
 }
 
-// TestIntactSockWorldWithCorruptingWirePlan: wire corruption on a sock
+// TestIntactSockWorldWithWireCorruption: wire corruption on a sock
 // world is caught by the frame CRC-32C and resent by the session, so it
 // leaves the world intact on every rank.
-func TestIntactSockWorldWithCorruptingWirePlan(t *testing.T) {
+func TestIntactSockWorldWithWireCorruption(t *testing.T) {
 	const size = 2
 	coord, err := transport.NewCoordinator("unix", t.TempDir()+"/coord.sock", size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	plan := &WirePlan{Seed: 12, Rules: []WireRule{{Action: WireCorrupt, Src: WireAnyRank}}}
+	plan := &FaultPlan{Seed: 12, Rules: []FaultRule{{Action: FaultCorrupt, Rank: AnyRank}}}
 	worlds := make([]*World, size)
 	errs := make([]error, size)
 	var wg sync.WaitGroup
@@ -80,7 +80,7 @@ func TestIntactSockWorldWithCorruptingWirePlan(t *testing.T) {
 		}
 		defer worlds[r].Close()
 		if !worlds[r].Intact() {
-			t.Errorf("rank %d: sock world with a corrupting WirePlan reports not intact", r)
+			t.Errorf("rank %d: sock world with a corrupting wire plan reports not intact", r)
 		}
 	}
 }

@@ -28,7 +28,8 @@ package mpi
 // AnySource matches messages from any source rank in Recv and Probe.
 const AnySource = -1
 
-// AnyTag matches messages with any non-negative (user) tag in Recv and Probe.
+// AnyTag matches messages with any non-negative (user) tag in Recv and
+// Probe, and every user tag in FaultRule.Tag.
 const AnyTag = -1
 
 // Status describes a matched message.

@@ -8,16 +8,9 @@ import (
 	"lowfive/metrics"
 )
 
-// Wire-fault vocabulary re-exported so launchers and harnesses can build
-// plans without importing internal/transport.
+// Sock-engine types re-exported so launchers and harnesses need not import
+// internal/transport.
 type (
-	// WirePlan is a seeded set of wire-level fault rules applied below
-	// the frame codec of a sock world (transport.WirePlan).
-	WirePlan = transport.WirePlan
-	// WireRule is one wire fault rule.
-	WireRule = transport.WireRule
-	// WireActionKind selects what a wire rule does to a write.
-	WireActionKind = transport.WireAction
 	// SockRecoveryEvent is one observation from the sock engine's
 	// reconnect/resend machinery.
 	SockRecoveryEvent = transport.RecoveryEvent
@@ -26,20 +19,6 @@ type (
 	// SockStats is the sock engine's traffic/recovery counter snapshot.
 	SockStats = transport.SockStats
 )
-
-// Wire actions, mirroring the mpi fault-plan vocabulary one layer down.
-const (
-	WireDelay     = transport.WireDelay
-	WireDrop      = transport.WireDrop
-	WireCorrupt   = transport.WireCorrupt
-	WireReset     = transport.WireReset
-	WirePartition = transport.WirePartition
-	WireThrottle  = transport.WireThrottle
-	WireAnyRank   = transport.WireAnyRank
-)
-
-// WireDst encodes a destination rank for WireRule.Dst (0 means any peer).
-func WireDst(rank int) int { return transport.WireDst(rank) }
 
 // SockTuning overrides the sock engine's recovery timings; zero fields
 // keep the transport defaults. Tests and fault sweeps tighten these so
@@ -70,9 +49,11 @@ type SockWorldConfig struct {
 	// supervisor for each respawn so peers distinguish the restart from
 	// the process it replaced.
 	Inc uint32
-	// Wire, if set, injects seeded wire-level faults into this process's
-	// outgoing connections (transport.WirePlan semantics).
-	Wire *WirePlan
+	// Wire, if set, injects seeded faults into this process's outgoing
+	// connection writes, below the frame codec. NewSockWorld rejects a rule
+	// the wire cannot honour: FaultDuplicate, FaultCrash, FaultHang, OnRecv
+	// or a non-zero Tag.
+	Wire *FaultPlan
 	// Tuning overrides recovery timings; the zero value keeps defaults.
 	Tuning SockTuning
 	// Flight, if set, records recovery events (reconnects, resends, peers
@@ -102,7 +83,10 @@ func NewSockWorld(cfg SockWorldConfig, opts ...Option) (*World, error) {
 	if cfg.Rank < 0 || cfg.Rank >= cfg.Size {
 		return nil, fmt.Errorf("mpi: sock rank %d out of range for world size %d", cfg.Rank, cfg.Size)
 	}
-	w := newWorldCore(cfg.Size, 0, opts)
+	w, err := newWorldCore(cfg.Size, 0, opts)
+	if err != nil {
+		return nil, err
+	}
 	w.localRank = cfg.Rank
 	w.incs[cfg.Rank].Store(cfg.Inc)
 	sock, err := transport.DialSock(transport.SockConfig{
@@ -120,7 +104,7 @@ func NewSockWorld(cfg SockWorldConfig, opts ...Option) (*World, error) {
 		// incarnation bump, mailbox purge, fresh failure channel.
 		OnPeerRejoin:      func(rank int) { w.reviveRank(rank) },
 		OnRecovery:        w.sockRecoveryHook(cfg.Flight),
-		WirePlan:          cfg.Wire,
+		Faults:            cfg.Wire,
 		JoinTimeout:       cfg.Tuning.JoinTimeout,
 		WriteTimeout:      cfg.Tuning.WriteTimeout,
 		HandshakeTimeout:  cfg.Tuning.HandshakeTimeout,

@@ -44,7 +44,7 @@ type World struct {
 	// fault injection (nil when no plan is attached); failed/failedCh track
 	// crashed ranks so peers blocked on them fail fast instead of hanging.
 	faultPlan *FaultPlan
-	fault     *faultState
+	fault     *transport.Injector
 	intact    bool // no FaultCorrupt rule in faultPlan; see Intact
 	failed    []atomic.Bool
 	failedCh  []chan struct{}
@@ -229,7 +229,10 @@ func WithMetrics(r *metrics.Registry) Option {
 // rank is a goroutine of this process and frames move over the chan
 // transport engine.
 func NewWorld(size int, opts ...Option) *World {
-	w := newWorldCore(size, 30*time.Second, opts)
+	w, err := newWorldCore(size, 30*time.Second, opts)
+	if err != nil {
+		panic(err)
+	}
 	// The chan engine reproduces the original in-proc delivery exactly:
 	// the α–β cost charge on the sending goroutine, then a synchronous
 	// enqueue at the destination mailbox.
@@ -241,8 +244,9 @@ func NewWorld(size int, opts ...Option) *World {
 	return w
 }
 
-// newWorldCore builds the engine-independent part of a World.
-func newWorldCore(size int, watchdog time.Duration, opts []Option) *World {
+// newWorldCore builds the engine-independent part of a World. Its error
+// is a fault plan the message layer cannot honour.
+func newWorldCore(size int, watchdog time.Duration, opts []Option) (*World, error) {
 	if size <= 0 {
 		panic("mpi: world size must be positive")
 	}
@@ -265,8 +269,11 @@ func newWorldCore(size int, watchdog time.Duration, opts []Option) *World {
 	w.epochs = make([]atomic.Int64, size)
 	w.intact = true
 	if w.faultPlan != nil {
-		w.fault = newFaultState(*w.faultPlan, size)
-		w.intact = !w.faultPlan.corrupts()
+		var err error
+		if w.fault, err = transport.NewInjector(*w.faultPlan, size, transport.Messages); err != nil {
+			return nil, err
+		}
+		w.intact = !w.faultPlan.Corrupts()
 	}
 	if w.tracer != nil {
 		w.tracks = make([]*trace.Track, size)
@@ -280,7 +287,7 @@ func newWorldCore(size int, watchdog time.Duration, opts []Option) *World {
 		w.mRecvs = w.metrics.Counter("mpi.recvs")
 		w.mRecvBytes = w.metrics.Counter("mpi.recv.bytes")
 	}
-	return w
+	return w, nil
 }
 
 // recordSend accounts one message on the metrics plane: aggregate counters,

@@ -292,7 +292,7 @@ func stormRows(res harness.StormResult) []stormBench {
 // case into the report's recovery entries: replay wall time, restart count,
 // PFS fallbacks, and the bit-identity verdict.
 func measureRecoveries(cfg harness.Config) ([]recoveryBench, error) {
-	results, err := cfg.StagingSweep(harness.DefaultStagingCases())
+	results, err := cfg.Sweep(workload.Spec{}, harness.DefaultStagingCases())
 	if err != nil {
 		return nil, fmt.Errorf("staging sweep: %w", err)
 	}
@@ -304,12 +304,12 @@ func measureRecoveries(cfg harness.Config) ([]recoveryBench, error) {
 		out = append(out, recoveryBench{
 			Name:      r.Name,
 			ReplayMs:  r.ReplayMs,
-			Restarts:  r.Stats.RestartCount,
-			Fallbacks: r.Stats.StageFallbacks,
+			Restarts:  r.Run.RestartCount,
+			Fallbacks: r.Run.StageFallbacks,
 			Identical: r.Identical,
 		})
 		fmt.Fprintf(os.Stderr, "%-40s %12.4f replay_ms %3d restarts %3d fallbacks identical=%v\n",
-			"Recovery/"+r.Name, r.ReplayMs, r.Stats.RestartCount, r.Stats.StageFallbacks, r.Identical)
+			"Recovery/"+r.Name, r.ReplayMs, r.Run.RestartCount, r.Run.StageFallbacks, r.Identical)
 	}
 	return out, nil
 }

@@ -295,9 +295,10 @@ func runSockFaults(cfg harness.Config) error {
 // runFaults runs the producer–consumer exchange under each default chaos
 // plan at the smallest configured scale, then the partition-and-straggler
 // sweep (hedged queries vs link faults), then the supervised-recovery sweep
-// (crash-then-restart, hang-then-timeout), and prints all three tables. A
-// non-identical or failed case makes the run exit nonzero, naming the seed
-// so the exact plan can be replayed with -seed.
+// (crash-then-restart, hang-then-timeout), then the staged-log sweep, and
+// prints all four tables. A failed case (a rank error, data that differ
+// from the baseline, or a missed expectation) makes the run exit nonzero,
+// naming the seed so the exact plan can be replayed with -seed.
 func runFaults(cfg harness.Config, seed int64) error {
 	// The chaos sweeps are where queries actually go slow, so make sure the
 	// observability plane is live: a registry for the per-layer instruments
@@ -326,49 +327,37 @@ func runFaultSweeps(cfg harness.Config, seed int64) error {
 	spec := workload.PaperSpec(procs).Scaled(cfg.ScaleFactor)
 	fmt.Fprintf(os.Stderr, "fault sweep: %d producers, %d consumers, seed %d\n",
 		spec.Producers, spec.Consumers, seed)
-	results, err := cfg.FaultSweep(spec, harness.DefaultFaultCases(seed))
-	if err != nil {
-		return fmt.Errorf("seed %d: %w", seed, err)
-	}
-	harness.PrintFaultTable(os.Stdout, results)
-	for _, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("case %s (seed %d): %w", r.Name, seed, r.Err)
+	for i, sw := range []struct {
+		label, note string
+		table       harness.Table
+		cases       []harness.Case
+	}{
+		{"case", "", harness.FaultTable, harness.DefaultFaultCases(seed)},
+		{"partition case", "partition sweep: link faults vs hedged queries", harness.PartitionTable,
+			harness.DefaultPartitionCases(spec, seed)},
+		{"recovery case", "recovery sweep: supervised restart and hang detection", harness.RecoveryTable,
+			harness.DefaultRecoveryCases(seed)},
+		{"staging case", "staging sweep: staged-log faults and replay recovery", harness.StagingTable,
+			harness.DefaultStagingCases()},
+	} {
+		if sw.note != "" {
+			fmt.Fprintf(os.Stderr, "%s, seed %d\n", sw.note, seed)
 		}
-		if !r.Identical {
-			return fmt.Errorf("case %s (seed %d): consumer data differs from the fault-free baseline", r.Name, seed)
+		results, err := cfg.Sweep(spec, sw.cases)
+		if err != nil {
+			return fmt.Errorf("seed %d: %w", seed, err)
 		}
-	}
-
-	fmt.Fprintf(os.Stderr, "partition sweep: link faults vs hedged queries, seed %d\n", seed)
-	pres, err := cfg.PartitionSweep(spec, harness.DefaultPartitionCases(seed))
-	if err != nil {
-		return fmt.Errorf("seed %d: %w", seed, err)
-	}
-	fmt.Println()
-	harness.PrintPartitionTable(os.Stdout, pres)
-	for _, r := range pres {
-		if r.Err != nil {
-			return fmt.Errorf("partition case %s (seed %d): %w", r.Name, seed, r.Err)
+		if i > 0 {
+			fmt.Println()
 		}
-	}
-
-	fmt.Fprintf(os.Stderr, "recovery sweep: supervised restart and hang detection, seed %d\n", seed)
-	rres, err := cfg.RecoverySweep(harness.DefaultRecoveryCases(seed))
-	if err != nil {
-		return fmt.Errorf("seed %d: %w", seed, err)
-	}
-	fmt.Println()
-	harness.PrintRecoveryTable(os.Stdout, rres)
-	for _, r := range rres {
-		if r.Err != nil {
-			return fmt.Errorf("recovery case %s (seed %d): %w", r.Name, seed, r.Err)
-		}
-		if !r.Identical {
-			return fmt.Errorf("recovery case %s (seed %d): consumer data differs from the fault-free baseline", r.Name, seed)
+		sw.table.Print(os.Stdout, results)
+		for _, r := range results {
+			if r.Err != nil {
+				return fmt.Errorf("%s %s (seed %d): %w", sw.label, r.Name, seed, r.Err)
+			}
 		}
 	}
-	fmt.Println("all fault, partition and recovery cases delivered bit-identical consumer data")
+	fmt.Println("all fault, partition, recovery and staging cases delivered bit-identical consumer data")
 	return nil
 }
 

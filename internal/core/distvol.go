@@ -267,6 +267,21 @@ type ServeStats struct {
 	QueueP99 time.Duration
 }
 
+// Add folds o into s, as when summing the ranks of a task: QueueP99 keeps
+// the larger tail, every other field is summed.
+func (s *ServeStats) Add(o ServeStats) {
+	s.MetadataRequests += o.MetadataRequests
+	s.BoxQueries += o.BoxQueries
+	s.DataQueries += o.DataQueries
+	s.BytesServed += o.BytesServed
+	s.DoneMessages += o.DoneMessages
+	s.ParkedRequests += o.ParkedRequests
+	s.ChunksServed += o.ChunksServed
+	s.Shed += o.Shed
+	s.Queued += o.Queued
+	s.QueueP99 = max(s.QueueP99, o.QueueP99)
+}
+
 // QueryStats counts this rank's consumer-side query activity (Alg. 3) —
 // the mirror of ServeStats that makes both ends of an exchange measurable.
 type QueryStats struct {
@@ -311,6 +326,24 @@ type QueryStats struct {
 	// BreakerOpens counts circuit-breaker transitions to open across this
 	// rank's RPC clients.
 	BreakerOpens int64
+}
+
+// Add sums o into q field by field, as when summing the ranks of a task.
+func (q *QueryStats) Add(o QueryStats) {
+	q.MetadataFetches += o.MetadataFetches
+	q.BoxQueries += o.BoxQueries
+	q.DataQueries += o.DataQueries
+	q.BytesFetched += o.BytesFetched
+	q.WaitTime += o.WaitTime
+	q.Failovers += o.Failovers
+	q.FileFallbacks += o.FileFallbacks
+	q.ChunksFetched += o.ChunksFetched
+	q.Retries += o.Retries
+	q.HedgedCalls += o.HedgedCalls
+	q.HedgeWins += o.HedgeWins
+	q.StragglersDemoted += o.StragglersDemoted
+	q.Sheds += o.Sheds
+	q.BreakerOpens += o.BreakerOpens
 }
 
 type parkedReq struct {

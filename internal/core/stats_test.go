@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -23,26 +24,16 @@ func TestServeAndQueryStatsMirror(t *testing.T) {
 			vol := core.NewDistMetadataVOL(p.Task, nil)
 			vol.SetIntercomm("*", p.Intercomm("consumer"))
 			produceGrid(t, p, h5.NewFileAccessProps(vol), "stats.h5", dims)
-			s := vol.Stats()
 			mu.Lock()
-			serve.MetadataRequests += s.MetadataRequests
-			serve.BoxQueries += s.BoxQueries
-			serve.DataQueries += s.DataQueries
-			serve.BytesServed += s.BytesServed
-			serve.DoneMessages += s.DoneMessages
+			serve.Add(vol.Stats())
 			mu.Unlock()
 		}},
 		{Name: "consumer", Procs: 2, Main: func(p *mpi.Proc) {
 			vol := core.NewDistMetadataVOL(p.Task, nil)
 			vol.SetIntercomm("*", p.Intercomm("producer"))
 			consumeGridColumns(t, p, h5.NewFileAccessProps(vol), "stats.h5", dims)
-			q := vol.QueryStats()
 			mu.Lock()
-			query.MetadataFetches += q.MetadataFetches
-			query.BoxQueries += q.BoxQueries
-			query.DataQueries += q.DataQueries
-			query.BytesFetched += q.BytesFetched
-			query.WaitTime += q.WaitTime
+			query.Add(vol.QueryStats())
 			mu.Unlock()
 		}},
 	})
@@ -72,5 +63,51 @@ func TestServeAndQueryStatsMirror(t *testing.T) {
 	}
 	if serve.DoneMessages != 6 {
 		t.Errorf("DoneMessages=%d, want 6 (each of 2 consumers notifies all 3 producers)", serve.DoneMessages)
+	}
+}
+
+// TestStatsAddCarriesEveryField fills two stats values with distinct
+// per-field numbers and checks Add folds every field: a field added to
+// ServeStats or QueryStats that Add does not carry keeps its old value and
+// fails here. QueueP99 is a tail, so it takes the max instead of the sum.
+func TestStatsAddCarriesEveryField(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		add  func(a, b any) any
+		zero any
+		max  map[string]bool
+	}{
+		{"ServeStats", func(a, b any) any {
+			s := a.(core.ServeStats)
+			s.Add(b.(core.ServeStats))
+			return s
+		}, core.ServeStats{}, map[string]bool{"QueueP99": true}},
+		{"QueryStats", func(a, b any) any {
+			q := a.(core.QueryStats)
+			q.Add(b.(core.QueryStats))
+			return q
+		}, core.QueryStats{}, nil},
+	} {
+		typ := reflect.TypeOf(tc.zero)
+		a := reflect.New(typ).Elem()
+		b := reflect.New(typ).Elem()
+		for i := 0; i < typ.NumField(); i++ {
+			if k := typ.Field(i).Type.Kind(); k != reflect.Int64 && k != reflect.Int {
+				t.Fatalf("%s.%s has kind %v: teach Add and this test how to fold it", tc.name, typ.Field(i).Name, k)
+			}
+			a.Field(i).SetInt(int64(i + 1))
+			b.Field(i).SetInt(100)
+		}
+		got := reflect.ValueOf(tc.add(a.Interface(), b.Interface()))
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.Field(i).Name
+			want := int64(i + 1 + 100)
+			if tc.max[name] {
+				want = 100
+			}
+			if g := got.Field(i).Int(); g != want {
+				t.Errorf("%s.Add: %s = %d, want %d", tc.name, name, g, want)
+			}
+		}
 	}
 }

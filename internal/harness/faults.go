@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -16,43 +13,6 @@ import (
 	"lowfive/internal/workload"
 	"lowfive/mpi"
 )
-
-// Fault trials run the standard producer–consumer exchange under seeded
-// chaos plans and assert the consumers still end up with bit-identical data.
-// The transport is the full fault-tolerant stack: RPC timeouts and retries
-// absorb lost, duplicated and corrupted messages; index replication re-routes
-// redirect queries around a crashed producer rank; and because the producers
-// also write the file through to the simulated parallel file system
-// (passthru), a crashed rank's data is recovered over the paper's file
-// transport.
-
-// FaultCase is one chaos plan of a sweep.
-type FaultCase struct {
-	// Name labels the case in reports.
-	Name string
-	// Plan is the seeded fault plan injected into the world.
-	Plan mpi.FaultPlan
-	// Degraded marks cases whose plan kills a rank: the trial then expects
-	// the failover/fallback counters to be nonzero.
-	Degraded bool
-}
-
-// FaultTrialResult is the outcome of one fault case.
-type FaultTrialResult struct {
-	// Name is the case label.
-	Name string
-	// Seconds is the exchange section wall time under injection.
-	Seconds float64
-	// Identical reports whether every consumer's data matched the
-	// fault-free baseline bit for bit.
-	Identical bool
-	// Query is the summed consumer-side query counters; Failovers and
-	// FileFallbacks show which recovery paths ran.
-	Query core.QueryStats
-	// Err is the first error any rank raised (expected rank-failure errors
-	// from the injected crash itself are filtered out).
-	Err error
-}
 
 // faultTolerance are the consumer-side RPC knobs used for every fault trial.
 // The per-attempt timeout must comfortably exceed a cost-modeled response
@@ -66,29 +26,10 @@ const (
 	faultWatchdog    = 30 * time.Second
 )
 
-// faultTuning carries the optional tail-latency knobs a sweep threads into
-// the consumer VOLs. The zero value leaves both defenses off, which is what
-// the message-loss sweep (FaultSweep) wants: its cases are about the retry
-// ladder, not about racing replicas.
-type faultTuning struct {
-	// HedgeDelay enables hedged queries (with EWMA straggler demotion) on
-	// the consumers when nonzero.
-	HedgeDelay time.Duration
-	// CallBudget is the end-to-end deadline for each consumer call chain.
-	CallBudget time.Duration
-}
-
-// faultExchange runs one producer–consumer exchange with the given plan
-// (nil for the fault-free baseline) and returns the exchange seconds, each
-// consumer rank's received bytes (grid then particles), and the summed
-// consumer query stats.
-func (c Config) faultExchange(spec workload.Spec, plan *mpi.FaultPlan) (float64, [][]byte, core.QueryStats, error) {
-	return c.faultExchangeTuned(spec, plan, faultTuning{})
-}
-
-// faultExchangeTuned is faultExchange with explicit consumer-side tail
-// tuning; the partition sweep uses it to turn on hedging and deadlines.
-func (c Config) faultExchangeTuned(spec workload.Spec, plan *mpi.FaultPlan, tune faultTuning) (float64, [][]byte, core.QueryStats, error) {
+// faultExchange runs one Synthetic exchange under k's plan and consumer
+// tuning and returns each consumer rank's received bytes (grid then
+// particles) with the summed consumer query stats.
+func (c Config) faultExchange(spec workload.Spec, k Case) ([][]byte, Result) {
 	fs := pfs.New(c.FS)
 	if c.Metrics != nil {
 		fs.SetMetrics(c.Metrics)
@@ -98,25 +39,9 @@ func (c Config) faultExchangeTuned(spec workload.Spec, plan *mpi.FaultPlan, tune
 	data := make([][]byte, spec.Consumers)
 	var qmu sync.Mutex
 	var qstats core.QueryStats
-	addStats := func(qs core.QueryStats) {
-		qmu.Lock()
-		qstats.MetadataFetches += qs.MetadataFetches
-		qstats.BoxQueries += qs.BoxQueries
-		qstats.DataQueries += qs.DataQueries
-		qstats.BytesFetched += qs.BytesFetched
-		qstats.WaitTime += qs.WaitTime
-		qstats.Failovers += qs.Failovers
-		qstats.FileFallbacks += qs.FileFallbacks
-		qstats.ChunksFetched += qs.ChunksFetched
-		qstats.Retries += qs.Retries
-		qstats.HedgedCalls += qs.HedgedCalls
-		qstats.HedgeWins += qs.HedgeWins
-		qstats.StragglersDemoted += qs.StragglersDemoted
-		qmu.Unlock()
-	}
 	opts := append(c.mpiOpts(), mpi.WithWatchdog(faultWatchdog))
-	if plan != nil {
-		opts = append(opts, mpi.WithFaultPlan(*plan))
+	if len(k.Plan.Rules) > 0 {
+		opts = append(opts, mpi.WithFaultPlan(k.Plan))
 	}
 	err := mpi.RunWorkflow([]mpi.TaskSpec{
 		{Name: "producer", Procs: spec.Producers, Main: func(p *mpi.Proc) {
@@ -157,8 +82,8 @@ func (c Config) faultExchangeTuned(spec workload.Spec, plan *mpi.FaultPlan, tune
 			vol.CallRetries = faultCallRetries
 			vol.CallBackoff = faultCallBackoff
 			vol.ReplicationFactor = faultReplication
-			vol.HedgeDelay = tune.HedgeDelay
-			vol.CallBudget = tune.CallBudget
+			vol.HedgeDelay = k.HedgeDelay
+			vol.CallBudget = k.CallBudget
 			c.instrument(vol, true)
 			fapl := h5.NewFileAccessProps(vol)
 			p.World.Barrier()
@@ -178,7 +103,9 @@ func (c Config) faultExchangeTuned(spec workload.Spec, plan *mpi.FaultPlan, tune
 				data[r] = buf
 				errs.add(workload.ValidateConsumer(spec, r, gridBuf, partBuf))
 			}
-			addStats(vol.QueryStats())
+			qmu.Lock()
+			qstats.Add(vol.QueryStats())
+			qmu.Unlock()
 			p.World.Barrier()
 			rec.Stop()
 		}},
@@ -186,7 +113,7 @@ func (c Config) faultExchangeTuned(spec workload.Spec, plan *mpi.FaultPlan, tune
 	if err == nil {
 		err = errs.first()
 	}
-	return rec.Seconds(), data, qstats, err
+	return data, Result{Seconds: rec.Seconds(), Query: qstats, Err: err}
 }
 
 // DefaultFaultCases is the standard sweep: each lossy rule is Count-bounded
@@ -194,8 +121,8 @@ func (c Config) faultExchangeTuned(spec workload.Spec, plan *mpi.FaultPlan, tune
 // survivable; the crash case removes one producer rank mid-serve, forcing
 // replica failover for redirect queries and the file transport for the dead
 // rank's data.
-func DefaultFaultCases(seed int64) []FaultCase {
-	return []FaultCase{
+func DefaultFaultCases(seed int64) []Case {
+	return []Case{
 		{Name: "drop-requests", Plan: mpi.FaultPlan{Seed: seed, Rules: []mpi.FaultRule{
 			{Action: mpi.FaultDrop, Rank: mpi.AnyRank, Tag: rpc.TagRequest, Count: 4},
 		}}},
@@ -229,13 +156,13 @@ func DefaultFaultCases(seed int64) []FaultCase {
 		{Name: "corrupt-stream-chunk", Plan: mpi.FaultPlan{Seed: seed, Rules: []mpi.FaultRule{
 			{Action: mpi.FaultCorrupt, Rank: mpi.AnyRank, Tag: rpc.TagResponse, After: 5, Count: 2},
 		}}},
-		{Name: "crash-producer-0", Degraded: true, Plan: mpi.FaultPlan{Seed: seed, Rules: []mpi.FaultRule{
+		{Name: "crash-producer-0", Want: Want{Degraded: true}, Plan: mpi.FaultPlan{Seed: seed, Rules: []mpi.FaultRule{
 			// World rank 0 is producer task rank 0 (tasks are laid out in
 			// spec order). It dies at its third response send — after serving
 			// something, so the consumers are already talking to it.
 			{Action: mpi.FaultCrash, Rank: 0, Tag: rpc.TagResponse, After: 2},
 		}}},
-		{Name: "crash-mid-stream", Degraded: true, Plan: mpi.FaultPlan{Seed: seed, Rules: []mpi.FaultRule{
+		{Name: "crash-mid-stream", Want: Want{Degraded: true}, Plan: mpi.FaultPlan{Seed: seed, Rules: []mpi.FaultRule{
 			// Like the stream-chunk cases, arming after several responses
 			// puts the crash inside a multi-frame data stream (run the sweep
 			// with small Config.ChunkBytes): the consumer is left holding a
@@ -244,7 +171,7 @@ func DefaultFaultCases(seed int64) []FaultCase {
 			// the file on the PFS, and still end up bit-identical.
 			{Action: mpi.FaultCrash, Rank: 0, Tag: rpc.TagResponse, After: 4},
 		}}},
-		{Name: "crash-under-loss", Degraded: true, Plan: mpi.FaultPlan{Seed: seed, Rules: []mpi.FaultRule{
+		{Name: "crash-under-loss", Want: Want{Degraded: true}, Plan: mpi.FaultPlan{Seed: seed, Rules: []mpi.FaultRule{
 			{Action: mpi.FaultCrash, Rank: 0, Tag: rpc.TagResponse, After: 2},
 			{Action: mpi.FaultDrop, Rank: mpi.AnyRank, Tag: rpc.TagRequest, Count: 2},
 			{Action: mpi.FaultDuplicate, Rank: mpi.AnyRank, Tag: rpc.TagResponse, Count: 2},
@@ -252,57 +179,79 @@ func DefaultFaultCases(seed int64) []FaultCase {
 	}
 }
 
-// FaultSweep runs the fault-free baseline and then every case, comparing
-// each case's consumer data bit for bit against the baseline.
-func (c Config) FaultSweep(spec workload.Spec, cases []FaultCase) ([]FaultTrialResult, error) {
-	_, baseline, _, err := c.faultExchange(spec, nil)
-	if err != nil {
-		return nil, fmt.Errorf("harness: fault-free baseline failed: %w", err)
+// Partition-sweep consumer tuning, layered on the faultTolerance knobs: the
+// hedge delay must comfortably exceed a cost-modeled healthy response
+// (NetAlpha is 2ms in the quick configs) while staying far below the
+// per-attempt timeout; the end-to-end budget caps every call chain —
+// including streams to a partitioned rank — well below the flat
+// timeout×(retries+1) ladder, so a dead link costs one budget, not seven
+// timeouts.
+const (
+	partitionHedgeDelay = 25 * time.Millisecond
+	partitionCallBudget = 700 * time.Millisecond
+)
+
+// DefaultPartitionCases is the standard link-fault sweep. Every rule is
+// scoped to producer world rank 0 — the single consumer's metadata partner
+// (LocalRank mod producers), so the very first query of the exchange meets
+// the fault — and to the RPC response tag, so producer-side collectives
+// (barriers, the index alltoall) are untouched: these are link faults on
+// the serve path, not rank crashes.
+func DefaultPartitionCases(spec workload.Spec, seed int64) []Case {
+	tuned := func(name string, want Want, rule mpi.FaultRule) Case {
+		return Case{Name: name, HedgeDelay: partitionHedgeDelay, CallBudget: partitionCallBudget, Want: want,
+			Plan: mpi.FaultPlan{Seed: seed, Rules: []mpi.FaultRule{rule}}}
 	}
-	for r, b := range baseline {
-		if len(b) == 0 {
-			return nil, fmt.Errorf("harness: baseline consumer %d received no data", r)
-		}
+	return []Case{
+		// One straggling response: the metadata answer is delayed far past
+		// the hedge delay, so the consumer's hedge to a replica must win
+		// while the straggler's answer is still in flight. Nothing is lost,
+		// so no read may touch the file transport.
+		tuned("slow-producer", Want{HedgeWins: true, NoFallbacks: true, MaxSeconds: 10},
+			mpi.FaultRule{Action: mpi.FaultDelay, Rank: 0, Tag: rpc.TagResponse, Count: 1,
+				Delay: 150 * time.Millisecond}),
+		// An asymmetric partition that never heals within the run: rank 0
+		// hears every request but all of its responses are silently dropped.
+		// The metadata hedge wins, the EWMA demotes rank 0 before its box
+		// queries are even tried, and the call budget caps the dead data
+		// streams, so the whole exchange finishes well under the flat
+		// timeout-ladder path (~timeout×(retries+1) per dead call chain).
+		// Rank 0's own data is unreachable in memory and is recovered over
+		// the passthru file — the paper's file transport as recovery path.
+		tuned("asymmetric-partition", Want{HedgeWins: true, Demotions: true, MaxSeconds: 9},
+			mpi.FaultRule{Action: mpi.FaultPartition, Rank: 0, Tag: rpc.TagResponse,
+				Duration: 30 * time.Second}),
+		// A partition that heals mid-exchange: shorter than one per-attempt
+		// timeout, so the first retry of a stream caught inside the window
+		// lands after the heal and completes in-memory — hedges cover the
+		// scalar queries, the retry covers the stream, and no read ever
+		// falls back to the file.
+		tuned("healed-partition", Want{HedgeWins: true, NoFallbacks: true, MaxSeconds: 10},
+			mpi.FaultRule{Action: mpi.FaultPartition, Rank: 0, Tag: rpc.TagResponse,
+				Duration: 250 * time.Millisecond}),
+		// A throttled link: rank 0's responses are serialized through a
+		// choke point (throttleBandwidth), big frames proportionally
+		// slower, FIFO order preserved. Everything arrives — late but
+		// intact and in order — so the exchange completes entirely
+		// in-memory with no retries forced by reordering.
+		tuned("throttled-link", Want{NoFallbacks: true, MaxSeconds: 10},
+			mpi.FaultRule{Action: mpi.FaultThrottle, Rank: 0, Tag: rpc.TagResponse,
+				Bandwidth: throttleBandwidth(spec)}),
 	}
-	out := make([]FaultTrialResult, 0, len(cases))
-	for _, fc := range cases {
-		c.setStatus("sweep", "faults: "+fc.Name)
-		secs, data, qs, err := c.faultExchange(spec, &fc.Plan)
-		res := FaultTrialResult{Name: fc.Name, Seconds: secs, Query: qs, Err: err}
-		if err == nil {
-			res.Identical = equalRankData(baseline, data)
-		}
-		c.logf("fault case %-20s identical=%v failovers=%d fallbacks=%d err=%v\n",
-			fc.Name, res.Identical, qs.Failovers, qs.FileFallbacks, err)
-		out = append(out, res)
-	}
-	return out, nil
 }
 
-// equalRankData compares per-rank byte blobs.
-func equalRankData(a, b [][]byte) bool {
-	if len(a) != len(b) {
-		return false
+// throttleBandwidth sizes the throttled-link case from the spec: rank 0's
+// largest stream (its grid block or its particles) crosses the link in
+// half the call budget, so the case measures FIFO pacing rather than
+// forcing a budget overrun: any fixed rate is too slow for a large enough
+// spec, whose reads then all fall back to the file. Small specs (the
+// tests' scale) get the 200 KB/s floor.
+func throttleBandwidth(spec workload.Spec) float64 {
+	gridBytes := int64(8)
+	for _, n := range spec.ProducerGridBox(0).Count() {
+		gridBytes *= n
 	}
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// PrintFaultTable renders a sweep as an aligned text table.
-func PrintFaultTable(w io.Writer, results []FaultTrialResult) {
-	fmt.Fprintf(w, "Fault injection sweep: consumer data vs fault-free baseline\n")
-	fmt.Fprintf(w, "%-20s %10s %10s %10s %10s  %s\n",
-		"case", "seconds", "identical", "failovers", "fallbacks", "error")
-	for _, r := range results {
-		errStr := ""
-		if r.Err != nil {
-			errStr = r.Err.Error()
-		}
-		fmt.Fprintf(w, "%-20s %9.4fs %10v %10d %10d  %s\n",
-			r.Name, r.Seconds, r.Identical, r.Query.Failovers, r.Query.FileFallbacks, errStr)
-	}
+	lo, hi := workload.ParticleRange(spec.TotalParticles(), spec.Producers, 0)
+	largest := max(gridBytes, (hi-lo)*12)
+	return max(200e3, float64(largest)/(partitionCallBudget/2).Seconds())
 }

@@ -28,7 +28,7 @@ func TestFaultTrialSweepBitIdentical(t *testing.T) {
 	c.ChunkBytes = 2 << 10
 	spec := faultSpec(t)
 	cases := DefaultFaultCases(20240817)
-	results, err := c.FaultSweep(spec, cases)
+	results, err := c.Sweep(spec, cases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestFaultTrialSweepBitIdentical(t *testing.T) {
 		}
 		// Degraded (crash) cases may recover everything over the file
 		// transport and issue no in-situ data queries at all.
-		if !cases[i].Degraded && r.Query.ChunksFetched <= r.Query.DataQueries {
+		if !cases[i].Want.Degraded && r.Query.ChunksFetched <= r.Query.DataQueries {
 			t.Errorf("case %s: %d chunks over %d data queries — streams were not multi-frame",
 				r.Name, r.Query.ChunksFetched, r.Query.DataQueries)
 		}
@@ -69,16 +69,16 @@ func TestFaultTrialCrashUsesRecoveryPaths(t *testing.T) {
 	c := QuickConfig()
 	c.ChunkBytes = 2 << 10
 	spec := faultSpec(t)
-	var crash []FaultCase
+	var crash []Case
 	for _, fc := range DefaultFaultCases(99) {
-		if fc.Degraded {
+		if fc.Want.Degraded {
 			crash = append(crash, fc)
 		}
 	}
 	if len(crash) == 0 {
 		t.Fatal("no degraded cases in the default sweep")
 	}
-	results, err := c.FaultSweep(spec, crash)
+	results, err := c.Sweep(spec, crash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +100,11 @@ func TestFaultTrialBaselineCleanCountersZero(t *testing.T) {
 	// Without a plan the exchange must not touch any recovery path.
 	c := QuickConfig()
 	spec := faultSpec(t)
-	_, data, qs, err := c.faultExchange(spec, nil)
-	if err != nil {
-		t.Fatal(err)
+	data, res := c.faultExchange(spec, Case{})
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
+	qs := res.Query
 	for r, b := range data {
 		if len(b) == 0 {
 			t.Errorf("consumer %d received no data", r)
@@ -130,14 +131,14 @@ func TestFaultTrialDoneAckLastAckRace(t *testing.T) {
 	plan := mpi.FaultPlan{Seed: 1, Rules: []mpi.FaultRule{
 		{Action: mpi.FaultCorrupt, Rank: mpi.AnyRank, Tag: rpc.TagResponse, After: 5, Count: 2},
 	}}
-	secs, data, _, err := c.faultExchange(spec, &plan)
-	if err != nil {
-		t.Fatal(err)
+	data, res := c.faultExchange(spec, Case{Plan: plan})
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
 	for r, d := range data {
 		if len(d) == 0 {
 			t.Errorf("consumer %d received no data", r)
 		}
 	}
-	t.Logf("exchange under done-ack corruption completed in %.3fs", secs)
+	t.Logf("exchange under done-ack corruption completed in %.3fs", res.Seconds)
 }

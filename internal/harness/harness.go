@@ -2,6 +2,14 @@
 // producer/consumer workflows for each transport, times the exchange
 // sections, sweeps the weak-scaling process counts, and formats each result
 // as the table or figure the paper reports.
+//
+// It also checks the paper's claim under faults. A chaos Case runs one of
+// two shapes (the Synthetic grid+particle exchange or the supervised Epochs
+// coupling) under a seeded fault, and Sweep runs a table of cases against
+// a fault-free baseline: wrong bytes, a rank error or a missed Want fails
+// the case. DefaultFaultCases, DefaultPartitionCases, DefaultRecoveryCases
+// and DefaultStagingCases are the standard tables. The storm and
+// wire-fault sweeps have their own runners.
 package harness
 
 import (

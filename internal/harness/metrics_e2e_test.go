@@ -64,11 +64,8 @@ func TestMetricsMatchQueryStats(t *testing.T) {
 			_, _, err = workload.ReadConsumer(f, spec, p.Task.Rank())
 			errs.add(err)
 			errs.add(f.Close())
-			v := vol.QueryStats()
 			qmu.Lock()
-			qs.MetadataFetches += v.MetadataFetches
-			qs.BoxQueries += v.BoxQueries
-			qs.DataQueries += v.DataQueries
+			qs.Add(vol.QueryStats())
 			qmu.Unlock()
 		}},
 	}, c.mpiOpts()...)

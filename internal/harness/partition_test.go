@@ -25,8 +25,8 @@ func TestPartitionTrialSweep(t *testing.T) {
 	// file fallbacks, wall-time bound) are folded into its Err.
 	c := partitionConfig()
 	spec := faultSpec(t)
-	cases := DefaultPartitionCases(20250806)
-	results, err := c.PartitionSweep(spec, cases)
+	cases := DefaultPartitionCases(spec, 20250806)
+	results, err := c.Sweep(spec, cases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestPartitionTrialSlowProducerHedgeWins(t *testing.T) {
 	// exchange finishes in a small fraction of the timeout path.
 	c := partitionConfig()
 	spec := faultSpec(t)
-	var slow []PartitionCase
-	for _, pc := range DefaultPartitionCases(7) {
+	var slow []Case
+	for _, pc := range DefaultPartitionCases(spec, 7) {
 		if pc.Name == "slow-producer" {
 			slow = append(slow, pc)
 		}
@@ -60,7 +60,7 @@ func TestPartitionTrialSlowProducerHedgeWins(t *testing.T) {
 	if len(slow) != 1 {
 		t.Fatal("slow-producer case missing from the default sweep")
 	}
-	results, err := c.PartitionSweep(spec, slow)
+	results, err := c.Sweep(spec, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func TestPartitionTrialAsymmetricDemotesStraggler(t *testing.T) {
 	// per dead call chain.
 	c := partitionConfig()
 	spec := faultSpec(t)
-	var part []PartitionCase
-	for _, pc := range DefaultPartitionCases(11) {
+	var part []Case
+	for _, pc := range DefaultPartitionCases(spec, 11) {
 		if pc.Name == "asymmetric-partition" {
 			part = append(part, pc)
 		}
@@ -94,7 +94,7 @@ func TestPartitionTrialAsymmetricDemotesStraggler(t *testing.T) {
 	if len(part) != 1 {
 		t.Fatal("asymmetric-partition case missing from the default sweep")
 	}
-	results, err := c.PartitionSweep(spec, part)
+	results, err := c.Sweep(spec, part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ func TestPartitionTrialHealedPartitionStaysInMemory(t *testing.T) {
 	// may degrade to the file transport.
 	c := partitionConfig()
 	spec := faultSpec(t)
-	var heal []PartitionCase
-	for _, pc := range DefaultPartitionCases(13) {
+	var heal []Case
+	for _, pc := range DefaultPartitionCases(spec, 13) {
 		if pc.Name == "healed-partition" {
 			heal = append(heal, pc)
 		}
@@ -129,7 +129,7 @@ func TestPartitionTrialHealedPartitionStaysInMemory(t *testing.T) {
 	if len(heal) != 1 {
 		t.Fatal("healed-partition case missing from the default sweep")
 	}
-	results, err := c.PartitionSweep(spec, heal)
+	results, err := c.Sweep(spec, heal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +148,13 @@ func TestPartitionTrialBudgetZeroKeepsLegacyPath(t *testing.T) {
 	// message-loss sweep's semantics are unchanged by the tuning refactor.
 	c := partitionConfig()
 	spec := faultSpec(t)
-	_, data, qs, err := c.faultExchangeTuned(spec, &mpi.FaultPlan{Seed: 3, Rules: []mpi.FaultRule{
+	data, res := c.faultExchange(spec, Case{Plan: mpi.FaultPlan{Seed: 3, Rules: []mpi.FaultRule{
 		{Action: mpi.FaultDrop, Rank: mpi.AnyRank, Tag: rpc.TagRequest, Count: 2},
-	}}, faultTuning{})
-	if err != nil {
-		t.Fatal(err)
+	}}})
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
+	qs := res.Query
 	for r, b := range data {
 		if len(b) == 0 {
 			t.Errorf("consumer %d received no data", r)

@@ -62,15 +62,8 @@ func (c Config) Profile(tr *trace.Tracer, spec workload.Spec) (ProfileStats, err
 			errs.add(workload.WriteSynthetic(f, spec, p.Task.Rank(), gridVals, partVals))
 			errs.add(f.Close()) // index + serve + file write
 			p.World.Barrier()
-			s := vol.Stats()
 			mu.Lock()
-			stats.Serve.MetadataRequests += s.MetadataRequests
-			stats.Serve.BoxQueries += s.BoxQueries
-			stats.Serve.DataQueries += s.DataQueries
-			stats.Serve.BytesServed += s.BytesServed
-			stats.Serve.DoneMessages += s.DoneMessages
-			stats.Serve.ParkedRequests += s.ParkedRequests
-			stats.Serve.ChunksServed += s.ChunksServed
+			stats.Serve.Add(vol.Stats())
 			mu.Unlock()
 		}},
 		{Name: "consumer", Procs: spec.Consumers, Main: func(p *mpi.Proc) {
@@ -91,14 +84,8 @@ func (c Config) Profile(tr *trace.Tracer, spec workload.Spec) (ProfileStats, err
 			if err == nil {
 				errs.add(workload.ValidateConsumer(spec, p.Task.Rank(), gridBuf, partBuf))
 			}
-			q := vol.QueryStats()
 			mu.Lock()
-			stats.Query.MetadataFetches += q.MetadataFetches
-			stats.Query.BoxQueries += q.BoxQueries
-			stats.Query.DataQueries += q.DataQueries
-			stats.Query.BytesFetched += q.BytesFetched
-			stats.Query.WaitTime += q.WaitTime
-			stats.Query.ChunksFetched += q.ChunksFetched
+			stats.Query.Add(vol.QueryStats())
 			mu.Unlock()
 		}},
 	}, opts...)

@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -13,58 +12,13 @@ import (
 	"lowfive/internal/native"
 	"lowfive/internal/pfs"
 	"lowfive/internal/rpc"
+	"lowfive/internal/stage"
+	"lowfive/metrics"
 	"lowfive/mpi"
 	"lowfive/workflow"
 )
 
-// Recovery trials run an epoch-structured producer–consumer coupling under
-// supervised failure policies (workflow.RunSupervised) and seeded chaos
-// plans: a producer rank is crashed or hung mid-run, the supervisor detects
-// it (crash event or heartbeat expiry), tears the task down, relaunches it
-// with fresh communicators, and the restarted incarnation resumes from its
-// last completed epoch — rejoining already-published files from the
-// checkpoint containers on the simulated PFS. Every case must end with the
-// consumers holding data bit-identical to a fault-free run.
-
-// RecoveryCase is one supervised-recovery scenario of a sweep.
-type RecoveryCase struct {
-	// Name labels the case in reports.
-	Name string
-	// Plan is the seeded fault plan injected into the world.
-	Plan mpi.FaultPlan
-	// Policy is the supervision policy the run executes under.
-	Policy workflow.Policy
-	// WantRestarts is the number of task restarts the plan must force; the
-	// sweep reports an error when the observed count differs (a rule that
-	// never fired proves nothing).
-	WantRestarts int
-	// WantHung marks cases whose fault is a hang — detectable only by the
-	// heartbeat deadline, never as a crash event.
-	WantHung bool
-}
-
-// RecoveryResult is the outcome of one recovery case.
-type RecoveryResult struct {
-	// Name is the case label.
-	Name string
-	// Seconds is the exchange wall time including detection, backoff,
-	// restart and rejoin.
-	Seconds float64
-	// Identical reports whether every consumer's per-epoch data matched the
-	// fault-free baseline bit for bit.
-	Identical bool
-	// Stats is the supervised run's restart/recovery accounting.
-	Stats workflow.RunStats
-	// Pool is the trial's chunk-pool snapshot after the run; Outstanding
-	// must be back to zero — a torn-down incarnation's in-flight frames are
-	// released by the teardown, not leaked.
-	Pool buf.PoolStats
-	// Err is the first error any rank raised, or a sweep-level assertion
-	// failure (expected restarts did not happen).
-	Err error
-}
-
-// The fixed coupling shape of every recovery trial: two producer ranks
+// The fixed coupling shape of every Epochs case: two producer ranks
 // publish one row-decomposed uint64 grid per epoch, two consumer ranks read
 // column slabs of it. Element values encode (epoch, global index), so the
 // bit-compare against the baseline is also a value check.
@@ -84,29 +38,20 @@ const (
 
 var recoveryDims = []int64{24, 16}
 
-// recoveryExchange runs one supervised epoch exchange with the given plan
-// (nil for the fault-free baseline) and returns the wall seconds, each
-// consumer rank's received bytes (epochs concatenated in order), the run
-// stats, and the chunk-pool snapshot.
-func (c Config) recoveryExchange(plan *mpi.FaultPlan, pol workflow.Policy) (float64, [][]byte, *workflow.RunStats, buf.PoolStats, error) {
+// epochExchange runs one supervised Epochs exchange under k's plan and
+// policy and returns each consumer rank's received bytes (epochs
+// concatenated in order). Without k.Stage a restarted rank rejoins its
+// published files from the checkpoint containers, frames come from a
+// private chunk pool (snapshotted into Result.Pool), and a peer's
+// RankFailedError is the expected shape of the fault. With k.Stage the
+// files go through a staging store, a restarted rank replays its log, and
+// every rank error counts.
+func (c Config) epochExchange(k Case) ([][]byte, Result) {
 	fs := pfs.New(c.FS)
 	rec := &Recorder{}
 	var errs errCollector
 	data := make([][]byte, recoveryConsumers)
 	var mu sync.Mutex
-	chunk := c.ChunkBytes
-	if chunk == 0 {
-		chunk = buf.DefaultChunkBytes
-	}
-	pool := buf.NewPool(chunk, recoveryPoolLimit)
-
-	// A failed producer rank surfaces as a RankFailedError somewhere in a
-	// peer's error chain while the task is torn down; under supervision that
-	// is the expected shape of the fault, not a trial error.
-	tolerable := func(err error) bool {
-		var rf *mpi.RankFailedError
-		return errors.As(err, &rf)
-	}
 
 	g := workflow.Graph{
 		Tasks: []workflow.Task{
@@ -115,6 +60,39 @@ func (c Config) recoveryExchange(plan *mpi.FaultPlan, pol workflow.Policy) (floa
 		},
 		Edges: []workflow.Edge{{From: "producer", To: "consumer", Pattern: "epoch*.h5"}},
 	}
+	var pool *buf.Pool
+	var reg *metrics.Registry
+	if sf := k.Stage; sf != nil {
+		// The store gets its own registry so the replay-latency histogram
+		// covers exactly this run's recoveries.
+		reg = metrics.NewRegistry()
+		opt := stage.Options{Replicas: max(1, sf.Replicas), AutoGC: sf.AutoGC, Metrics: reg}
+		if sf.Fire != nil {
+			var once sync.Once
+			opt.OnCommit = func(file string, rank int, _ int64) {
+				if file == sf.File && (sf.Rank == mpi.AnyRank || rank == sf.Rank) {
+					once.Do(func() { sf.Fire(g.Stage, file, rank) })
+				}
+			}
+		}
+		g.Stage = stage.NewStore(opt)
+	} else {
+		chunk := c.ChunkBytes
+		if chunk == 0 {
+			chunk = buf.DefaultChunkBytes
+		}
+		pool = buf.NewPool(chunk, recoveryPoolLimit)
+	}
+	// Under Rejoin supervision a failed producer rank surfaces as a
+	// RankFailedError somewhere in a peer's error chain while the task is
+	// torn down: the expected shape of the fault, not a trial error.
+	addErr := func(err error) {
+		var rf *mpi.RankFailedError
+		if k.Stage != nil || !errors.As(err, &rf) {
+			errs.add(err)
+		}
+	}
+
 	rows := recoveryDims[0] / recoveryProducers
 	cols := recoveryDims[1] / recoveryConsumers
 	g.BindEpoch("producer", func(p *mpi.Proc, vol *lowfive.DistMetadataVOL, fapl *h5.FileAccessProps, ctx *workflow.TaskCtx) {
@@ -144,10 +122,8 @@ func (c Config) recoveryExchange(plan *mpi.FaultPlan, pol workflow.Policy) (floa
 				return
 			}
 			ds.Close()
-			if err := f.Close(); err != nil { // checkpoint + index + serve
-				if !tolerable(err) {
-					errs.add(err)
-				}
+			if err := f.Close(); err != nil { // checkpoint + index + serve, or publish to the log
+				addErr(err)
 				return
 			}
 			ctx.EpochDone(e)
@@ -163,9 +139,7 @@ func (c Config) recoveryExchange(plan *mpi.FaultPlan, pol workflow.Policy) (floa
 		for e := ctx.Epoch; e < recoveryEpochs; e++ {
 			f, err := h5.OpenFile(fmt.Sprintf("epoch%d.h5", e), fapl)
 			if err != nil {
-				if !tolerable(err) {
-					errs.add(err)
-				}
+				addErr(err)
 				return
 			}
 			ds, err := f.OpenDataset("grid")
@@ -177,16 +151,12 @@ func (c Config) recoveryExchange(plan *mpi.FaultPlan, pol workflow.Policy) (floa
 			sel.SelectHyperslab(h5.SelectSet, []int64{0, int64(r) * cols}, []int64{recoveryDims[0], cols})
 			out := make([]uint64, recoveryDims[0]*cols)
 			if err := ds.Read(nil, sel, h5.Bytes(out)); err != nil {
-				if !tolerable(err) {
-					errs.add(err)
-				}
+				addErr(err)
 				return
 			}
 			ds.Close()
-			if err := f.Close(); err != nil {
-				if !tolerable(err) {
-					errs.add(err)
-				}
+			if err := f.Close(); err != nil { // staged: acks the epoch, advancing the watermark
+				addErr(err)
 				return
 			}
 			mu.Lock()
@@ -197,106 +167,174 @@ func (c Config) recoveryExchange(plan *mpi.FaultPlan, pol workflow.Policy) (floa
 	})
 
 	opts := append(c.mpiOpts(), mpi.WithWatchdog(faultWatchdog))
-	if plan != nil {
-		opts = append(opts, mpi.WithFaultPlan(*plan))
+	if len(k.Plan.Rules) > 0 {
+		opts = append(opts, mpi.WithFaultPlan(k.Plan))
 	}
 	stats, err := workflow.RunSupervised(g,
-		func() h5.Connector { return native.New(native.PFSBackend(fs)) }, pol, opts...)
+		func() h5.Connector { return native.New(native.PFSBackend(fs)) }, k.Policy, opts...)
 	if err == nil {
 		err = errs.first()
 	}
-	// Receivers release pooled frames as they drain; give stragglers a
-	// moment before snapshotting so Outstanding reflects the settled state.
-	for i := 0; i < 200 && pool.Outstanding() > 0; i++ {
-		time.Sleep(time.Millisecond)
+	res := Result{Seconds: rec.Seconds()}
+	if stats != nil {
+		res.Run = *stats
+		res.ReplayMs = float64(stats.ReplayTime.Nanoseconds()) / 1e6
 	}
-	return rec.Seconds(), data, stats, pool.Stats(), err
+	if g.Stage != nil {
+		res.Log = g.Stage.Stats()
+		if err == nil && res.Run.ReplayedFiles > 0 && res.Run.StageFallbacks != res.Run.ReplayedFiles &&
+			reg.Histogram("stage.replay.latency_us").Snapshot().Count == 0 {
+			err = fmt.Errorf("harness: %d replays left no trace in the replay-latency histogram", res.Run.ReplayedFiles)
+		}
+	}
+	if pool != nil {
+		// Receivers release pooled frames as they drain; give stragglers a
+		// moment before snapshotting so Outstanding reflects the settled
+		// state.
+		for i := 0; i < 200 && pool.Outstanding() > 0; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		res.Pool = pool.Stats()
+	}
+	res.Err = err
+	return data, res
 }
 
-// DefaultRecoveryCases is the standard supervised-recovery sweep. Every
-// fault rule is Count-bounded: fired counts persist across restarts, so an
-// unbounded crash or hang rule would take down every relaunched incarnation
-// until the restart budget ran out.
-func DefaultRecoveryCases(seed int64) []RecoveryCase {
-	restart := workflow.Policy{Mode: workflow.Restart, Backoff: time.Millisecond}
-	hang := restart
+// DefaultRecoveryCases is the supervised-recovery table: a producer rank
+// crashed or hung mid-run, detected (crash event or heartbeat expiry), torn
+// down and relaunched, rejoining completed epochs from the checkpoint
+// containers on the PFS. Every fault rule is Count-bounded: fired counts
+// persist across restarts, so an unbounded crash or hang rule would take
+// down every relaunched incarnation until the restart budget ran out.
+func DefaultRecoveryCases(seed int64) []Case {
+	hang := restartPolicy
 	hang.Heartbeat = recoveryHeartbeat
-	return []RecoveryCase{
+	crash := mpi.FaultRule{Action: mpi.FaultCrash, Rank: 0, Tag: rpc.TagResponse, After: 10, Count: 1}
+	epochs := func(name string, pol workflow.Policy, want Want, rules ...mpi.FaultRule) Case {
+		want.Restarts = 1
+		return Case{Name: name, Shape: Epochs, Policy: pol, Want: want,
+			Plan: mpi.FaultPlan{Seed: seed, Rules: rules}}
+	}
+	return []Case{
 		// World rank 0 is producer task rank 0 (tasks are laid out in spec
 		// order). After 10 responses it is past the first epoch's serve
 		// traffic, so the restart exercises rejoin of completed epochs, not
 		// just a from-scratch rerun.
-		{Name: "crash-then-restart", WantRestarts: 1, Policy: restart,
-			Plan: mpi.FaultPlan{Seed: seed, Rules: []mpi.FaultRule{
-				{Action: mpi.FaultCrash, Rank: 0, Tag: rpc.TagResponse, After: 10, Count: 1},
-			}}},
+		epochs("crash-then-restart", restartPolicy, Want{}, crash),
 		// The hang parks the rank without marking it blocked: no crash event
 		// is ever raised, and only the heartbeat deadline can notice the
 		// missing progress.
-		{Name: "hang-then-timeout", WantRestarts: 1, WantHung: true, Policy: hang,
-			Plan: mpi.FaultPlan{Seed: seed, Rules: []mpi.FaultRule{
-				{Action: mpi.FaultHang, Rank: 0, Tag: rpc.TagResponse, After: 10, Count: 1},
-			}}},
+		epochs("hang-then-timeout", hang, Want{Hung: true},
+			mpi.FaultRule{Action: mpi.FaultHang, Rank: 0, Tag: rpc.TagResponse, After: 10, Count: 1}),
 		// Crash recovery under ambient message loss: the consumers' retry
 		// budget absorbs the drops while they wait out the restart.
-		{Name: "crash-under-loss", WantRestarts: 1, Policy: restart,
-			Plan: mpi.FaultPlan{Seed: seed, Rules: []mpi.FaultRule{
-				{Action: mpi.FaultCrash, Rank: 0, Tag: rpc.TagResponse, After: 10, Count: 1},
-				{Action: mpi.FaultDrop, Rank: mpi.AnyRank, Tag: rpc.TagRequest, Count: 2},
+		epochs("crash-under-loss", restartPolicy, Want{}, crash,
+			mpi.FaultRule{Action: mpi.FaultDrop, Rank: mpi.AnyRank, Tag: rpc.TagRequest, Count: 2}),
+	}
+}
+
+// DefaultStagingCases is the staged-log table: the same Epochs coupling
+// through the log-structured staging store. Producers publish each file
+// close as a committed epoch of a replicated chunk log, consumers read
+// epochs from the log, and a restarted producer recovers by replaying its
+// shard's last committed span instead of Rejoin + Reindex. Faults come
+// through the store's commit hook: leader crash, follower crash, a rank
+// crash torn across its own epoch commit, and GC truncation racing a
+// restarted rank's replay. Every case must also prove the replay path, not
+// the re-serve path, did the work.
+func DefaultStagingCases() []Case {
+	crash := func(_ *stage.Store, _ string, rank int) { panic(&mpi.RankFailedError{Rank: rank}) }
+	cases := []Case{
+		// The shard leader dies in the instant between replicating an epoch
+		// commit and making it visible. The surviving follower has every
+		// acked record by the lockstep invariant, failover promotes it, and
+		// consumers read the epoch from the new leader — no task restart, no
+		// supervisor involvement.
+		{Name: "leader-crash",
+			Stage: &StageFault{Replicas: 2, File: "epoch0.h5", Rank: mpi.AnyRank,
+				Fire: func(st *stage.Store, file string, rank int) { st.FailLeader(file, rank) }},
+			Want: Want{Check: func(r *Result) error {
+				if r.Log.Failovers < 1 {
+					return fmt.Errorf("leader crash caused no failover")
+				}
+				if r.Log.DeadReplicas < 1 {
+					return fmt.Errorf("leader crash left no dead replica")
+				}
+				return nil
+			}}},
+		// A follower dies; the leader keeps serving and later appends simply
+		// stop replicating to the lost copy. Nothing fails over.
+		{Name: "follower-crash",
+			Stage: &StageFault{Replicas: 2, File: "epoch0.h5", Rank: mpi.AnyRank,
+				Fire: func(st *stage.Store, file string, rank int) { st.FailFollower(file, rank) }},
+			Want: Want{Check: func(r *Result) error {
+				if r.Log.DeadReplicas < 1 {
+					return fmt.Errorf("follower crash left no dead replica")
+				}
+				if r.Log.Failovers != 0 {
+					return fmt.Errorf("follower crash must not fail over the leader (got %d)", r.Log.Failovers)
+				}
+				return nil
+			}}},
+		// Producer rank 0 crashes inside its own commit of the second epoch:
+		// the commit record is in the log but the epoch was never made
+		// visible. The supervisor restarts the task; the restarted rank
+		// replays epoch0.h5's committed span (delta, not history), re-runs
+		// the interrupted epoch, and its re-begin supersedes the torn span.
+		{Name: "crash-during-commit",
+			Stage: &StageFault{Replicas: 2, File: "epoch1.h5", Rank: 0, Fire: crash},
+			Want: Want{Restarts: 1, Check: func(r *Result) error {
+				if r.Run.ReplayedFiles < 1 {
+					return fmt.Errorf("restart recovered without log replay")
+				}
+				if r.Log.SupersededEpochs < 1 {
+					return fmt.Errorf("torn commit was not superseded by the re-begin")
+				}
+				if r.Run.StageFallbacks != 0 {
+					return fmt.Errorf("replay fell back to PFS with the log intact (%d fallbacks)", r.Run.StageFallbacks)
+				}
+				// Replay cost must be the delta since the last commit, not
+				// the whole history: each replayed shard scans one span
+				// (begin + chunks + commit), a small fraction of everything
+				// the run appended.
+				if r.Log.Appends > 0 && int64(r.Run.ReplayedRecords) >= r.Log.Appends/2 {
+					return fmt.Errorf("replay scanned %d of %d appended records — not proportional to the delta",
+						r.Run.ReplayedRecords, r.Log.Appends)
+				}
+				return nil
+			}}},
+		// GC truncation racing recovery: consumers ack each epoch at close
+		// and AutoGC truncates below the watermark. The fault waits until
+		// the first two files' epochs are truncated, then crashes rank 0 in
+		// its last commit — so the restarted rank's replay finds its spans
+		// gone and must degrade to the PFS container (Rejoin without the
+		// collective reindex), never serving from a truncated log.
+		{Name: "truncated-log",
+			Stage: &StageFault{Replicas: 1, AutoGC: true, File: "epoch2.h5", Rank: 0,
+				Fire: func(st *stage.Store, file string, rank int) {
+					deadline := time.Now().Add(10 * time.Second)
+					for time.Now().Before(deadline) {
+						if st.Watermark("epoch0.h5") >= 1 && st.Watermark("epoch1.h5") >= 1 {
+							break
+						}
+						time.Sleep(time.Millisecond)
+					}
+					crash(st, file, rank)
+				}},
+			Want: Want{Restarts: 1, Check: func(r *Result) error {
+				if r.Log.TruncatedEpochs < 1 {
+					return fmt.Errorf("GC truncated nothing — the case never exercised the fallback")
+				}
+				if r.Run.StageFallbacks < 1 {
+					return fmt.Errorf("truncated replay did not fall back to the PFS container")
+				}
+				return nil
 			}}},
 	}
-}
-
-// RecoverySweep runs the fault-free baseline and then every case, comparing
-// each case's consumer data bit for bit against the baseline and checking
-// that the plan's faults actually forced the expected restarts.
-func (c Config) RecoverySweep(cases []RecoveryCase) ([]RecoveryResult, error) {
-	basePol := workflow.Policy{Mode: workflow.Restart, Backoff: time.Millisecond}
-	_, baseline, _, _, err := c.recoveryExchange(nil, basePol)
-	if err != nil {
-		return nil, fmt.Errorf("harness: recovery baseline failed: %w", err)
+	// Every staging case runs the Epochs shape under restart supervision,
+	// and recovery must never take the Rejoin re-serve path.
+	for i := range cases {
+		cases[i].Shape, cases[i].Policy, cases[i].Want.NoReindex = Epochs, restartPolicy, true
 	}
-	for r, b := range baseline {
-		if len(b) == 0 {
-			return nil, fmt.Errorf("harness: recovery baseline consumer %d received no data", r)
-		}
-	}
-	out := make([]RecoveryResult, 0, len(cases))
-	for _, rc := range cases {
-		secs, data, stats, ps, err := c.recoveryExchange(&rc.Plan, rc.Policy)
-		res := RecoveryResult{Name: rc.Name, Seconds: secs, Pool: ps, Err: err}
-		if stats != nil {
-			res.Stats = *stats
-		}
-		if res.Err == nil {
-			res.Identical = equalRankData(baseline, data)
-			if rc.WantRestarts > 0 && res.Stats.RestartCount != rc.WantRestarts {
-				res.Err = fmt.Errorf("harness: %d restarts, want %d (the fault did not bite)",
-					res.Stats.RestartCount, rc.WantRestarts)
-			} else if rc.WantHung && res.Stats.HungDetected == 0 {
-				res.Err = fmt.Errorf("harness: hang was not detected by the heartbeat")
-			}
-		}
-		c.logf("recovery case %-20s identical=%v restarts=%d hung=%d recovered-epochs=%d rejoined=%d err=%v\n",
-			rc.Name, res.Identical, res.Stats.RestartCount, res.Stats.HungDetected,
-			res.Stats.RecoveredEpochs, res.Stats.Reindexed, res.Err)
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// PrintRecoveryTable renders a recovery sweep as an aligned text table.
-func PrintRecoveryTable(w io.Writer, results []RecoveryResult) {
-	fmt.Fprintf(w, "Supervised recovery sweep: restart + rejoin vs fault-free baseline\n")
-	fmt.Fprintf(w, "%-20s %10s %10s %9s %5s %7s %10s  %s\n",
-		"case", "seconds", "identical", "restarts", "hung", "epochs", "reindexed", "error")
-	for _, r := range results {
-		errStr := ""
-		if r.Err != nil {
-			errStr = r.Err.Error()
-		}
-		fmt.Fprintf(w, "%-20s %9.4fs %10v %9d %5d %7d %10d  %s\n",
-			r.Name, r.Seconds, r.Identical, r.Stats.RestartCount, r.Stats.HungDetected,
-			r.Stats.RecoveredEpochs, r.Stats.Reindexed, errStr)
-	}
+	return cases
 }

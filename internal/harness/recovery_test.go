@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lowfive/internal/rpc"
+	"lowfive/internal/workload"
 	"lowfive/mpi"
 	"lowfive/workflow"
 )
@@ -19,7 +20,7 @@ func TestRecoveryTrialSweepBitIdentical(t *testing.T) {
 	c := QuickConfig()
 	c.ChunkBytes = 2 << 10
 	cases := DefaultRecoveryCases(20260806)
-	results, err := c.RecoverySweep(cases)
+	results, err := c.Sweep(workload.Spec{}, cases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,18 +35,18 @@ func TestRecoveryTrialSweepBitIdentical(t *testing.T) {
 		if !r.Identical {
 			t.Errorf("case %s: consumer data differs from the fault-free baseline", r.Name)
 		}
-		if r.Stats.RestartCount != 1 {
-			t.Errorf("case %s: %d restarts, want exactly 1", r.Name, r.Stats.RestartCount)
+		if r.Run.RestartCount != 1 {
+			t.Errorf("case %s: %d restarts, want exactly 1", r.Name, r.Run.RestartCount)
 		}
-		if len(r.Stats.Failures) == 0 || r.Stats.Failures[0].Task != "producer" {
-			t.Errorf("case %s: failures %+v, want the producer task first", r.Name, r.Stats.Failures)
+		if len(r.Run.Failures) == 0 || r.Run.Failures[0].Task != "producer" {
+			t.Errorf("case %s: failures %+v, want the producer task first", r.Name, r.Run.Failures)
 		}
-		if cases[i].WantHung && r.Stats.HungDetected == 0 {
+		if cases[i].Want.Hung && r.Run.HungDetected == 0 {
 			t.Errorf("case %s: hang not detected by heartbeat", r.Name)
 		}
-		if r.Stats.RecoveredEpochs == 0 || r.Stats.Reindexed == 0 {
+		if r.Run.RecoveredEpochs == 0 || r.Run.Reindexed == 0 {
 			t.Errorf("case %s: recovered epochs=%d reindexed=%d — restart did not rejoin any checkpoint",
-				r.Name, r.Stats.RecoveredEpochs, r.Stats.Reindexed)
+				r.Name, r.Run.RecoveredEpochs, r.Run.Reindexed)
 		}
 		// The torn-down incarnation's in-flight frames must have been
 		// released back to the pool, not leaked.
@@ -63,10 +64,10 @@ func TestRecoveryTrialFailFastTypedFailure(t *testing.T) {
 	plan := mpi.FaultPlan{Seed: 7, Rules: []mpi.FaultRule{
 		{Action: mpi.FaultCrash, Rank: 0, Tag: rpc.TagResponse, After: 10, Count: 1},
 	}}
-	_, _, _, _, err := c.recoveryExchange(&plan, workflow.Policy{Mode: workflow.FailFast})
+	_, res := c.epochExchange(Case{Shape: Epochs, Plan: plan, Policy: workflow.Policy{Mode: workflow.FailFast}})
 	var f *mpi.TaskFailure
-	if !errors.As(err, &f) {
-		t.Fatalf("err = %v, want *mpi.TaskFailure", err)
+	if !errors.As(res.Err, &f) {
+		t.Fatalf("err = %v, want *mpi.TaskFailure", res.Err)
 	}
 	if f.Task != "producer" || f.Rank != 0 {
 		t.Fatalf("TaskFailure %+v, want task producer rank 0", f)

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"testing"
+
+	"lowfive/internal/workload"
 )
 
 func TestStagingTrialSweepBitIdentical(t *testing.T) {
@@ -12,7 +14,7 @@ func TestStagingTrialSweepBitIdentical(t *testing.T) {
 	// Rejoin + Reindex re-serve path must never fire in staging mode.
 	c := QuickConfig()
 	cases := DefaultStagingCases()
-	results, err := c.StagingSweep(cases)
+	results, err := c.Sweep(workload.Spec{}, cases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,15 +29,15 @@ func TestStagingTrialSweepBitIdentical(t *testing.T) {
 		if !r.Identical {
 			t.Errorf("case %s: consumer data differs from the fault-free staging baseline", r.Name)
 		}
-		if r.Stats.Reindexed != 0 {
-			t.Errorf("case %s: %d files took the Rejoin re-serve path", r.Name, r.Stats.Reindexed)
+		if r.Run.Reindexed != 0 {
+			t.Errorf("case %s: %d files took the Rejoin re-serve path", r.Name, r.Run.Reindexed)
 		}
-		if cases[i].WantRestarts > 0 {
-			if r.Stats.ReplayedFiles == 0 && r.Stats.StageFallbacks == 0 {
+		if cases[i].Want.Restarts > 0 {
+			if r.Run.ReplayedFiles == 0 && r.Run.StageFallbacks == 0 {
 				t.Errorf("case %s: restart recovered nothing (no replay, no fallback)", r.Name)
 			}
-			if len(r.Stats.Failures) == 0 || r.Stats.Failures[0].Task != "producer" {
-				t.Errorf("case %s: failures %+v, want the producer task first", r.Name, r.Stats.Failures)
+			if len(r.Run.Failures) == 0 || r.Run.Failures[0].Task != "producer" {
+				t.Errorf("case %s: failures %+v, want the producer task first", r.Name, r.Run.Failures)
 			}
 		}
 	}
@@ -46,10 +48,11 @@ func TestStagingBaselineStoreAccounting(t *testing.T) {
 	// files by two producer ranks, each epoch one begin + chunks + commit,
 	// and no failovers, supersessions, truncations or replays.
 	c := QuickConfig()
-	_, data, stats, ls, err := c.stagingExchange(nil)
-	if err != nil {
-		t.Fatal(err)
+	data, res := c.epochExchange(Case{Shape: Epochs, Policy: restartPolicy, Stage: &StageFault{}})
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
+	stats, ls := res.Run, res.Log
 	for r, b := range data {
 		if len(b) == 0 {
 			t.Fatalf("consumer %d received no data", r)

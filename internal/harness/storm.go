@@ -211,34 +211,9 @@ func (c Config) stormExchange(spec workload.Spec, st workload.StormSpec, tune St
 	col := newStormCollector()
 	dims := spec.GridDims()
 
-	var smu sync.Mutex
+	var mu sync.Mutex // guards serve and query
 	var serve core.ServeStats
-	addServe := func(s core.ServeStats) {
-		smu.Lock()
-		serve.DataQueries += s.DataQueries
-		serve.BytesServed += s.BytesServed
-		serve.ChunksServed += s.ChunksServed
-		serve.Shed += s.Shed
-		serve.Queued += s.Queued
-		if s.QueueP99 > serve.QueueP99 {
-			serve.QueueP99 = s.QueueP99
-		}
-		smu.Unlock()
-	}
-	var qmu sync.Mutex
 	var query core.QueryStats
-	addQuery := func(qs core.QueryStats) {
-		qmu.Lock()
-		query.MetadataFetches += qs.MetadataFetches
-		query.BoxQueries += qs.BoxQueries
-		query.DataQueries += qs.DataQueries
-		query.BytesFetched += qs.BytesFetched
-		query.ChunksFetched += qs.ChunksFetched
-		query.Retries += qs.Retries
-		query.Sheds += qs.Sheds
-		query.BreakerOpens += qs.BreakerOpens
-		qmu.Unlock()
-	}
 
 	// Sample the shared chunk pool while the storm runs: admission must
 	// keep the transport under its byte budget, so the peak outstanding
@@ -317,7 +292,9 @@ func (c Config) stormExchange(spec workload.Spec, st workload.StormSpec, tune St
 			}
 			errs.add(ds.Close())
 			errs.add(f.Close())
-			addQuery(vol.QueryStats())
+			mu.Lock()
+			query.Add(vol.QueryStats())
+			mu.Unlock()
 			p.World.Barrier()
 			rec.Stop()
 		}
@@ -357,7 +334,9 @@ func (c Config) stormExchange(spec workload.Spec, st workload.StormSpec, tune St
 			}
 			errs.add(workload.WriteSynthetic(f, spec, p.Task.Rank(), gridVals, partVals))
 			errs.add(f.Close()) // index + serve under admission
-			addServe(vol.Stats())
+			mu.Lock()
+			serve.Add(vol.Stats())
+			mu.Unlock()
 			p.World.Barrier()
 			rec.Stop()
 		}},

@@ -10,7 +10,9 @@
 // the base pointer of its slab, so a receiver can release what it was
 // handed with Release(msg) without knowing which pool it came from —
 // and releasing a slice that is not chunk-backed is a safe no-op, which is
-// what lets pooled and plain messages share one code path.
+// what lets pooled and plain messages share one code path. The socket
+// wire is the other case: its receiver gets a fresh slice, so the sending
+// side releases the chunk once the frame is copied into its wire buffer.
 //
 // The pool is bounded: at most Limit chunks are outstanding, so peak
 // transport memory is O(chunks in flight), not O(dataset). A Get beyond the

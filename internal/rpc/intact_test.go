@@ -239,9 +239,9 @@ func TestStreamOverSockWorldWithWireCorruption(t *testing.T) {
 		RetransmitTimeout: 300 * time.Millisecond,
 		AckInterval:       5 * time.Millisecond,
 	}
-	// The sock engine does not return a sent frame to its pool, so the
-	// limit covers every frame of the stream.
-	pool := buf.NewPool(4096, 128)
+	// Fewer chunks than the stream has frames: each must come back when
+	// its frame is sent.
+	pool := buf.NewPool(4096, 4)
 	var got bytes.Buffer
 	specs := []mpi.TaskSpec{
 		{Name: "client", Procs: 1, Main: func(p *mpi.Proc) {
@@ -304,6 +304,9 @@ func TestStreamOverSockWorldWithWireCorruption(t *testing.T) {
 	}
 	if c := n.Load(); c != 0 {
 		t.Errorf("%d rpc checksums ran on an intact sock world, want 0", c)
+	}
+	if o, ov := pool.Outstanding(), pool.Overflow(); o != 0 || ov != 0 {
+		t.Errorf("pool: %d chunks outstanding and %d overflows after the stream, want 0 and 0", o, ov)
 	}
 }
 

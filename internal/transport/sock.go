@@ -14,11 +14,13 @@ import (
 	"time"
 
 	"lowfive/internal/backoff"
+	"lowfive/internal/buf"
 )
 
-// helloCommID marks a session-control frame (hello, resume, ack) on a data
-// connection; Tag selects which. The mpi layer never uses communicator ID
-// 0, so control frames cannot be confused with traffic.
+// helloCommID marks a session-control frame (hello, resume, ack, ack
+// request) on a data connection; Tag selects which. The mpi layer never
+// uses communicator ID 0, so control frames cannot be confused with
+// traffic.
 const helloCommID = 0
 
 // Control-frame kinds, carried in the Tag field of a helloCommID frame.
@@ -34,6 +36,11 @@ const (
 	// receive sequence; the dialer drops acknowledged frames from its
 	// retransmit queue.
 	ctlAck = 2
+	// ctlAckReq flows dialer→acceptor when Close drains, no Data: the
+	// acceptor answers with an immediate ctlAck instead of waiting for its
+	// next AckInterval tick. It follows every data frame already written on
+	// the session, so that ack covers them all.
+	ctlAckReq = 3
 )
 
 // coordDialTimeout bounds how long DialSock retries reaching the
@@ -96,6 +103,7 @@ type SockConfig struct {
 	// coordinator evict hung rank processes. Default 2s.
 	HeartbeatInterval time.Duration
 	// AckInterval paces the receiver's cumulative acks. Default 25ms.
+	// Close does not wait on it: the drain asks for an ack directly.
 	AckInterval time.Duration
 	// DrainTimeout bounds Close's wait for pending frames to be flushed
 	// and acknowledged before connections come down, so a rank exiting
@@ -454,10 +462,13 @@ func (s *Sock) recovery(peer int, kind string, frames int, err error) {
 	}
 }
 
-// appendWire appends one wire message — an 8-byte little-endian sequence
-// prefix, then the frame encoding — to dst.
-func appendWire(dst []byte, seq uint64, f *Frame) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, seq)
+// encodeWire returns one wire message — an 8-byte little-endian sequence
+// prefix, then the frame encoding. Prefix and header fill a buffer sized
+// for them, and the payload is appended in one growth. A buffer made at
+// full size up front would be zeroed before the copy, which for a 1 MiB
+// payload costs more than the copy itself.
+func encodeWire(seq uint64, f *Frame) []byte {
+	dst := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+FrameHeaderLen), seq)
 	return AppendFrame(dst, f)
 }
 
@@ -490,6 +501,11 @@ func (s *Sock) ctlFrame(kind int64, data []byte) Frame {
 // tear) it stays queued and background recovery dials, resumes and
 // resends. Send fails only for a peer already declared dead — transient
 // connection trouble is the transport's problem, not the caller's.
+//
+// A send to a peer copies f.Data into the retransmit entry and releases
+// the payload (buf.Release), so a pooled chunk is back in its pool when
+// Send returns. A self-send hands f over by reference and the receiver
+// releases it; a failed send leaves the payload with the caller.
 func (s *Sock) Send(dst int, f *Frame) error {
 	if dst < 0 || dst >= len(s.peers) {
 		return &PeerDeadError{Rank: dst, Err: fmt.Errorf("rank out of range")}
@@ -509,7 +525,7 @@ func (s *Sock) Send(dst int, f *Frame) error {
 		p.mu.Unlock()
 		return &PeerDeadError{Rank: dst}
 	}
-	e := wireEntry{seq: p.nextSeq, buf: appendWire(nil, p.nextSeq, f), n: len(f.Data)}
+	e := wireEntry{seq: p.nextSeq, buf: encodeWire(p.nextSeq, f), n: len(f.Data)}
 	p.nextSeq++
 	p.queue = append(p.queue, e)
 	s.sentFrames.Add(1)
@@ -529,6 +545,7 @@ func (s *Sock) Send(dst int, f *Frame) error {
 		s.startReconnectLocked(p, dst)
 	}
 	p.mu.Unlock()
+	buf.Release(f.Data) // the wire entry holds its own copy
 	return nil
 }
 
@@ -651,7 +668,7 @@ func (s *Sock) dialSession(dst int, addr string, inc uint32, attempt uint64) (ne
 	data = binary.LittleEndian.AppendUint64(data, attempt)
 	hello := s.ctlFrame(ctlHello, data)
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	if _, err := conn.Write(appendWire(nil, 0, &hello)); err != nil {
+	if _, err := conn.Write(encodeWire(0, &hello)); err != nil {
 		conn.Close()
 		return nil, 0, err
 	}
@@ -828,8 +845,15 @@ var errAckStall = errors.New("transport: no ack progress within the retransmit t
 // pending frames flushed and acknowledged) or the drain budget runs out.
 // Without it a rank exiting right after its last Send would close the
 // socket under frames still queued for a session that is not up yet, and
-// a clean exit would read as frame loss to its peers.
+// a clean exit would read as frame loss to its peers. Each live session
+// with pending frames gets one ack request per (session, frame count), so
+// the drain takes a round trip, not an AckInterval.
 func (s *Sock) drain() {
+	type ask struct {
+		conn net.Conn
+		seq  uint64
+	}
+	asked := make([]ask, len(s.peers))
 	deadline := time.Now().Add(s.cfg.DrainTimeout)
 	for time.Now().Before(deadline) {
 		pending := false
@@ -838,10 +862,14 @@ func (s *Sock) drain() {
 			p.mu.Lock()
 			if !p.dead && len(p.queue) > 0 {
 				pending = true
-				// A queue with no session and no recovery in flight
-				// would sit forever; kick the dial.
-				if p.conn == nil && !p.reconnecting {
+				switch cur := (ask{p.conn, p.nextSeq}); {
+				case p.conn == nil && !p.reconnecting:
+					// A queue with no session and no recovery in flight
+					// would sit forever; kick the dial.
 					s.startReconnectLocked(p, i)
+				case p.conn != nil && !p.reconnecting && asked[i] != cur:
+					asked[i] = cur
+					s.requestAckLocked(p, i)
 				}
 			}
 			p.mu.Unlock()
@@ -850,6 +878,16 @@ func (s *Sock) drain() {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// requestAckLocked writes an ack request on the live session; a failed
+// write tears it like a failed data write. Caller holds p.mu.
+func (s *Sock) requestAckLocked(p *sockPeer, dst int) {
+	req := s.ctlFrame(ctlAckReq, nil)
+	p.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	if _, err := p.conn.Write(encodeWire(0, &req)); err != nil {
+		s.tearLocked(p, dst, err)
 	}
 }
 
@@ -950,13 +988,14 @@ func (s *Sock) readLoop(conn net.Conn) {
 
 	resp := s.ctlFrame(ctlResume, binary.LittleEndian.AppendUint64(nil, resume))
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	if _, err := conn.Write(appendWire(nil, 0, &resp)); err != nil {
+	if _, err := conn.Write(encodeWire(0, &resp)); err != nil {
 		s.detachRecv(r, conn)
 		return
 	}
 	conn.SetWriteDeadline(time.Time{})
+	kick := make(chan struct{}, 1)
 	s.wg.Add(1)
-	go s.ackFlusher(r, conn)
+	go s.ackFlusher(r, conn, kick)
 
 	for {
 		seq, f, err := readWire(conn)
@@ -965,7 +1004,15 @@ func (s *Sock) readLoop(conn net.Conn) {
 			return
 		}
 		if f.CommID == helloCommID {
-			continue // stray control frame; never consumes a sequence
+			// Control frames never consume a sequence; an ack request
+			// wakes the flusher, any other is stray.
+			if f.Tag == ctlAckReq {
+				select {
+				case kick <- struct{}{}:
+				default: // an ack is already due
+				}
+			}
+			continue
 		}
 		r.mu.Lock()
 		if r.conn != conn {
@@ -1004,9 +1051,10 @@ func (s *Sock) detachRecv(r *recvState, conn net.Conn) {
 }
 
 // ackFlusher periodically writes the cumulative receive sequence back to
-// the dialer. Acks are idempotent and cumulative, so pacing them is purely
-// a bandwidth/latency trade.
-func (s *Sock) ackFlusher(r *recvState, conn net.Conn) {
+// the dialer, and at once when kicked by an ack request. Acks are
+// idempotent and cumulative, so pacing them is purely a bandwidth/latency
+// trade.
+func (s *Sock) ackFlusher(r *recvState, conn net.Conn, kick <-chan struct{}) {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.AckInterval)
 	defer t.Stop()
@@ -1016,6 +1064,7 @@ func (s *Sock) ackFlusher(r *recvState, conn net.Conn) {
 		case <-s.stop:
 			return
 		case <-t.C:
+		case <-kick:
 		}
 		r.mu.Lock()
 		if r.conn != conn {
@@ -1029,7 +1078,7 @@ func (s *Sock) ackFlusher(r *recvState, conn net.Conn) {
 		}
 		ack := s.ctlFrame(ctlAck, binary.LittleEndian.AppendUint64(nil, cur))
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if _, err := conn.Write(appendWire(nil, 0, &ack)); err != nil {
+		if _, err := conn.Write(encodeWire(0, &ack)); err != nil {
 			return
 		}
 		last = cur

@@ -43,8 +43,10 @@ type Frame struct {
 	// carries tags as full signed 64-bit values.
 	Tag int
 	// Data is the payload. Ownership passes with the frame: the chan
-	// engine delivers the very slice the sender passed, the sock engine's
-	// receiver allocates a fresh one per frame.
+	// engine delivers the very slice the sender passed, so the receiver
+	// releases a pooled payload. The sock engine copies it onto the wire
+	// and releases it inside Send (a self-send excepted, which is delivered
+	// by reference); its receiver allocates a fresh slice per frame.
 	Data []byte
 }
 
@@ -55,7 +57,9 @@ type DeliverFunc func(dst int, f *Frame)
 
 // Transport moves frames between world ranks. Send is fire-and-forget
 // (MPI buffered-send semantics): a nil error means the frame was accepted
-// for delivery, not that it arrived. A non-nil error is always a
+// for delivery, not that it arrived, and the caller no longer owns the
+// payload — Chan hands it to the receiver, Sock has released it (or, on a
+// self-send, handed it to the receiver). A non-nil error is always a
 // *PeerDeadError naming the unreachable destination; the caller owns the
 // frame's payload again and decides whether to release it.
 type Transport interface {

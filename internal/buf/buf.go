@@ -11,8 +11,12 @@
 // handed with Release(msg) without knowing which pool it came from —
 // and releasing a slice that is not chunk-backed is a safe no-op, which is
 // what lets pooled and plain messages share one code path. The socket
-// wire is the other case: its receiver gets a fresh slice, so the sending
-// side releases the chunk once the frame is copied into its wire buffer.
+// wire keeps the same rule across a process boundary. A chunk of 64 KiB or
+// more is written from where it lies and held by the sender until the
+// peer acks it; the receiver reads it into a chunk of its own pool, which
+// the consumer's Release returns. A smaller chunk is copied into the
+// sender's wire buffer and released there, and its receiver gets a fresh
+// slice.
 //
 // The pool is bounded: at most Limit chunks are outstanding, so peak
 // transport memory is O(chunks in flight), not O(dataset). A Get beyond the

@@ -222,9 +222,27 @@ func TestStreamShedRecognised(t *testing.T) {
 // session, so rpc runs with its own CRC off and still delivers the stream
 // byte-identical.
 func TestStreamOverSockWorldWithWireCorruption(t *testing.T) {
+	// Fewer chunks than the stream has frames: each must come back when
+	// its frame is sent.
+	streamOverCorruptingSockWorld(t, buf.NewPool(4096, 4), 64, 1024)
+}
+
+// TestStreamOverSockWorldWithWireCorruptionHeld is the same stream in
+// 1 MiB chunks, which the sock engine sends by reference (held frames):
+// the flips must land in a copy of the wire bytes, never in a held chunk,
+// and each chunk must still come back within a round trip of its frame.
+func TestStreamOverSockWorldWithWireCorruptionHeld(t *testing.T) {
+	streamOverCorruptingSockWorld(t, buf.NewPool(1<<20, 4), 64, 256<<10)
+}
+
+// streamOverCorruptingSockWorld streams reps grabs of grab bytes from a
+// server to a client over a two-rank unix sock world whose server-side
+// wire flips bytes, drawing frames from pool. It checks the stream arrives
+// byte-identical, that the session resent at least one frame, that rpc ran
+// no checksum, and that pool ends empty without overflowing.
+func streamOverCorruptingSockWorld(t *testing.T, pool *buf.Pool, reps, grab int) {
 	n := countChecksums(t)
 	const size = 2
-	const reps, grab = 64, 1024
 	coord, err := transport.NewCoordinator("unix", t.TempDir()+"/coord.sock", size)
 	if err != nil {
 		t.Fatal(err)
@@ -239,9 +257,6 @@ func TestStreamOverSockWorldWithWireCorruption(t *testing.T) {
 		RetransmitTimeout: 300 * time.Millisecond,
 		AckInterval:       5 * time.Millisecond,
 	}
-	// Fewer chunks than the stream has frames: each must come back when
-	// its frame is sent.
-	pool := buf.NewPool(4096, 4)
 	var got bytes.Buffer
 	specs := []mpi.TaskSpec{
 		{Name: "client", Procs: 1, Main: func(p *mpi.Proc) {

@@ -47,6 +47,14 @@ var (
 // AppendFrame appends the wire encoding of f to dst and returns the
 // extended slice.
 func AppendFrame(dst []byte, f *Frame) []byte {
+	return append(appendHeader(dst, f), f.Data...)
+}
+
+// appendHeader appends f's FrameHeaderLen header bytes to dst, its CRC
+// computed over the header fields and f.Data, without the payload itself:
+// a sender that writes the payload from where it already lies (the sock
+// engine's held frames) sends these bytes and then f.Data.
+func appendHeader(dst []byte, f *Frame) []byte {
 	var hdr [FrameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(f.Data)))
 	binary.LittleEndian.PutUint64(hdr[4:], f.CommID)
@@ -56,8 +64,7 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 	crc := crc32.Update(0, crcTable, hdr[4:28])
 	crc = crc32.Update(crc, crcTable, f.Data)
 	binary.LittleEndian.PutUint32(hdr[28:], crc)
-	dst = append(dst, hdr[:]...)
-	return append(dst, f.Data...)
+	return append(dst, hdr[:]...)
 }
 
 // DecodeFrame parses one frame from the front of b, returning the frame
@@ -91,7 +98,10 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 
 // WriteFrame writes f's wire encoding to w in one Write call (sock
 // connections rely on a single write per frame so concurrent senders
-// serialize at the connection mutex, not mid-frame).
+// serialize at the connection mutex, not mid-frame). It writes a copy:
+// f.Data stays the caller's. The sock engine's held frames are the
+// exception that does not copy; they go out as one writev of header and
+// payload (sock.go, writeEntry).
 func WriteFrame(w io.Writer, f *Frame) error {
 	buf := AppendFrame(make([]byte, 0, FrameHeaderLen+len(f.Data)), f)
 	_, err := w.Write(buf)
@@ -101,20 +111,38 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // ReadFrame reads one frame from r. A clean EOF before the first header
 // byte returns io.EOF; a stream ending mid-frame returns an error wrapping
 // ErrTruncatedFrame. The payload is freshly allocated (it must outlive the
-// read buffer — it goes straight into a mailbox).
+// read buffer — it goes straight into a mailbox); the sock engine reads a
+// held frame's payload into a pooled chunk instead, through the same
+// readHeader and readPayload.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [FrameHeaderLen]byte
+	n, err := readHeader(r, &hdr)
+	if err != nil {
+		return Frame{}, err
+	}
+	return readPayload(r, &hdr, make([]byte, n))
+}
+
+// readHeader reads one frame header into hdr and returns the payload
+// length it announces, checked against MaxFrameBytes.
+func readHeader(r io.Reader, hdr *[FrameHeaderLen]byte) (int, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return Frame{}, io.EOF
+			return 0, io.EOF
 		}
-		return Frame{}, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
+		return 0, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:])
 	if n > MaxFrameBytes {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
+		return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
-	payload := make([]byte, n)
+	return int(n), nil
+}
+
+// readPayload reads the payload of the frame whose header is hdr into
+// payload (sized to the header's length), checks the CRC and returns the
+// frame, whose Data is payload.
+func readPayload(r io.Reader, hdr *[FrameHeaderLen]byte, payload []byte) (Frame, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return Frame{}, fmt.Errorf("%w: %v", ErrTruncatedFrame, err)
 	}

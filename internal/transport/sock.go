@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"os"
 	"path/filepath"
@@ -42,6 +43,16 @@ const (
 	// the session, so that ack covers them all.
 	ctlAckReq = 3
 )
+
+// zeroCopyMin is the smallest chunk-backed payload Send holds (puts on
+// the wire by reference until acked) instead of copying. Below it a memcpy
+// costs less than the unix round trip a held chunk waits for its ack.
+const zeroCopyMin = 64 << 10
+
+// heldBit marks a held frame in the 8-byte sequence prefix, telling the
+// receiver to read its payload into a pooled chunk. Sequence numbers
+// count frames from zero and never reach it.
+const heldBit = 1 << 63
 
 // coordDialTimeout bounds how long DialSock retries reaching the
 // coordinator before giving up (the coordinator normally exists before
@@ -210,6 +221,7 @@ type Sock struct {
 
 	peers  []sockPeer
 	recv   []recvState
+	rpools recvPools
 	closed atomic.Bool
 	stop   chan struct{}
 
@@ -226,15 +238,79 @@ type Sock struct {
 
 // wireEntry is one pending (not yet acknowledged) data frame: its
 // sequence number, its encoded wire bytes, and its payload size for
-// stats. sent records whether a transmission was ever attempted, so a
-// session flush can tell a retransmission (counts as resent) from the
-// first transmission of a frame queued while the link was down (does
-// not).
+// stats. A copied entry's buf is the whole wire message. A held entry's
+// buf is only the sequence prefix and frame header, and held is the
+// sender's pooled payload itself: the entry owns one reference to its
+// chunk, which every path that drops the entry releases (releaseQueue).
+// sent records whether a transmission was ever attempted, so a session
+// flush can tell a retransmission (counts as resent) from the first
+// transmission of a frame queued while the link was down (does not).
 type wireEntry struct {
 	seq  uint64
 	buf  []byte
+	held []byte
 	n    int
 	sent bool
+}
+
+// newEntry encodes f as the wire entry for seq: held, it keeps f.Data by
+// reference and marks the prefix; otherwise it copies f.Data into buf.
+func newEntry(seq uint64, f *Frame, held bool) wireEntry {
+	if !held {
+		return wireEntry{seq: seq, buf: encodeWire(seq, f), n: len(f.Data)}
+	}
+	pre := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+FrameHeaderLen), seq|heldBit)
+	return wireEntry{seq: seq, buf: appendHeader(pre, f), held: f.Data, n: len(f.Data)}
+}
+
+// writeEntry writes one entry's wire message on conn: a copied entry in
+// one Write, a held one as prefix+header and payload in one writev.
+// Through the fault layer a held frame is concatenated first, so the
+// injector decides one write of the frame's full length, as for a copied
+// frame, and a Corrupt verdict flips a copy, never the sender's chunk.
+func writeEntry(conn net.Conn, e *wireEntry) error {
+	if e.held == nil {
+		_, err := conn.Write(e.buf)
+		return err
+	}
+	if fc, ok := conn.(*faultConn); ok {
+		_, err := fc.Write(append(e.buf[:len(e.buf):len(e.buf)], e.held...))
+		return err
+	}
+	bufs := net.Buffers{e.buf, e.held}
+	_, err := bufs.WriteTo(conn)
+	return err
+}
+
+// releaseQueue drops the chunk reference each held entry in q owns. Every
+// path that discards queued entries calls it: ack and resume trims, peer
+// death, rejoin, and Close after an unfinished drain.
+func releaseQueue(q []wireEntry) {
+	for i := range q {
+		if q[i].held != nil {
+			buf.Release(q[i].held)
+		}
+	}
+}
+
+// recvPools holds the chunks held frames are received into: one unbounded
+// pool per power-of-two size class, 2^16 (zeroCopyMin) to 2^30
+// (MaxFrameBytes), so a reader goroutine never waits on a consumer. The
+// consumer's buf.Release returns a delivered payload, exactly as on the
+// chan engine.
+type recvPools [30 - 16 + 1]*buf.Pool
+
+func newRecvPools() recvPools {
+	var rp recvPools
+	for i := range rp {
+		rp[i] = buf.NewPool(zeroCopyMin<<i, 0)
+	}
+	return rp
+}
+
+// get returns a chunk of at least n bytes, zeroCopyMin <= n <= MaxFrameBytes.
+func (rp *recvPools) get(n int) *buf.Chunk {
+	return rp[bits.Len(uint(n-1))-bits.Len(zeroCopyMin-1)].Get()
 }
 
 // sockPeer is the sender-side state toward one peer.
@@ -295,6 +371,7 @@ func DialSock(cfg SockConfig) (*Sock, error) {
 		ln:     ln,
 		peers:  make([]sockPeer, cfg.Size),
 		recv:   make([]recvState, cfg.Size),
+		rpools: newRecvPools(),
 		stop:   make(chan struct{}),
 	}
 	s.addr = ln.Addr().String()
@@ -474,20 +551,34 @@ func encodeWire(seq uint64, f *Frame) []byte {
 
 // readWire reads one wire message from r. io.EOF at a message boundary is
 // clean; a stream dying inside the prefix wraps ErrTruncatedFrame like a
-// death inside the frame would.
-func readWire(r io.Reader) (seq uint64, f Frame, err error) {
+// death inside the frame would. With rp set, a frame whose prefix carries
+// heldBit is read into a chunk from rp and returned with held true: the
+// caller then owns one reference and either delivers the payload or
+// releases it. A read that fails releases the chunk itself.
+func readWire(r io.Reader, rp *recvPools) (seq uint64, f Frame, held bool, err error) {
 	var pre [8]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			err = fmt.Errorf("%w: stream ended inside sequence prefix", ErrTruncatedFrame)
 		}
-		return 0, Frame{}, err
+		return 0, Frame{}, false, err
 	}
-	f, err = ReadFrame(r)
+	seq = binary.LittleEndian.Uint64(pre[:])
+	var hdr [FrameHeaderLen]byte
+	n, err := readHeader(r, &hdr)
 	if err != nil {
-		return 0, Frame{}, err
+		return 0, Frame{}, false, err
 	}
-	return binary.LittleEndian.Uint64(pre[:]), f, nil
+	if rp == nil || seq&heldBit == 0 || n < zeroCopyMin {
+		f, err = readPayload(r, &hdr, make([]byte, n))
+		return seq &^ heldBit, f, false, err
+	}
+	c := rp.get(n)
+	if f, err = readPayload(r, &hdr, c.Bytes()[:n]); err != nil {
+		c.Release()
+		return 0, Frame{}, false, err
+	}
+	return seq &^ heldBit, f, true, nil
 }
 
 // ctlFrame builds one session-control frame.
@@ -502,10 +593,15 @@ func (s *Sock) ctlFrame(kind int64, data []byte) Frame {
 // resends. Send fails only for a peer already declared dead — transient
 // connection trouble is the transport's problem, not the caller's.
 //
-// A send to a peer copies f.Data into the retransmit entry and releases
-// the payload (buf.Release), so a pooled chunk is back in its pool when
-// Send returns. A self-send hands f over by reference and the receiver
-// releases it; a failed send leaves the payload with the caller.
+// A send to a peer takes the caller's payload. A chunk-backed payload of
+// at least zeroCopyMin bytes is held: the retransmit entry keeps the chunk
+// (buf.Retain) and writes it by reference, and the chunk goes back to its
+// pool when the peer's ack, which a held frame asks for at once, trims the
+// entry — one round trip. Any other payload is copied into the entry, so a
+// small pooled chunk is back in its pool when Send returns. Either way
+// Send drops the caller's reference (buf.Release). A self-send hands f
+// over by reference and the receiver releases it; a failed send leaves
+// the payload with the caller.
 func (s *Sock) Send(dst int, f *Frame) error {
 	if dst < 0 || dst >= len(s.peers) {
 		return &PeerDeadError{Rank: dst, Err: fmt.Errorf("rank out of range")}
@@ -525,18 +621,19 @@ func (s *Sock) Send(dst int, f *Frame) error {
 		p.mu.Unlock()
 		return &PeerDeadError{Rank: dst}
 	}
-	e := wireEntry{seq: p.nextSeq, buf: encodeWire(p.nextSeq, f), n: len(f.Data)}
+	held := len(f.Data) >= zeroCopyMin && buf.Retain(f.Data)
+	p.queue = append(p.queue, newEntry(p.nextSeq, f, held))
 	p.nextSeq++
-	p.queue = append(p.queue, e)
 	s.sentFrames.Add(1)
-	s.sentBytes.Add(int64(e.n))
+	s.sentBytes.Add(int64(len(f.Data)))
 	switch {
 	case p.conn != nil && !p.reconnecting:
 		// Write while holding p.mu: one in-flight frame per connection
 		// keeps frames whole and per-peer ordering FIFO.
-		p.queue[len(p.queue)-1].sent = true
+		e := &p.queue[len(p.queue)-1]
+		e.sent = true
 		p.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if _, err := p.conn.Write(e.buf); err != nil {
+		if err := writeEntry(p.conn, e); err != nil {
 			s.tearLocked(p, dst, err)
 		} else {
 			p.lastProgress = time.Now()
@@ -545,7 +642,7 @@ func (s *Sock) Send(dst int, f *Frame) error {
 		s.startReconnectLocked(p, dst)
 	}
 	p.mu.Unlock()
-	buf.Release(f.Data) // the wire entry holds its own copy
+	buf.Release(f.Data) // a copied entry has its bytes, a held one its own reference
 	return nil
 }
 
@@ -630,6 +727,7 @@ func (s *Sock) reconnectLoop(dst int, inc uint32) {
 			mark := !p.dead && p.inc == inc
 			if mark {
 				p.dead = true
+				releaseQueue(p.queue)
 				p.queue = nil
 			}
 			if p.inc == inc {
@@ -673,7 +771,7 @@ func (s *Sock) dialSession(dst int, addr string, inc uint32, attempt uint64) (ne
 		return nil, 0, err
 	}
 	conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	_, resp, err := readWire(conn)
+	_, resp, _, err := readWire(conn, nil)
 	if err != nil {
 		conn.Close()
 		return nil, 0, err
@@ -718,7 +816,7 @@ func (s *Sock) installSession(dst int, inc uint32, attempt uint64, conn net.Conn
 	for i := range p.queue {
 		e := &p.queue[i]
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if _, err := conn.Write(e.buf); err != nil {
+		if err := writeEntry(conn, e); err != nil {
 			return false, true
 		}
 		if e.sent {
@@ -748,7 +846,8 @@ func (s *Sock) installSession(dst int, inc uint32, attempt uint64, conn net.Conn
 	return true, false
 }
 
-// trimQueue drops every entry below ack. Caller holds p.mu.
+// trimQueue drops every entry below ack, releasing held chunks. Caller
+// holds p.mu.
 func trimQueue(p *sockPeer, ack uint64) {
 	i := 0
 	for i < len(p.queue) && p.queue[i].seq < ack {
@@ -757,6 +856,7 @@ func trimQueue(p *sockPeer, ack uint64) {
 	if i == 0 {
 		return
 	}
+	releaseQueue(p.queue[:i])
 	n := copy(p.queue, p.queue[i:])
 	for j := n; j < len(p.queue); j++ {
 		p.queue[j] = wireEntry{}
@@ -775,7 +875,7 @@ func (s *Sock) ackLoop(dst int, inc uint32, conn net.Conn) {
 	defer s.wg.Done()
 	p := &s.peers[dst]
 	for {
-		_, f, err := readWire(conn)
+		_, f, _, err := readWire(conn, nil)
 		if err != nil {
 			p.mu.Lock()
 			if p.conn == conn {
@@ -917,6 +1017,10 @@ func (s *Sock) Close() error {
 			p.conn.Close()
 			p.conn = nil
 		}
+		// Whatever the drain could not flush is lost with the connection;
+		// its held chunks go back to their pools.
+		releaseQueue(p.queue)
+		p.queue = nil
 		p.mu.Unlock()
 	}
 	for i := range s.recv {
@@ -956,7 +1060,7 @@ func (s *Sock) readLoop(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	_, hello, err := readWire(conn)
+	_, hello, _, err := readWire(conn, nil)
 	if err != nil || hello.CommID != helloCommID || hello.Tag != ctlHello ||
 		hello.WorldSrc < 0 || hello.WorldSrc >= len(s.peers) || len(hello.Data) != 12 {
 		return
@@ -998,25 +1102,30 @@ func (s *Sock) readLoop(conn net.Conn) {
 	go s.ackFlusher(r, conn, kick)
 
 	for {
-		seq, f, err := readWire(conn)
+		seq, f, held, err := readWire(conn, &s.rpools)
 		if err != nil {
 			s.detachRecv(r, conn)
 			return
 		}
+		// A held payload the loop does not deliver goes back to its pool.
+		discard := func() {
+			if held {
+				buf.Release(f.Data)
+			}
+		}
 		if f.CommID == helloCommID {
 			// Control frames never consume a sequence; an ack request
 			// wakes the flusher, any other is stray.
+			discard()
 			if f.Tag == ctlAckReq {
-				select {
-				case kick <- struct{}{}:
-				default: // an ack is already due
-				}
+				ackNow(kick)
 			}
 			continue
 		}
 		r.mu.Lock()
 		if r.conn != conn {
 			r.mu.Unlock()
+			discard()
 			return // superseded mid-read; the new session owns the stream
 		}
 		switch {
@@ -1029,15 +1138,30 @@ func (s *Sock) readLoop(conn net.Conn) {
 			// FIFO holds across reconnects.
 			s.deliverInbound(&f)
 			r.mu.Unlock()
+			if held {
+				// The sender holds this frame's chunk until our ack: send
+				// it now, so the hold lasts a round trip, not AckInterval.
+				ackNow(kick)
+			}
 		case seq < r.seq:
 			r.mu.Unlock() // a duplicate of an already-delivered frame
+			discard()
 		default:
 			// Sequence gap: the wire silently swallowed a frame. Tear the
 			// session; the sender's recovery resends from our resume point.
 			r.conn = nil
 			r.mu.Unlock()
+			discard()
 			return
 		}
+	}
+}
+
+// ackNow wakes an ack flusher unless an ack is already due.
+func ackNow(kick chan<- struct{}) {
+	select {
+	case kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -1104,6 +1228,7 @@ func (s *Sock) peerConnDied(rank int, inc uint32) {
 		p.conn.Close()
 		p.conn = nil
 	}
+	releaseQueue(p.queue)
 	p.queue = nil
 	p.mu.Unlock()
 	s.notifyDeath(rank)
@@ -1157,6 +1282,7 @@ func (s *Sock) peerRejoined(rank int, addr string, inc uint32) {
 	p.addr, p.inc, p.dead = addr, inc, false
 	p.reconnecting = false
 	p.nextSeq, p.acked = 0, 0
+	releaseQueue(p.queue)
 	p.queue = nil
 	p.everConn = false
 	p.lastProgress = time.Now()

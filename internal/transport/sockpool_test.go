@@ -117,3 +117,137 @@ func TestSockCloseDrainsInRoundTrip(t *testing.T) {
 		t.Fatalf("%d frames left in the retransmit queue, want 0", pending)
 	}
 }
+
+// mibPayload returns the bytes of the i-th test payload of n bytes.
+func mibPayload(i, n int) []byte {
+	b := make([]byte, n)
+	for j := range b {
+		b[j] = byte(i*31 + j*7)
+	}
+	return b
+}
+
+// recvOutstanding sums the chunks a Sock's receive pools have handed out
+// and not yet had back.
+func recvOutstanding(s *Sock) int {
+	n := 0
+	for _, p := range s.rpools {
+		n += p.Outstanding()
+	}
+	return n
+}
+
+// A chunk-backed payload of zeroCopyMin or more is held, not copied, and
+// comes back in one round trip: the receiver acks a held frame at once, so
+// with a ten-second AckInterval (and as long a retransmit timeout, so no
+// ack-stall resync can trim the queue) a two-chunk pool still serves three
+// 1 MiB sends without overflowing. The peer gets the bytes in a chunk of
+// its own receive pool, which its release returns.
+func TestSockHeldChunkReturnsInRoundTrip(t *testing.T) {
+	const size = 1 << 20
+	_, socks, inbox := dialWorldCfg(t, "tcp", 2, func(r int, cfg *SockConfig) {
+		cfg.AckInterval = 10 * time.Second
+		cfg.RetransmitTimeout = 10 * time.Second
+	})
+	pool := buf.NewPool(size, 2)
+	for i := 0; i < 3; i++ {
+		data := pool.Get().Bytes()
+		copy(data, mibPayload(i, size))
+		sent := time.Now()
+		if err := socks[0].Send(1, &Frame{CommID: 1, Src: 0, WorldSrc: 0, Tag: i, Data: data}); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		for pool.Outstanding() != 0 {
+			if time.Since(sent) > time.Second {
+				t.Fatalf("send %d: chunk not back within 1s of its Send", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		select {
+		case f := <-inbox[1]:
+			if f.Tag != i || !bytes.Equal(f.Data, mibPayload(i, size)) {
+				t.Fatalf("frame %d: tag %d, %d bytes: payload differs from what was sent", i, f.Tag, len(f.Data))
+			}
+			if !buf.Retain(f.Data) {
+				t.Fatalf("frame %d: delivered payload is not chunk-backed", i)
+			}
+			buf.Release(f.Data)
+			buf.Release(f.Data) // the consumer's release
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for frame %d", i)
+		}
+	}
+	if got := pool.Overflow(); got != 0 {
+		t.Fatalf("%d gets overflowed the pool, want 0", got)
+	}
+	if got := recvOutstanding(socks[1]); got != 0 {
+		t.Fatalf("receiver: %d receive chunks outstanding after the consumer released, want 0", got)
+	}
+}
+
+// Every path that drops a queued held frame returns its chunk. Toward a
+// partitioned peer the frames stay queued, each holding its 1 MiB chunk;
+// the peer's death, Close with a short DrainTimeout, and the reconnect
+// budget's unreachable verdict must each leave the pool empty.
+func TestSockDroppedQueueReleasesChunks(t *testing.T) {
+	const size, n = 1 << 20, 3
+	cases := []struct {
+		name string
+		cfg  func(cfg *SockConfig)
+		drop func(t *testing.T, s *Sock)
+	}{
+		{"peer-death", nil, func(t *testing.T, s *Sock) {
+			s.peerConnDied(1, s.peerInc(1))
+		}},
+		{"close", func(cfg *SockConfig) { cfg.DrainTimeout = 50 * time.Millisecond }, func(t *testing.T, s *Sock) {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"unreachable", func(cfg *SockConfig) { cfg.ReconnectTimeout = 300 * time.Millisecond }, func(t *testing.T, s *Sock) {
+			dead := func() bool {
+				p := &s.peers[1]
+				p.mu.Lock()
+				defer p.mu.Unlock()
+				return p.dead
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for !dead() {
+				if time.Now().After(deadline) {
+					t.Fatal("peer never declared unreachable")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, socks, _ := dialWorldCfg(t, "tcp", 2, func(r int, cfg *SockConfig) {
+				if r != 0 {
+					return
+				}
+				fastRecovery(cfg)
+				cfg.HandshakeTimeout = 100 * time.Millisecond
+				cfg.Faults = &Plan{Seed: 5, Rules: []Rule{{Action: Partition, Rank: 0, Dst: DstRank(1)}}}
+				if tc.cfg != nil {
+					tc.cfg(cfg)
+				}
+			})
+			pool := buf.NewPool(size, n)
+			for i := 0; i < n; i++ {
+				data := pool.Get().Bytes()
+				copy(data, mibPayload(i, size))
+				if err := socks[0].Send(1, &Frame{CommID: 1, Src: 0, WorldSrc: 0, Tag: i, Data: data}); err != nil {
+					t.Fatalf("send %d: %v", i, err)
+				}
+			}
+			if got := pool.Outstanding(); got != n {
+				t.Fatalf("%d chunks outstanding with the link partitioned, want %d held in the queue", got, n)
+			}
+			tc.drop(t, socks[0])
+			if got := pool.Outstanding(); got != 0 {
+				t.Fatalf("%d chunks outstanding after the queue was dropped, want 0", got)
+			}
+		})
+	}
+}

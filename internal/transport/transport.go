@@ -42,11 +42,14 @@ type Frame struct {
 	// collective traffic uses reserved negative tags, so the wire format
 	// carries tags as full signed 64-bit values.
 	Tag int
-	// Data is the payload. Ownership passes with the frame: the chan
-	// engine delivers the very slice the sender passed, so the receiver
-	// releases a pooled payload. The sock engine copies it onto the wire
-	// and releases it inside Send (a self-send excepted, which is delivered
-	// by reference); its receiver allocates a fresh slice per frame.
+	// Data is the payload. Ownership passes with the frame, and the
+	// receiver releases what it is handed (buf.Release) on either engine.
+	// The chan engine delivers the very slice the sender passed. The sock
+	// engine holds a pooled payload of 64 KiB or more by reference until
+	// the peer acks it, and its receiver reads it into a chunk of the
+	// receiving Sock's own pool; any other payload it copies onto the wire
+	// and releases inside Send, and its receiver gets a fresh slice. A sock
+	// self-send is delivered by reference.
 	Data []byte
 }
 
@@ -58,8 +61,10 @@ type DeliverFunc func(dst int, f *Frame)
 // Transport moves frames between world ranks. Send is fire-and-forget
 // (MPI buffered-send semantics): a nil error means the frame was accepted
 // for delivery, not that it arrived, and the caller no longer owns the
-// payload — Chan hands it to the receiver, Sock has released it (or, on a
-// self-send, handed it to the receiver). A non-nil error is always a
+// payload — Chan hands it to the receiver; Sock keeps a large pooled
+// payload in its retransmit queue until the peer acks it and has released
+// any other (or, on a self-send, handed it to the receiver). Either way
+// the caller must not touch the payload again. A non-nil error is always a
 // *PeerDeadError naming the unreachable destination; the caller owns the
 // frame's payload again and decides whether to release it.
 type Transport interface {

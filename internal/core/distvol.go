@@ -161,8 +161,10 @@ type DistMetadataVOL struct {
 
 	// OnDoneAcked, when set, is called on the consumer side each time a
 	// done notification for a file has been acknowledged by one producer
-	// rank. A supervised runner records these so a restarted producer can
-	// credit dones that will never be resent (see CreditDone).
+	// rank; with CallTimeout 0 the done is an rpc notification, which is
+	// never answered, and the call follows its send. A supervised runner
+	// records these so a restarted producer can credit dones that will
+	// never be resent (see CreditDone).
 	OnDoneAcked func(ic *mpi.Intercomm, name string, producerRank int)
 
 	// serveMu serializes request handling when several intercommunicators
@@ -918,9 +920,11 @@ func (v *DistMetadataVOL) dispatch(s *icServer, src int, seq uint64, req request
 		v.stats.DoneMessages++
 		v.serveMu.Unlock()
 		v.observeServe(req, t0, 0)
-		// Acknowledge before the session bookkeeping: a fault-tolerant
-		// consumer blocks on this ack, and the server's dedup cache makes a
-		// retried done count once.
+		// Acknowledge before the session bookkeeping: a consumer with a
+		// CallTimeout sends its done as a call and blocks on this ack, and
+		// the server's dedup cache makes a retried done count once. A done
+		// sent as a notification (CallTimeout 0) reads no ack, so rpc sends
+		// none for it.
 		s.srv.Respond(src, seq, []byte{1})
 		s.mu.Lock()
 		if sess, ok := s.sessions[req.file]; ok {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"lowfive/h5"
 	"lowfive/internal/core"
@@ -1072,6 +1073,69 @@ func TestDistSoakManyTimesteps(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDistSoakMailboxesStayEmpty: over a thousand create/open/read/close
+// steps, a consumer's mailbox is empty after every close, so no receive
+// ever scans past messages nobody reads. With CallTimeout 0 the dones are
+// notifications, which are never answered; with CallTimeout set they are
+// calls, whose acks the close reads, and OnDoneAcked fires exactly once per
+// (file, producer rank) either way.
+func TestDistSoakMailboxesStayEmpty(t *testing.T) {
+	dims := []int64{12}
+	const steps, producers, consumers = 1000, 3, 2
+	for _, mode := range []struct {
+		name    string
+		timeout time.Duration
+	}{{"notify", 0}, {"call", 10 * time.Second}} {
+		t.Run(mode.name, func(t *testing.T) {
+			err := mpi.RunWorkflow([]mpi.TaskSpec{
+				{Name: "prod", Procs: producers, Main: func(p *mpi.Proc) {
+					vol := core.NewDistMetadataVOL(p.Task, nil)
+					vol.SetIntercomm("*", p.Intercomm("cons"))
+					fapl := h5.NewFileAccessProps(vol)
+					for s := 0; s < steps; s++ {
+						produceGrid(t, p, fapl, fmt.Sprintf("mbox%d.h5", s), dims)
+					}
+					if st := vol.Stats(); st.DoneMessages != steps*consumers {
+						t.Errorf("done messages %d want %d", st.DoneMessages, steps*consumers)
+					}
+				}},
+				{Name: "cons", Procs: consumers, Main: func(p *mpi.Proc) {
+					vol := core.NewDistMetadataVOL(p.Task, nil)
+					vol.SetIntercomm("*", p.Intercomm("prod"))
+					vol.CallTimeout = mode.timeout
+					type ack struct {
+						file string
+						prod int
+					}
+					acked := map[ack]int{}
+					vol.OnDoneAcked = func(_ *mpi.Intercomm, name string, prod int) { acked[ack{name, prod}]++ }
+					fapl := h5.NewFileAccessProps(vol)
+					world := p.World.World()
+					reported := false
+					for s := 0; s < steps; s++ {
+						consumeGridColumns(t, p, fapl, fmt.Sprintf("mbox%d.h5", s), dims)
+						if q := world.RankProgress(p.World.Rank()).Queued; q != 0 && !reported {
+							t.Errorf("consumer %d: %d messages queued after step %d, want 0", p.Task.Rank(), q, s)
+							reported = true
+						}
+					}
+					if len(acked) != steps*producers {
+						t.Errorf("consumer %d: OnDoneAcked for %d (file, producer) pairs, want %d", p.Task.Rank(), len(acked), steps*producers)
+					}
+					for k, n := range acked {
+						if n != 1 {
+							t.Errorf("consumer %d: OnDoneAcked fired %d times for %v, want once", p.Task.Rank(), n, k)
+						}
+					}
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -66,11 +66,15 @@ const minRetryAfter = time.Millisecond
 // -retryAfter nanoseconds. The reply is not cached and the dedup entry is
 // dropped, so a post-backoff resend of the same sequence number re-enters
 // the server's dispatch (and admission) path instead of replaying the shed.
+// A shed notification is only forgotten: nobody awaits its answer.
 func (s *Server) RespondOverloaded(src int, seq uint64, retryAfter time.Duration) {
 	if retryAfter < minRetryAfter {
 		retryAfter = minRetryAfter
 	}
 	s.Forget(src, seq)
+	if seq&notifyBit != 0 {
+		return
+	}
 	s.IC.Send(src, tagResponse, seal(s.IC.Intact(), seq, -int64(retryAfter), nil))
 }
 

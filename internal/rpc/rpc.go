@@ -9,20 +9,23 @@
 // exchange safe under an unreliable transport: a duplicated request is
 // answered once (the server replays the cached response instead of
 // re-dispatching), and a retried call reuses its sequence number so the
-// server recognizes it. Integrity is asked of the world, not re-checked:
-// the CRC is computed and verified only when mpi.Intercomm.Intact reports
-// that the world can corrupt payloads (a FaultPlan with a FaultCorrupt
-// rule), and then a corrupted payload is discarded as if lost. On an
-// intact world — the chan engine hands payloads over by reference, the
-// sock engine checks and resends every wire frame itself — the CRC field
-// is 0 and no checksum pass runs. With a Timeout configured, Call bounds
-// each attempt and retries with exponential backoff; a Budget bounds the
-// whole call end to end, and the deadline travels in the envelope so a
-// server receiving a request whose budget is already spent rejects it
-// without dispatching work no one awaits. CallHedged races the primary
-// against a replica after a hedge delay, the tail-latency defense of Dean
-// & Barroso's "The Tail at Scale". A crashed peer surfaces as a typed
-// error instead of a hang.
+// server recognizes it. A notification (Notify) is never answered: its
+// seq carries a mark the server strips for dedup and obeys on every answer
+// path, so no response nobody reads piles up in a client's mailbox. The
+// CRC covers the seq as well as the deadline and body. Integrity is asked
+// of the world, not re-checked: the CRC is computed and verified only when
+// mpi.Intercomm.Intact reports that the world can corrupt payloads (a
+// FaultPlan with a FaultCorrupt rule), and then a corrupted payload is
+// discarded as if lost. On an intact world — the chan engine hands
+// payloads over by reference, the sock engine checks and resends every
+// wire frame itself — the CRC field is 0 and no checksum pass runs. With a
+// Timeout configured, Call bounds each attempt and retries with
+// exponential backoff; a Budget bounds the whole call end to end, and the
+// deadline travels in the envelope so a server receiving a request whose
+// budget is already spent rejects it without dispatching work no one
+// awaits. CallHedged races the primary against a replica after a hedge
+// delay, the tail-latency defense of Dean & Barroso's "The Tail at Scale".
+// A crashed peer surfaces as a typed error instead of a hang.
 //
 // Every call shape — Call and CallAll, CallHedged, a stream's Drain and
 // Discard — waits in one attempt loop (call.wait), which owns each rule
@@ -66,19 +69,29 @@ const (
 	// more than this many sequence numbers behind the newest are pruned.
 	// Duplicates are reorderings of recent traffic, never arbitrarily old.
 	dedupWindow = 256
+
+	// notifyBit marks the envelope seq of a notification (Notify). The
+	// server strips it before its dedup bookkeeping and never answers a
+	// marked request, so no unread response is left in the client's
+	// mailbox. Sequence numbers never reach 2^63.
+	notifyBit = 1 << 63
 )
 
-// checksum is the envelope CRC, a variable so tests can count how many
-// passes the rpc path makes over payload bytes.
-var checksum = crc32.ChecksumIEEE
+// checksum is the envelope CRC: one pass over everything but the CRC field
+// itself — the seq [0:8], then the deadline and body [12:]. It is a
+// variable so tests can count how many passes the rpc path makes.
+var checksum = func(env []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(env[:8]), crc32.IEEETable, env[12:])
+}
 
 // seal wraps a body in the wire envelope: sequence number, CRC, and the
 // call's absolute end-to-end deadline (UnixNano; 0 means unbounded). The
-// CRC covers the deadline too, so a corrupted deadline is discarded as
-// lost rather than silently extending or expiring a request. On an intact
-// world (mpi.Intercomm.Intact) the CRC field is left 0: nothing between
-// sender and receiver can change the bytes, so the pass would catch
-// nothing. Deadlines are absolute because all ranks share one process
+// CRC covers the seq and the deadline too, so a corrupted seq or deadline
+// is discarded as lost rather than misrouting a response, turning a call
+// into a notification, or silently extending or expiring a request. On an
+// intact world (mpi.Intercomm.Intact) the CRC field is left 0: nothing
+// between sender and receiver can change the bytes, so the pass would
+// catch nothing. Deadlines are absolute because all ranks share one process
 // clock; a multi-node port would carry the remaining budget instead.
 func seal(intact bool, seq uint64, deadline int64, body []byte) []byte {
 	buf := make([]byte, headerLen+len(body))
@@ -86,7 +99,7 @@ func seal(intact bool, seq uint64, deadline int64, body []byte) []byte {
 	binary.LittleEndian.PutUint64(buf[12:], uint64(deadline))
 	copy(buf[headerLen:], body)
 	if !intact {
-		binary.LittleEndian.PutUint32(buf[8:], checksum(buf[12:]))
+		binary.LittleEndian.PutUint32(buf[8:], checksum(buf))
 	}
 	return buf
 }
@@ -99,7 +112,7 @@ func unseal(intact bool, msg []byte) (seq uint64, deadline int64, body []byte, o
 		return 0, 0, nil, false
 	}
 	seq = binary.LittleEndian.Uint64(msg[0:])
-	if !intact && checksum(msg[12:]) != binary.LittleEndian.Uint32(msg[8:]) {
+	if !intact && checksum(msg) != binary.LittleEndian.Uint32(msg[8:]) {
 		return 0, 0, nil, false
 	}
 	deadline = int64(binary.LittleEndian.Uint64(msg[12:]))
@@ -385,11 +398,13 @@ func (c *Client) CallAll(dests []int, req []byte) ([][]byte, error) {
 // Notify sends req to remote rank dest without expecting a response. It is
 // fire-and-forget: with no reply there is nothing to time out on, so callers
 // that must know the notification arrived should use Call against a server
-// that acknowledges.
+// that acknowledges. The server dispatches a notification like any request
+// but never answers it, even when its handler responds, so nothing is left
+// unread in this client's mailbox.
 func (c *Client) Notify(dest int, req []byte) {
 	// No deadline: a notification with no reply has no caller to give up,
 	// so the server must never reject it as expired.
-	c.IC.Send(dest, tagRequest, seal(c.IC.Intact(), c.nextSeq(), 0, req))
+	c.IC.Send(dest, tagRequest, seal(c.IC.Intact(), c.nextSeq()|notifyBit, 0, req))
 }
 
 // CallHedged sends req to dest and, if no response arrives within
@@ -700,6 +715,9 @@ type reqState struct {
 // by (source, sequence): a duplicate of an already-answered request gets the
 // cached response resent, and a duplicate of one still in flight (parked,
 // or a one-way notification) is swallowed, so client retries are idempotent.
+// A notification (Notify) is never answered: the seq Recv returns for it
+// keeps its mark, and Respond, RespondOverloaded, a Stream and the
+// duplicate replay all send nothing for a marked seq.
 type Server struct {
 	IC      *mpi.Intercomm
 	Handler Handler
@@ -757,8 +775,8 @@ func (s *Server) Recv() (src int, seq uint64, req []byte) {
 			buf.Release(msg)
 			continue
 		}
-		if cached, dup := s.register(st.Source, rseq); dup {
-			if cached != nil {
+		if cached, dup := s.register(st.Source, rseq&^notifyBit); dup {
+			if cached != nil && rseq&notifyBit == 0 {
 				// Already answered: replay the response for the retry.
 				s.IC.Send(st.Source, tagResponse, seal(s.IC.Intact(), rseq, 0, cached.resp))
 			}
@@ -769,16 +787,20 @@ func (s *Server) Recv() (src int, seq uint64, req []byte) {
 }
 
 // Respond sends a response for a request previously obtained via Recv and
-// caches it so duplicates of the request replay it.
+// caches it so duplicates of the request replay it. For a notification it
+// only marks the request answered and sends nothing.
 func (s *Server) Respond(src int, seq uint64, resp []byte) {
 	s.mu.Lock()
 	if m := s.seen[src]; m != nil {
-		if st, ok := m[seq]; ok {
+		if st, ok := m[seq&^notifyBit]; ok {
 			st.answered = true
 			st.resp = resp
 		}
 	}
 	s.mu.Unlock()
+	if seq&notifyBit != 0 {
+		return
+	}
 	s.IC.Send(src, tagResponse, seal(s.IC.Intact(), seq, 0, resp))
 }
 

@@ -10,7 +10,7 @@
 //
 //	[seq 8][crc32 4][deadline 8][idx 4][flags 1][payload]
 //
-// The CRC covers deadline+idx+flags+payload, so the existing
+// The CRC covers seq+deadline+idx+flags+payload, so the existing
 // corrupt-discard logic applies unchanged; like every envelope's, it is 0
 // and unchecked on an intact world. Response frames carry a zero deadline
 // — only requests are budget-checked. Recovery reuses the scalar retry
@@ -83,8 +83,13 @@ func (st *Stream) Frames() int { return st.frames }
 func (st *Stream) Bytes() int64 { return st.bytes }
 
 // send seals one frame in place and hands it to the transport. Ownership of
-// the frame transfers with the send: the receiver releases it.
+// the frame transfers with the send: the receiver releases it. A stream
+// answering a notification sends nothing and releases each frame here.
 func (st *Stream) send(frame []byte, last bool) {
+	if st.seq&notifyBit != 0 {
+		buf.Release(frame)
+		return
+	}
 	binary.LittleEndian.PutUint64(frame[0:], st.seq)
 	binary.LittleEndian.PutUint64(frame[12:], 0) // pooled frame: clear the deadline field
 	binary.LittleEndian.PutUint32(frame[headerLen:], st.idx)
@@ -95,7 +100,7 @@ func (st *Stream) send(frame []byte, last bool) {
 	frame[headerLen+4] = flags
 	var crc uint32 // pooled frame: an intact world leaves the field 0
 	if !st.srv.IC.Intact() {
-		crc = checksum(frame[12:])
+		crc = checksum(frame)
 	}
 	binary.LittleEndian.PutUint32(frame[8:], crc)
 	st.srv.IC.Send(st.src, tagResponse, frame)
@@ -110,7 +115,7 @@ func (st *Stream) send(frame []byte, last bool) {
 func (s *Server) Forget(src int, seq uint64) {
 	s.mu.Lock()
 	if m := s.seen[src]; m != nil {
-		delete(m, seq)
+		delete(m, seq&^notifyBit)
 	}
 	s.mu.Unlock()
 }

@@ -114,6 +114,10 @@ type RankProgress struct {
 	WaitSrc, WaitTag int
 	// Received counts messages this rank has successfully matched so far.
 	Received uint64
+	// Queued is how many messages wait unmatched in the rank's mailbox.
+	// Every receive scans past them, so a count that grows step after step
+	// is a protocol leaving messages nobody reads.
+	Queued int
 	// BlockedTotal is the cumulative time this rank has spent blocked in
 	// receives — the per-rank blocked-in-recv counter.
 	BlockedTotal time.Duration
@@ -577,6 +581,7 @@ func (b *mailbox) progress(rank int) RankProgress {
 		WaitTag:      b.waitTag,
 		WaitWorldSrc: b.waitWorldSrc,
 		Received:     b.received,
+		Queued:       len(b.msgs),
 		BlockedTotal: b.blockedTotal,
 	}
 	if b.waiting {

@@ -198,10 +198,7 @@ func TestDedupWindowAncientDuplicateSwallowed(t *testing.T) {
 	if _, dup := s.register(0, 1); dup {
 		t.Fatal("first sighting of seq 1 flagged as duplicate")
 	}
-	s.mu.Lock()
-	s.seen[0][1].answered = true
-	s.seen[0][1].resp = []byte("ancient")
-	s.mu.Unlock()
+	s.answer(0, 1, []byte("ancient"))
 	for seq := uint64(2); seq <= dedupWindow+10; seq++ {
 		if _, dup := s.register(0, seq); dup {
 			t.Fatalf("fresh seq %d flagged as duplicate", seq)
@@ -211,16 +208,13 @@ func TestDedupWindowAncientDuplicateSwallowed(t *testing.T) {
 	if !dup {
 		t.Fatal("ancient duplicate treated as fresh — it would re-dispatch the handler")
 	}
-	if cached != nil {
+	if cached.answered {
 		t.Fatalf("ancient duplicate replayed a pruned response %q", cached.resp)
 	}
 	// A duplicate still inside the window replays its cached response.
-	s.mu.Lock()
-	s.seen[0][200].answered = true
-	s.seen[0][200].resp = []byte("recent")
-	s.mu.Unlock()
+	s.answer(0, 200, []byte("recent"))
 	cached, dup = s.register(0, 200)
-	if !dup || cached == nil || string(cached.resp) != "recent" {
+	if !dup || !cached.answered || string(cached.resp) != "recent" {
 		t.Fatalf("in-window duplicate: dup=%v cached=%v", dup, cached)
 	}
 }
@@ -235,16 +229,12 @@ func TestDedupWindowInterleavedSources(t *testing.T) {
 	if _, dup := s.register(1, 5); dup {
 		t.Fatal("src 1 seq 5 flagged as duplicate — cross-source collision")
 	}
-	s.mu.Lock()
-	s.seen[0][5].answered = true
-	s.seen[0][5].resp = []byte("for-src-0")
-	s.seen[1][5].answered = true
-	s.seen[1][5].resp = []byte("for-src-1")
-	s.mu.Unlock()
-	if cached, dup := s.register(0, 5); !dup || cached == nil || string(cached.resp) != "for-src-0" {
+	s.answer(0, 5, []byte("for-src-0"))
+	s.answer(1, 5, []byte("for-src-1"))
+	if cached, dup := s.register(0, 5); !dup || !cached.answered || string(cached.resp) != "for-src-0" {
 		t.Errorf("src 0 duplicate replayed %v", cached)
 	}
-	if cached, dup := s.register(1, 5); !dup || cached == nil || string(cached.resp) != "for-src-1" {
+	if cached, dup := s.register(1, 5); !dup || !cached.answered || string(cached.resp) != "for-src-1" {
 		t.Errorf("src 1 duplicate replayed %v", cached)
 	}
 }

@@ -9,11 +9,16 @@
 // exchange safe under an unreliable transport: a duplicated request is
 // answered once (the server replays the cached response instead of
 // re-dispatching), and a retried call reuses its sequence number so the
-// server recognizes it. A notification (Notify) is never answered: its
-// seq carries a mark the server strips for dedup and obeys on every answer
-// path, so no response nobody reads piles up in a client's mailbox. The
-// CRC covers the seq as well as the deadline and body. Integrity is asked
-// of the world, not re-checked: the CRC is computed and verified only when
+// server recognizes it. Dedup is kept only for a request that can arrive
+// twice: one its client may re-send (a client with a Timeout), or any
+// request on a world that can copy a message (mpi.Intercomm.DeliversOnce
+// false). A client without a Timeout marks its seqs, and on a world that
+// delivers once the server hands such a request out with no bookkeeping.
+// A notification (Notify) is never answered: its seq carries a mark the
+// server strips for dedup and obeys on every answer path, so no response
+// nobody reads piles up in a client's mailbox. The CRC covers the seq as
+// well as the deadline and body. Integrity is asked of the world, not
+// re-checked: the CRC is computed and verified only when
 // mpi.Intercomm.Intact reports that the world can corrupt payloads (a
 // FaultPlan with a FaultCorrupt rule), and then a corrupted payload is
 // discarded as if lost. On an intact world — the chan engine hands
@@ -71,10 +76,18 @@ const (
 	dedupWindow = 256
 
 	// notifyBit marks the envelope seq of a notification (Notify). The
-	// server strips it before its dedup bookkeeping and never answers a
-	// marked request, so no unread response is left in the client's
-	// mailbox. Sequence numbers never reach 2^63.
+	// server never answers a marked request, so no unread response is left
+	// in the client's mailbox.
 	notifyBit = 1 << 63
+	// onceBit marks the envelope seq of a request its client never re-sends
+	// to the same server (a client without a Timeout). On a world that
+	// delivers each message once (mpi.Intercomm.DeliversOnce) nothing can
+	// duplicate such a request, so the server keeps no dedup state for it.
+	onceBit = 1 << 62
+	// marks are stripped from a seq for every piece of the server's dedup
+	// bookkeeping; answers echo the marked seq, so client matching sees the
+	// seq it sent. Sequence numbers never reach 2^62.
+	marks = notifyBit | onceBit
 )
 
 // checksum is the envelope CRC: one pass over everything but the CRC field
@@ -168,6 +181,11 @@ type Client struct {
 	IC *mpi.Intercomm
 
 	// Timeout bounds each call attempt; zero or negative blocks forever.
+	// Without a Timeout a call never re-sends its request to the server it
+	// addressed, so on a world that delivers each message once the server
+	// skips its dedup bookkeeping for the client's requests. A request is
+	// marked for that when it is sent, so change Timeout only while no call
+	// or stream of the client is outstanding.
 	Timeout time.Duration
 	// Retries is how many times a timed-out attempt is resent.
 	Retries int
@@ -343,11 +361,18 @@ func (c *Client) noteRetry(dest, attempt int) {
 	}
 }
 
+// nextSeq draws the seq of a new request, marked with onceBit when the
+// client has no Timeout and so never re-sends it to the same server: a shed
+// resend goes to a server that has forgotten the seq, and a hedge goes to
+// another server.
 func (c *Client) nextSeq() uint64 {
 	c.mu.Lock()
 	c.seq++
 	s := c.seq
 	c.mu.Unlock()
+	if c.Timeout <= 0 {
+		s |= onceBit
+	}
 	return s
 }
 
@@ -712,12 +737,16 @@ type reqState struct {
 }
 
 // Server answers requests arriving on an intercommunicator. It deduplicates
-// by (source, sequence): a duplicate of an already-answered request gets the
-// cached response resent, and a duplicate of one still in flight (parked,
-// or a one-way notification) is swallowed, so client retries are idempotent.
-// A notification (Notify) is never answered: the seq Recv returns for it
-// keeps its mark, and Respond, RespondOverloaded, a Stream and the
-// duplicate replay all send nothing for a marked seq.
+// by (source, sequence) the requests that can arrive twice — those whose
+// client may re-send them (a client with a Timeout), and every request on a
+// world with a FaultDuplicate rule: a duplicate of an already-answered
+// request gets the cached response resent, and a duplicate of one still in
+// flight (parked, or a one-way notification) is swallowed, so client
+// retries are idempotent. A request that can arrive only once is handed out
+// with no bookkeeping at all. A notification (Notify) is never answered:
+// the seq Recv returns for it keeps its mark, and Respond,
+// RespondOverloaded, a Stream and the duplicate replay all send nothing for
+// a marked seq.
 type Server struct {
 	IC      *mpi.Intercomm
 	Handler Handler
@@ -727,7 +756,7 @@ type Server struct {
 	Metrics *metrics.Registry
 
 	mu     sync.Mutex
-	seen   map[int]map[uint64]*reqState
+	seen   map[int]map[uint64]reqState
 	newest map[int]uint64
 
 	expired  atomic.Int64
@@ -775,8 +804,11 @@ func (s *Server) Recv() (src int, seq uint64, req []byte) {
 			buf.Release(msg)
 			continue
 		}
-		if cached, dup := s.register(st.Source, rseq&^notifyBit); dup {
-			if cached != nil && rseq&notifyBit == 0 {
+		if !s.dedups(rseq) {
+			return st.Source, rseq, body
+		}
+		if cached, dup := s.register(st.Source, rseq); dup {
+			if cached.answered && rseq&notifyBit == 0 {
 				// Already answered: replay the response for the retry.
 				s.IC.Send(st.Source, tagResponse, seal(s.IC.Intact(), rseq, 0, cached.resp))
 			}
@@ -786,65 +818,86 @@ func (s *Server) Recv() (src int, seq uint64, req []byte) {
 	}
 }
 
-// Respond sends a response for a request previously obtained via Recv and
-// caches it so duplicates of the request replay it. For a notification it
-// only marks the request answered and sends nothing.
+// Respond sends a response for a request previously obtained via Recv and,
+// if the server dedups the request, caches it so duplicates of the request
+// replay it. For a notification it only marks the request answered and
+// sends nothing.
 func (s *Server) Respond(src int, seq uint64, resp []byte) {
-	s.mu.Lock()
-	if m := s.seen[src]; m != nil {
-		if st, ok := m[seq&^notifyBit]; ok {
-			st.answered = true
-			st.resp = resp
-		}
+	if s.dedups(seq) {
+		s.answer(src, seq, resp)
 	}
-	s.mu.Unlock()
 	if seq&notifyBit != 0 {
 		return
 	}
 	s.IC.Send(src, tagResponse, seal(s.IC.Intact(), seq, 0, resp))
 }
 
+// dedups reports whether the server keeps dedup state for a request: every
+// request but one its client never re-sends, on a world that never copies a
+// message.
+func (s *Server) dedups(seq uint64) bool {
+	return seq&onceBit == 0 || !s.IC.DeliversOnce()
+}
+
 // register records a (src, seq) sighting. It returns dup=true when the
-// request was seen before; cached is non-nil when it was already answered.
-func (s *Server) register(src int, seq uint64) (cached *reqState, dup bool) {
+// request was seen before; cached.answered is set when it was already
+// answered. Per source it holds at most 2*dedupWindow+1 entries and costs
+// O(1) amortized: a sweep runs only once the map has doubled past the
+// window, and then deletes at least dedupWindow entries.
+func (s *Server) register(src int, seq uint64) (cached reqState, dup bool) {
+	seq &^= marks
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.seen == nil {
-		s.seen = map[int]map[uint64]*reqState{}
+		s.seen = map[int]map[uint64]reqState{}
 		s.newest = map[int]uint64{}
+	}
+	newest := s.newest[src]
+	if newest > dedupWindow && seq < newest-dedupWindow {
+		// An ancient duplicate, out of the window whether or not a sweep
+		// has deleted its state yet: it can only be a replay of a request
+		// answered long ago (the client moved on hundreds of sequence
+		// numbers), so swallow it rather than replay or re-dispatch it.
+		return reqState{}, true
 	}
 	m := s.seen[src]
 	if m == nil {
-		m = map[uint64]*reqState{}
+		m = map[uint64]reqState{}
 		s.seen[src] = m
 	}
 	if st, ok := m[seq]; ok {
-		if st.answered {
-			return st, true
-		}
-		return nil, true
+		return st, true
 	}
-	if newest := s.newest[src]; newest > dedupWindow && seq < newest-dedupWindow {
-		// An ancient duplicate whose state was already pruned: it can only
-		// be a replay of a request answered long ago (the client moved on
-		// hundreds of sequence numbers), so swallow it rather than treat it
-		// as fresh and re-dispatch the handler.
-		return nil, true
-	}
-	m[seq] = &reqState{}
-	if seq > s.newest[src] {
+	m[seq] = reqState{}
+	if seq > newest {
+		newest = seq
 		s.newest[src] = seq
-		// Prune states that have fallen out of the duplicate window so the
-		// cache stays bounded over long many-timestep runs.
-		if seq > dedupWindow {
-			for old := range m {
-				if old < seq-dedupWindow {
-					delete(m, old)
-				}
+	}
+	if len(m) > 2*dedupWindow {
+		// Sweep out the states behind the window so the cache stays bounded
+		// over long many-timestep runs. Every key is distinct and at least
+		// newest-dedupWindow survives, so at most dedupWindow+1 remain.
+		for old := range m {
+			if old < newest-dedupWindow {
+				delete(m, old)
 			}
 		}
 	}
-	return nil, false
+	return reqState{}, false
+}
+
+// answer caches resp as the answer to a registered (src, seq) request, so a
+// duplicate of it replays resp. A request the server no longer tracks is
+// left alone.
+func (s *Server) answer(src int, seq uint64, resp []byte) {
+	seq &^= marks
+	s.mu.Lock()
+	if m := s.seen[src]; m != nil {
+		if _, ok := m[seq]; ok {
+			m[seq] = reqState{answered: true, resp: resp}
+		}
+	}
+	s.mu.Unlock()
 }
 
 // Pending reports whether a request is waiting (for multiplexing several

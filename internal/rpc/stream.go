@@ -113,9 +113,12 @@ func (st *Stream) send(frame []byte, last bool) {
 // request re-dispatches the handler instead of being swallowed. Streamed
 // responses cannot be replayed from cache, so re-dispatch is their replay.
 func (s *Server) Forget(src int, seq uint64) {
+	if !s.dedups(seq) {
+		return
+	}
 	s.mu.Lock()
 	if m := s.seen[src]; m != nil {
-		delete(m, seq&^notifyBit)
+		delete(m, seq&^marks)
 	}
 	s.mu.Unlock()
 }

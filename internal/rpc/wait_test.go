@@ -92,55 +92,69 @@ func TestOnRecvCrashFiresWithAndWithoutTimeout(t *testing.T) {
 }
 
 // The bench path — a fail-stop Call, and a one-frame Drain — allocates
-// exactly what it did before the wait loop was shared: the request and
-// response envelopes and transport messages, the server's dedup entry,
-// and for the stream its call handle, sender and frame.
+// exactly the request and response envelopes and transport messages, and
+// for the stream its call handle, sender and frame: the server keeps no
+// dedup entry for a request its client never re-sends. A client with a
+// Timeout adds two for the blocked receive's deadline timer and goes
+// through the dedup path, which stores its entries by value and so adds
+// none.
 func TestWaitLoopAllocs(t *testing.T) {
-	pool := buf.NewPool(4096, 8)
-	err := mpi.RunWorkflow([]mpi.TaskSpec{
-		{Name: "client", Procs: 1, Main: func(p *mpi.Proc) {
-			c := &Client{IC: p.Intercomm("server")}
-			req, sreq := []byte("c"), []byte("s")
-			call := testing.AllocsPerRun(200, func() {
-				if _, err := c.Call(0, req); err != nil {
-					t.Error(err)
-				}
+	for _, tc := range []struct {
+		name        string
+		timeout     time.Duration
+		call, frame float64
+	}{
+		{"fail-stop", 0, 4, 10},
+		{"timeout", time.Minute, 6, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := buf.NewPool(4096, 8)
+			err := mpi.RunWorkflow([]mpi.TaskSpec{
+				{Name: "client", Procs: 1, Main: func(p *mpi.Proc) {
+					c := &Client{IC: p.Intercomm("server"), Timeout: tc.timeout}
+					req, sreq := []byte("c"), []byte("s")
+					call := testing.AllocsPerRun(200, func() {
+						if _, err := c.Call(0, req); err != nil {
+							t.Error(err)
+						}
+					})
+					frame := testing.AllocsPerRun(200, func() {
+						if err := c.StartStream(0, sreq).Drain(func([]byte) error { return nil }); err != nil {
+							t.Error(err)
+						}
+					})
+					if call != tc.call {
+						t.Errorf("Call allocates %v times, want %v", call, tc.call)
+					}
+					if frame != tc.frame {
+						t.Errorf("one-frame stream allocates %v times, want %v", frame, tc.frame)
+					}
+					if _, err := c.Call(0, []byte("q")); err != nil {
+						t.Error(err)
+					}
+				}},
+				{Name: "server", Procs: 1, Main: func(p *mpi.Proc) {
+					s := &Server{IC: p.Intercomm("client")}
+					for {
+						src, seq, req := s.Recv()
+						switch req[0] {
+						case 'q':
+							s.Respond(src, seq, nil)
+							return
+						case 's':
+							st := s.NewStream(src, seq, pool)
+							st.Grab(8)
+							st.Close()
+						default:
+							s.Respond(src, seq, req)
+						}
+					}
+				}},
 			})
-			frame := testing.AllocsPerRun(200, func() {
-				if err := c.StartStream(0, sreq).Drain(func([]byte) error { return nil }); err != nil {
-					t.Error(err)
-				}
-			})
-			if call != 5 {
-				t.Errorf("fail-stop Call allocates %v times, want 5", call)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if frame != 11 {
-				t.Errorf("one-frame stream allocates %v times, want 11", frame)
-			}
-			if _, err := c.Call(0, []byte("q")); err != nil {
-				t.Error(err)
-			}
-		}},
-		{Name: "server", Procs: 1, Main: func(p *mpi.Proc) {
-			s := &Server{IC: p.Intercomm("client")}
-			for {
-				src, seq, req := s.Recv()
-				switch req[0] {
-				case 'q':
-					s.Respond(src, seq, nil)
-					return
-				case 's':
-					st := s.NewStream(src, seq, pool)
-					st.Grab(8)
-					st.Close()
-				default:
-					s.Respond(src, seq, req)
-				}
-			}
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 

@@ -143,9 +143,15 @@ type Plan struct {
 }
 
 // Corrupts reports whether any rule of the plan corrupts payload bytes.
-func (p Plan) Corrupts() bool {
+func (p Plan) Corrupts() bool { return p.has(Corrupt) }
+
+// Duplicates reports whether any rule of the plan delivers a message twice.
+func (p Plan) Duplicates() bool { return p.has(Duplicate) }
+
+// has reports whether any rule of the plan takes action a.
+func (p Plan) has(a Action) bool {
 	for _, r := range p.Rules {
-		if r.Action == Corrupt {
+		if r.Action == a {
 			return true
 		}
 	}

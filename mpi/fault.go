@@ -63,6 +63,16 @@ func WithFaultPlan(plan FaultPlan) Option {
 // checksums that could only ever catch injected corruption.
 func (w *World) Intact() bool { return w.intact }
 
+// DeliversOnce reports whether the world delivers each message at most
+// once. Only a FaultDuplicate rule attached with WithFaultPlan makes it
+// false: the chan engine hands each message over once, the wire layer
+// rejects duplicate rules, and a sock session numbers its frames and drops
+// any it has already delivered, so it delivers exactly once across
+// reconnects. Like Intact, the answer is fixed when the world is built and
+// shared by every rank. Layers above use it to skip duplicate suppression
+// for messages that only the world itself could copy.
+func (w *World) DeliversOnce() bool { return w.once }
+
 // RankFailedError is the typed failure delivered to a rank blocked on (or
 // probing for) a message from a crashed peer, instead of letting the whole
 // world sit in a deadlock until the watchdog fires. It propagates by panic

@@ -41,6 +41,10 @@ func (ic *Intercomm) RemoteSize() int { return len(ic.remote) }
 // payload intact (World.Intact).
 func (ic *Intercomm) Intact() bool { return ic.world.intact }
 
+// DeliversOnce reports whether the world under this intercomm delivers
+// each message at most once (World.DeliversOnce).
+func (ic *Intercomm) DeliversOnce() bool { return ic.world.once }
+
 // sendID/recvID split the context by direction so that simultaneous traffic
 // A→B and B→A with equal (src, tag) never cross-matches.
 func (ic *Intercomm) sendID() uint64 {

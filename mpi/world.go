@@ -46,6 +46,7 @@ type World struct {
 	faultPlan *FaultPlan
 	fault     *transport.Injector
 	intact    bool // no FaultCorrupt rule in faultPlan; see Intact
+	once      bool // no FaultDuplicate rule in faultPlan; see DeliversOnce
 	failed    []atomic.Bool
 	failedCh  []chan struct{}
 	crashed   atomic.Int64
@@ -271,13 +272,14 @@ func newWorldCore(size int, watchdog time.Duration, opts []Option) (*World, erro
 	w.beats = make([]atomic.Int64, size)
 	w.incs = make([]atomic.Uint32, size)
 	w.epochs = make([]atomic.Int64, size)
-	w.intact = true
+	w.intact, w.once = true, true
 	if w.faultPlan != nil {
 		var err error
 		if w.fault, err = transport.NewInjector(*w.faultPlan, size, transport.Messages); err != nil {
 			return nil, err
 		}
 		w.intact = !w.faultPlan.Corrupts()
+		w.once = !w.faultPlan.Duplicates()
 	}
 	if w.tracer != nil {
 		w.tracks = make([]*trace.Track, size)

@@ -95,9 +95,8 @@ func TestOnRecvCrashFiresWithAndWithoutTimeout(t *testing.T) {
 // exactly the request and response envelopes and transport messages, and
 // for the stream its call handle, sender and frame: the server keeps no
 // dedup entry for a request its client never re-sends. A client with a
-// Timeout adds two for the blocked receive's deadline timer and goes
-// through the dedup path, which stores its entries by value and so adds
-// none.
+// Timeout allocates exactly as much: its blocked receive re-arms the
+// mailbox's one deadline timer, and its dedup path stores entries by value.
 func TestWaitLoopAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -105,7 +104,7 @@ func TestWaitLoopAllocs(t *testing.T) {
 		call, frame float64
 	}{
 		{"fail-stop", 0, 4, 10},
-		{"timeout", time.Minute, 6, 12},
+		{"timeout", time.Minute, 4, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pool := buf.NewPool(4096, 8)

@@ -113,7 +113,10 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // ErrTruncatedFrame. The payload is freshly allocated (it must outlive the
 // read buffer — it goes straight into a mailbox); the sock engine reads a
 // held frame's payload into a pooled chunk instead, through the same
-// readHeader and readPayload.
+// readHeader and readPayload. It reads header and payload with one
+// io.ReadFull each, so over a bare conn a frame costs two reads; the sock
+// engine passes a session's bufio.Reader (readWire), which serves a burst
+// of frames from one read.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [FrameHeaderLen]byte
 	n, err := readHeader(r, &hdr)

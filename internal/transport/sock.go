@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -96,7 +97,9 @@ type SockConfig struct {
 	// hang. Default 60s.
 	JoinTimeout time.Duration
 	// WriteTimeout bounds every data-plane write; a write that cannot
-	// complete tears the connection and enters recovery. Default 10s.
+	// complete tears the connection and enters recovery. A session's write
+	// deadline is re-armed only when fewer than ⅞ of it remain, so a write
+	// gets between ⅞·WriteTimeout and WriteTimeout. Default 10s.
 	WriteTimeout time.Duration
 	// HandshakeTimeout bounds each step of the hello/resume session
 	// handshake (and the acceptor's wait for a hello). Default 2s.
@@ -224,6 +227,9 @@ type Sock struct {
 	rpools recvPools
 	closed atomic.Bool
 	stop   chan struct{}
+	// drained wakes a draining Close when a queue may have changed: an ack
+	// trimmed it, a session came up, a peer died or rejoined.
+	drained chan struct{}
 
 	// spawnMu serializes goroutine spawns from untracked callers (Send's
 	// reconnect kick) against Close's wg.Wait.
@@ -320,6 +326,8 @@ type sockPeer struct {
 	inc  uint32
 	dead bool
 	conn net.Conn // current outgoing session, nil between sessions
+	// wdl is the write deadline armed on conn, zero when none is.
+	wdl time.Time
 
 	attempt      uint64 // dial-session counter, monotone per peer
 	nextSeq      uint64 // sequence of the next new data frame
@@ -327,7 +335,7 @@ type sockPeer struct {
 	queue        []wireEntry
 	reconnecting bool
 	everConn     bool      // a session existed before (reconnect counting)
-	lastProgress time.Time // last ack advance or completed write
+	lastProgress time.Time // last ack advance or successful write's start
 }
 
 // recvState is the acceptor-side state for one peer: which session is
@@ -366,13 +374,14 @@ func DialSock(cfg SockConfig) (*Sock, error) {
 		return nil, err
 	}
 	s := &Sock{
-		cfg:    cfg,
-		faults: faults,
-		ln:     ln,
-		peers:  make([]sockPeer, cfg.Size),
-		recv:   make([]recvState, cfg.Size),
-		rpools: newRecvPools(),
-		stop:   make(chan struct{}),
+		cfg:     cfg,
+		faults:  faults,
+		ln:      ln,
+		peers:   make([]sockPeer, cfg.Size),
+		recv:    make([]recvState, cfg.Size),
+		rpools:  newRecvPools(),
+		stop:    make(chan struct{}),
+		drained: make(chan struct{}, 1),
 	}
 	s.addr = ln.Addr().String()
 
@@ -555,6 +564,12 @@ func encodeWire(seq uint64, f *Frame) []byte {
 // heldBit is read into a chunk from rp and returned with held true: the
 // caller then owns one reference and either delivers the payload or
 // releases it. A read that fails releases the chunk itself.
+//
+// Every session reads through one bufio.Reader that lives as long as its
+// conn, so a burst of frames costs one read syscall, not three per frame
+// (prefix, header, payload). A held payload still lands in its chunk
+// directly: the reader copies only the bytes it already buffered and
+// reads the rest straight into the chunk.
 func readWire(r io.Reader, rp *recvPools) (seq uint64, f Frame, held bool, err error) {
 	var pre [8]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
@@ -632,11 +647,12 @@ func (s *Sock) Send(dst int, f *Frame) error {
 		// keeps frames whole and per-peer ordering FIFO.
 		e := &p.queue[len(p.queue)-1]
 		e.sent = true
-		p.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		now := time.Now()
+		s.armWriteLocked(p, now)
 		if err := writeEntry(p.conn, e); err != nil {
 			s.tearLocked(p, dst, err)
 		} else {
-			p.lastProgress = time.Now()
+			p.lastProgress = now
 		}
 	case p.conn == nil && !p.reconnecting:
 		s.startReconnectLocked(p, dst)
@@ -644,6 +660,17 @@ func (s *Sock) Send(dst int, f *Frame) error {
 	p.mu.Unlock()
 	buf.Release(f.Data) // a copied entry has its bytes, a held one its own reference
 	return nil
+}
+
+// armWriteLocked re-arms the live session's write deadline to
+// now+WriteTimeout when fewer than ⅞·WriteTimeout of the armed one remain,
+// so the next write is bounded by between ⅞·WriteTimeout and WriteTimeout
+// without a SetWriteDeadline per frame. Caller holds p.mu.
+func (s *Sock) armWriteLocked(p *sockPeer, now time.Time) {
+	if p.wdl.Sub(now) < s.cfg.WriteTimeout-s.cfg.WriteTimeout/8 {
+		p.wdl = now.Add(s.cfg.WriteTimeout)
+		p.conn.SetWriteDeadline(p.wdl)
+	}
 }
 
 // tearLocked closes a suspect session and kicks background recovery.
@@ -705,9 +732,9 @@ func (s *Sock) reconnectLoop(dst int, inc uint32) {
 			s.redials.Add(1)
 			s.recovery(dst, "redial", 0, nil)
 		}
-		conn, resume, err := s.dialSession(dst, addr, inc, attempt)
+		conn, br, resume, err := s.dialSession(dst, addr, inc, attempt)
 		if err == nil {
-			installed, retry := s.installSession(dst, inc, attempt, conn, resume)
+			installed, retry := s.installSession(dst, inc, attempt, conn, br, resume)
 			if installed {
 				return
 			}
@@ -729,6 +756,7 @@ func (s *Sock) reconnectLoop(dst int, inc uint32) {
 				p.dead = true
 				releaseQueue(p.queue)
 				p.queue = nil
+				wake(s.drained)
 			}
 			if p.inc == inc {
 				p.reconnecting = false
@@ -755,11 +783,12 @@ func (s *Sock) reconnectLoop(dst int, inc uint32) {
 
 // dialSession opens one session toward a peer: dial (through the wire
 // fault layer, faults being sender-scoped), send the hello, await the
-// resume answer. Every step is deadline-bounded.
-func (s *Sock) dialSession(dst int, addr string, inc uint32, attempt uint64) (net.Conn, uint64, error) {
+// resume answer. Every step is deadline-bounded. The returned reader is
+// the session's read side for its life; acks are 48 bytes, so it is small.
+func (s *Sock) dialSession(dst int, addr string, inc uint32, attempt uint64) (net.Conn, *bufio.Reader, uint64, error) {
 	raw, err := net.Dial(s.cfg.Network, addr)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	conn := s.faults.wrap(raw, s.cfg.Rank, dst)
 	data := binary.LittleEndian.AppendUint32(nil, inc)
@@ -768,30 +797,32 @@ func (s *Sock) dialSession(dst int, addr string, inc uint32, attempt uint64) (ne
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
 	if _, err := conn.Write(encodeWire(0, &hello)); err != nil {
 		conn.Close()
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
+	br := bufio.NewReaderSize(conn, 256)
 	conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	_, resp, _, err := readWire(conn, nil)
+	_, resp, _, err := readWire(br, nil)
 	if err != nil {
 		conn.Close()
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	if resp.CommID != helloCommID || resp.Tag != ctlResume || len(resp.Data) != 8 {
 		conn.Close()
-		return nil, 0, fmt.Errorf("transport: bad session resume from rank %d", dst)
+		return nil, nil, 0, fmt.Errorf("transport: bad session resume from rank %d", dst)
 	}
 	conn.SetReadDeadline(time.Time{})
 	conn.SetWriteDeadline(time.Time{})
-	return conn, binary.LittleEndian.Uint64(resp.Data), nil
+	return conn, br, binary.LittleEndian.Uint64(resp.Data), nil
 }
 
 // installSession makes a freshly handshaked connection the live session:
 // trims the retransmit queue to the acceptor's resume point, resends
-// everything still pending, installs the conn and starts its ack reader.
+// everything still pending, installs the conn and starts its ack reader
+// on br, the reader the handshake used.
 // Returns installed=false with retry=true when the flush failed (the loop
 // should back off and redial) and retry=false when the session is moot
 // (shutdown, death, rejoin, or a newer dial superseded this one).
-func (s *Sock) installSession(dst int, inc uint32, attempt uint64, conn net.Conn, resume uint64) (installed, retry bool) {
+func (s *Sock) installSession(dst int, inc uint32, attempt uint64, conn net.Conn, br *bufio.Reader, resume uint64) (installed, retry bool) {
 	p := &s.peers[dst]
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -834,15 +865,17 @@ func (s *Sock) installSession(dst int, inc uint32, attempt uint64, conn net.Conn
 		s.recovery(dst, "resend", resent, nil)
 	}
 	p.conn = conn
+	p.wdl = time.Time{}
 	p.reconnecting = false
 	p.lastProgress = time.Now()
+	wake(s.drained)
 	if p.everConn {
 		s.reconnects.Add(1)
 		s.recovery(dst, "reconnect", 0, nil)
 	}
 	p.everConn = true
 	s.wg.Add(1)
-	go s.ackLoop(dst, inc, conn)
+	go s.ackLoop(dst, inc, conn, br)
 	return true, false
 }
 
@@ -870,12 +903,13 @@ func trimQueue(p *sockPeer, ack uint64) {
 // ackLoop is the dialer's read side of one session: it consumes the
 // acceptor's cumulative acks (trimming the retransmit queue) and doubles
 // as half-open detection — a dead read is how the write side learns a
-// quiet connection is gone without waiting to write into it.
-func (s *Sock) ackLoop(dst int, inc uint32, conn net.Conn) {
+// quiet connection is gone without waiting to write into it. It reads conn
+// through br.
+func (s *Sock) ackLoop(dst int, inc uint32, conn net.Conn, br *bufio.Reader) {
 	defer s.wg.Done()
 	p := &s.peers[dst]
 	for {
-		_, f, _, err := readWire(conn, nil)
+		_, f, _, err := readWire(br, nil)
 		if err != nil {
 			p.mu.Lock()
 			if p.conn == conn {
@@ -899,6 +933,7 @@ func (s *Sock) ackLoop(dst int, inc uint32, conn net.Conn) {
 			p.acked = ack
 			trimQueue(p, ack)
 			p.lastProgress = time.Now()
+			wake(s.drained)
 		}
 		p.mu.Unlock()
 	}
@@ -947,15 +982,18 @@ var errAckStall = errors.New("transport: no ack progress within the retransmit t
 // socket under frames still queued for a session that is not up yet, and
 // a clean exit would read as frame loss to its peers. Each live session
 // with pending frames gets one ack request per (session, frame count), so
-// the drain takes a round trip, not an AckInterval.
+// the drain takes a round trip, not an AckInterval. Between passes it
+// waits on s.drained, not on a clock: an ack trim, a session coming up, a
+// peer's death or rejoin wakes it.
 func (s *Sock) drain() {
 	type ask struct {
 		conn net.Conn
 		seq  uint64
 	}
 	asked := make([]ask, len(s.peers))
-	deadline := time.Now().Add(s.cfg.DrainTimeout)
-	for time.Now().Before(deadline) {
+	budget := time.NewTimer(s.cfg.DrainTimeout)
+	defer budget.Stop()
+	for {
 		pending := false
 		for i := range s.peers {
 			p := &s.peers[i]
@@ -977,7 +1015,11 @@ func (s *Sock) drain() {
 		if !pending {
 			return
 		}
-		time.Sleep(2 * time.Millisecond)
+		select {
+		case <-s.drained:
+		case <-budget.C:
+			return
+		}
 	}
 }
 
@@ -985,7 +1027,7 @@ func (s *Sock) drain() {
 // write tears it like a failed data write. Caller holds p.mu.
 func (s *Sock) requestAckLocked(p *sockPeer, dst int) {
 	req := s.ctlFrame(ctlAckReq, nil)
-	p.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	s.armWriteLocked(p, time.Now())
 	if _, err := p.conn.Write(encodeWire(0, &req)); err != nil {
 		s.tearLocked(p, dst, err)
 	}
@@ -1059,8 +1101,11 @@ func (s *Sock) acceptLoop() {
 func (s *Sock) readLoop(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
+	// One reader for the session's life, from the hello on: 16 KiB holds a
+	// burst of small frames whole, and a held payload reads past it.
+	br := bufio.NewReaderSize(conn, 16<<10)
 	conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	_, hello, _, err := readWire(conn, nil)
+	_, hello, _, err := readWire(br, nil)
 	if err != nil || hello.CommID != helloCommID || hello.Tag != ctlHello ||
 		hello.WorldSrc < 0 || hello.WorldSrc >= len(s.peers) || len(hello.Data) != 12 {
 		return
@@ -1102,7 +1147,7 @@ func (s *Sock) readLoop(conn net.Conn) {
 	go s.ackFlusher(r, conn, kick)
 
 	for {
-		seq, f, held, err := readWire(conn, &s.rpools)
+		seq, f, held, err := readWire(br, &s.rpools)
 		if err != nil {
 			s.detachRecv(r, conn)
 			return
@@ -1118,7 +1163,7 @@ func (s *Sock) readLoop(conn net.Conn) {
 			// wakes the flusher, any other is stray.
 			discard()
 			if f.Tag == ctlAckReq {
-				ackNow(kick)
+				wake(kick)
 			}
 			continue
 		}
@@ -1141,7 +1186,7 @@ func (s *Sock) readLoop(conn net.Conn) {
 			if held {
 				// The sender holds this frame's chunk until our ack: send
 				// it now, so the hold lasts a round trip, not AckInterval.
-				ackNow(kick)
+				wake(kick)
 			}
 		case seq < r.seq:
 			r.mu.Unlock() // a duplicate of an already-delivered frame
@@ -1157,10 +1202,11 @@ func (s *Sock) readLoop(conn net.Conn) {
 	}
 }
 
-// ackNow wakes an ack flusher unless an ack is already due.
-func ackNow(kick chan<- struct{}) {
+// wake signals a one-slot wakeup channel unless a wakeup is already
+// pending: an ack flusher's kick, or a draining Close's s.drained.
+func wake(ch chan<- struct{}) {
 	select {
-	case kick <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
@@ -1231,6 +1277,7 @@ func (s *Sock) peerConnDied(rank int, inc uint32) {
 	releaseQueue(p.queue)
 	p.queue = nil
 	p.mu.Unlock()
+	wake(s.drained)
 	s.notifyDeath(rank)
 }
 
@@ -1287,6 +1334,7 @@ func (s *Sock) peerRejoined(rank int, addr string, inc uint32) {
 	p.everConn = false
 	p.lastProgress = time.Now()
 	p.mu.Unlock()
+	wake(s.drained)
 	if wasDead && s.cfg.OnPeerRejoin != nil {
 		s.cfg.OnPeerRejoin(rank)
 	}

@@ -354,6 +354,45 @@ func TestSeamRecvUntilDeadline(t *testing.T) {
 	})
 }
 
+// One deadline timer serves every wait on a mailbox: a short wait that
+// starts while a long one is pending ends at its own deadline, the long one
+// still ends at its own afterwards, and a wait that follows both is bounded
+// too.
+func TestSeamRecvUntilSharedTimer(t *testing.T) {
+	runRecvUntil(t, func(c *Comm, ic *Intercomm) {
+		if c.Rank() > 0 {
+			ic.Recv(0, tagBye)
+			return
+		}
+		const slack = 300 * time.Millisecond
+		wait := func(d time.Duration) {
+			start := time.Now()
+			_, _, ok := ic.RecvUntil([]int{0, 1}, tagData, start.Add(d))
+			if took := time.Since(start); ok || took < d || took > d+slack {
+				panic(fmt.Sprintf("%v wait: ok=%v after %v", d, ok, took))
+			}
+		}
+		long := make(chan any, 1)
+		go func() {
+			defer func() { long <- recover() }()
+			wait(2 * slack)
+		}()
+		time.Sleep(10 * time.Millisecond) // the long wait arms the timer first
+		wait(30 * time.Millisecond)
+		select {
+		case p := <-long:
+			if p != nil {
+				panic(p)
+			}
+		case <-time.After(5 * time.Second):
+			panic("the long wait never ended after a shorter one fired the timer")
+		}
+		wait(40 * time.Millisecond)
+		ic.Send(0, tagBye, nil)
+		ic.Send(1, tagBye, nil)
+	})
+}
+
 func TestSeamRecvUntilOutlivesOneSource(t *testing.T) {
 	runRecvUntil(t, func(c *Comm, ic *Intercomm) {
 		switch c.Rank() {

@@ -570,6 +570,12 @@ type mailbox struct {
 	waitWorldSrc     int
 	received         uint64
 	blockedTotal     time.Duration
+
+	// timer wakes every waiter at armed, the earliest deadline a waiter
+	// asked for since it last fired (zero: none pending). One per mailbox,
+	// created by the first deadline-bounded wait.
+	timer *time.Timer
+	armed time.Time
 }
 
 // progress snapshots the receive-progress bookkeeping.
@@ -628,6 +634,30 @@ func (b *mailbox) wakeAll() {
 	b.mu.Lock()
 	b.cond.Broadcast()
 	b.mu.Unlock()
+}
+
+// expire is the deadline timer's callback: it disarms the timer and wakes
+// every waiter, each of which re-checks its own deadline and re-arms the
+// timer for a later one. A waker that finds no deadline passed is harmless.
+func (b *mailbox) expire() {
+	b.mu.Lock()
+	b.armed = time.Time{}
+	b.cond.Broadcast()
+	b.mu.Unlock()
+}
+
+// armLocked makes the mailbox's timer fire no later than deadline, d from
+// now. Caller holds b.mu.
+func (b *mailbox) armLocked(deadline time.Time, d time.Duration) {
+	if !b.armed.IsZero() && !deadline.Before(b.armed) {
+		return
+	}
+	b.armed = deadline
+	if b.timer == nil {
+		b.timer = time.AfterFunc(d, b.expire)
+	} else {
+		b.timer.Reset(d)
+	}
 }
 
 func (b *mailbox) put(m *message) {
@@ -716,7 +746,8 @@ func (w *World) peek(self int, commID uint64, src int, ranks []int, tag int, inc
 // ranks lists, or AnySource. remove=false peeks without removing (Probe).
 // A zero deadline blocks until a message arrives; otherwise take returns
 // nil once the deadline passes, at once when it already has (Iprobe), and
-// a blocking wait arms one timer to wake it. While it waits the mailbox is
+// a blocking wait arms the mailbox's one timer for the earliest deadline
+// of its waiters, allocating nothing. While it waits the mailbox is
 // marked waiting, so the watchdog and the supervisor see a blocked rank. A
 // receive whose every source has crashed fails with RankFailedError (naming
 // the first) instead of hanging; an empty srcs matches nothing and waits
@@ -727,7 +758,6 @@ func (w *World) peek(self int, commID uint64, src int, ranks []int, tag int, inc
 func (b *mailbox) take(w *World, self int, commID uint64, srcs, ranks []int, tag int, inc uint32, remove bool, deadline time.Time) *message {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var timer *time.Timer
 	for {
 		if w.aborted.Load() {
 			panic(&AbortedError{Err: w.abortReason()})
@@ -746,9 +776,6 @@ func (b *mailbox) take(w *World, self int, commID uint64, srcs, ranks []int, tag
 				b.msgs = append(b.msgs[:i], b.msgs[i+1:]...)
 			}
 			b.received++
-			if timer != nil {
-				timer.Stop()
-			}
 			return m
 		}
 		if w.sourcesGone(srcs, ranks, tag) {
@@ -759,9 +786,7 @@ func (b *mailbox) take(w *World, self int, commID uint64, srcs, ranks []int, tag
 			if d <= 0 {
 				return nil
 			}
-			if timer == nil {
-				timer = time.AfterFunc(d, b.wakeAll)
-			}
+			b.armLocked(deadline, d)
 		}
 		if !b.waiting {
 			b.waiting = true

@@ -171,7 +171,7 @@ type DistMetadataVOL struct {
 	// are served concurrently (fan-out).
 	serveMu sync.Mutex
 
-	indexes map[string]map[string][]indexEntry // file -> dataset path -> entries
+	indexes map[string]map[string]datasetIndex // file -> dataset path -> index
 
 	// parked holds consumer requests for files not yet indexed on this rank
 	// — e.g. a consumer racing ahead to the next timestep's file while we
@@ -205,10 +205,16 @@ type DistMetadataVOL struct {
 
 	stats ServeStats
 
-	// qmu guards qstats: the consumer side of a rank is single-threaded,
-	// but stats may be read while an async serve session is still running.
+	// qmu guards qstats and redirects: the consumer side of a rank is
+	// single-threaded, but stats may be read while an async serve session
+	// is still running, and a file's reads may run concurrently.
 	qmu    sync.Mutex
 	qstats QueryStats
+
+	// redirects holds the consumer's redirect records (Alg. 3 step 1), one
+	// per (intercomm, dataset path), each tagged with the layout
+	// fingerprint it was fetched under (see redirect.go).
+	redirects map[redirectKey]*redirect
 
 	// Instrument handles resolved once from Metrics, so the serve and query
 	// paths never touch the registry lock. All nil (recording no-ops)
@@ -244,8 +250,9 @@ type ServeStats struct {
 	MetadataRequests int64
 	// BoxQueries is the number of redirect queries answered from the
 	// distributed index (Alg. 2 lines 4-8). A consumer asks each owner once
-	// per dataset per open file, so this counts redirect fetches, not reads;
-	// it equals the consumers' QueryStats.BoxQueries.
+	// per dataset per layout, however many files share that layout, so this
+	// counts redirect fetches, not reads or files; it equals the consumers'
+	// QueryStats.BoxQueries.
 	BoxQueries int64
 	// DataQueries is the number of data queries served (Alg. 2 lines 9-14).
 	DataQueries int64
@@ -292,8 +299,11 @@ type QueryStats struct {
 	MetadataFetches int64
 	// BoxQueries is the number of redirect queries issued to the owners of
 	// intersecting common-decomposition blocks (Alg. 3 step 1). Each owner
-	// is asked once per dataset per open file and later reads use its cached
-	// answer, so this counts redirect fetches, not reads.
+	// is asked once per dataset per layout: later reads, and later files
+	// whose metadata carries the same layout fingerprint, use its cached
+	// answer, so this counts redirect fetches, not reads or files. In a
+	// time loop whose decomposition holds, it stops growing after the
+	// first step.
 	BoxQueries int64
 	// DataQueries is the number of data requests issued to producers that
 	// hold intersecting boxes (Alg. 3 step 2).
@@ -379,6 +389,14 @@ type indexEntry struct {
 	src int // producer rank that wrote the box
 }
 
+// datasetIndex is one dataset's part of a file's distributed index on this
+// rank: the entries it owns or replicates, and the dataset's layout
+// fingerprint, the same on every producer rank.
+type datasetIndex struct {
+	entries []indexEntry
+	layout  layoutPrint
+}
+
 // NewDistMetadataVOL builds the distributed VOL for one rank of a task.
 // local is the task's communicator; base (optional) handles file passthru.
 func NewDistMetadataVOL(local *mpi.Comm, base h5.Connector) *DistMetadataVOL {
@@ -386,7 +404,7 @@ func NewDistMetadataVOL(local *mpi.Comm, base h5.Connector) *DistMetadataVOL {
 		MetadataVOL:  NewMetadataVOL(base),
 		local:        local,
 		ServeOnClose: true,
-		indexes:      map[string]map[string][]indexEntry{},
+		indexes:      map[string]map[string]datasetIndex{},
 		parked:       map[*mpi.Intercomm][]parkedReq{},
 	}
 }
@@ -666,7 +684,9 @@ func (v *DistMetadataVOL) ServeAsync(name string) (*ServeHandle, error) {
 
 // buildIndex implements Algorithm 1: every producer rank sends the bounding
 // box of each written data space to the ranks owning intersecting blocks of
-// the common decomposition; owners record (box, source).
+// the common decomposition; owners record (box, source). Each message also
+// carries the sender's own layout digest of every dataset, and every rank
+// folds the n digests in rank order into the dataset's fingerprint.
 func (v *DistMetadataVOL) buildIndex(fn *FileNode) error {
 	if tr := v.track(); tr != nil {
 		t0 := tr.Begin()
@@ -680,33 +700,48 @@ func (v *DistMetadataVOL) buildIndex(fn *FileNode) error {
 	if repl > n {
 		repl = n
 	}
-	out := make([]*h5.Encoder, n)
-	for i := range out {
-		out[i] = &h5.Encoder{}
+	type written struct {
+		node  *Node
+		path  string
+		boxes []grid.Box
 	}
+	var dsets []written
 	var walk func(node *Node)
 	walk = func(node *Node) {
 		if node.Kind == h5.KindDataset {
-			dc := grid.CommonDecomposition(node.Space.Dims(), n)
-			path := node.Path()
-			for _, bb := range node.WrittenBoxes() {
-				for _, blk := range dc.Intersecting(bb) {
-					// With replication, each entry also goes to the next
-					// repl-1 ranks, the failover targets consumers try
-					// when the block's primary owner is unreachable.
-					for k := 0; k < repl; k++ {
-						e := out[(blk+k)%n]
-						e.PutString(path)
-						encodeBox(e, bb)
-					}
-				}
-			}
+			dsets = append(dsets, written{node, node.Path(), node.WrittenBoxes()})
 		}
 		for _, c := range node.Children() {
 			walk(c)
 		}
 	}
 	walk(fn.Node)
+	paths := make([]string, len(dsets))
+	own := make([]layoutPrint, len(dsets))
+	for i, ds := range dsets {
+		paths[i], own[i] = ds.path, ownLayout(ds.node.Space.Dims(), ds.boxes)
+	}
+	head := &h5.Encoder{}
+	encodeIndexDigests(head, paths, own)
+	out := make([]*h5.Encoder, n)
+	for i := range out {
+		out[i] = &h5.Encoder{Buf: append([]byte(nil), head.Buf...)}
+	}
+	for _, ds := range dsets {
+		dc := grid.CommonDecomposition(ds.node.Space.Dims(), n)
+		for _, bb := range ds.boxes {
+			for _, blk := range dc.Intersecting(bb) {
+				// With replication, each entry also goes to the next
+				// repl-1 ranks, the failover targets consumers try
+				// when the block's primary owner is unreachable.
+				for k := 0; k < repl; k++ {
+					e := out[(blk+k)%n]
+					e.PutString(ds.path)
+					encodeBox(e, bb)
+				}
+			}
+		}
+	}
 	msgs := make([][]byte, n)
 	for i, e := range out {
 		msgs[i] = e.Buf
@@ -717,22 +752,51 @@ func (v *DistMetadataVOL) buildIndex(fn *FileNode) error {
 	if err != nil {
 		return err
 	}
-	idx := map[string][]indexEntry{}
-	for src, buf := range in {
-		d := &h5.Decoder{Buf: buf}
-		for d.Pos < len(d.Buf) {
-			path := d.String()
-			box := decodeBox(d)
-			if d.Err != nil {
-				return fmt.Errorf("lowfive: corrupt index message from rank %d: %v", src, d.Err)
-			}
-			idx[path] = append(idx[path], indexEntry{box: box, src: src})
-		}
+	idx, err := indexFrom(in)
+	if err != nil {
+		return err
 	}
 	v.serveMu.Lock()
 	v.indexes[fn.FileName] = idx
 	v.serveMu.Unlock()
 	return nil
+}
+
+// indexFrom files the n messages of an index exchange, one per source rank,
+// into this rank's index of the file, and folds each dataset's n digests
+// in rank order into its fingerprint. An entry whose sender gave no digest
+// for its dataset is as corrupt as an undecodable message.
+func indexFrom(in [][]byte) (map[string]datasetIndex, error) {
+	idx := map[string]datasetIndex{}
+	digests := map[string][]layoutPrint{} // dataset path -> each rank's own digest
+	for src, buf := range in {
+		var orphan *string
+		err := decodeIndexMsg(buf, func(path string, p layoutPrint) {
+			if digests[path] == nil {
+				digests[path] = make([]layoutPrint, len(in))
+			}
+			digests[path][src] = p
+		}, func(path string, box grid.Box) {
+			if digests[path] == nil || digests[path][src] == (layoutPrint{}) {
+				orphan = &path
+			}
+			di := idx[path]
+			di.entries = append(di.entries, indexEntry{box: box, src: src})
+			idx[path] = di
+		})
+		if err == nil && orphan != nil {
+			err = fmt.Errorf("entry for %q without its layout digest", *orphan)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("lowfive: corrupt index message from rank %d: %v", src, err)
+		}
+	}
+	for path, own := range digests {
+		di := idx[path]
+		di.layout = foldLayout(own)
+		idx[path] = di
+	}
+	return idx, nil
 }
 
 // icServer multiplexes serve sessions for one intercommunicator: a single
@@ -973,18 +1037,19 @@ func (v *DistMetadataVOL) dispatch(s *icServer, src int, seq uint64, req request
 }
 
 // answer builds the response to an answerable metadata or redirect query;
-// the caller holds serveMu. A redirect query is answered with all of this
-// rank's index entries for the dataset, not just those meeting the read: the
-// index cannot change while the file is served, so the consumer fetches it
-// once per open file.
+// the caller holds serveMu. A metadata answer carries the layout
+// fingerprint of each dataset. A redirect query is answered with all of
+// this rank's index entries for the dataset, not just those meeting the
+// read: the entries follow from the layout, so the consumer fetches them
+// once per layout.
 func (v *DistMetadataVOL) answer(req request) []byte {
 	if req.op == opMetadata {
 		v.stats.MetadataRequests++
 		fn, _ := v.File(req.file) // nil once the file was removed after serving
-		return encodeMetadataResp(fn)
+		return encodeMetadataResp(fn, v.indexes[req.file])
 	}
 	v.stats.BoxQueries++
-	return encodeBoxesResp(v.indexes[req.file][req.dset], req.box.Dim())
+	return encodeBoxesResp(v.indexes[req.file][req.dset].entries, req.box.Dim())
 }
 
 // observeServe records one inline-answered request into the serve-latency
@@ -1162,6 +1227,7 @@ func (v *DistMetadataVOL) openRemote(name string, ic *mpi.Intercomm) (h5.FileHan
 	partner := ic.LocalRank() % n
 	tr := v.track()
 	var root *Node
+	var layouts map[*Node]datasetLayout
 	var lastErr error
 	// Any producer rank can answer a metadata request (the hierarchy is
 	// replicated task-wide), so fail over through all of them before giving
@@ -1199,7 +1265,7 @@ func (v *DistMetadataVOL) openRemote(name string, ic *mpi.Intercomm) (h5.FileHan
 			}
 			continue
 		}
-		root, err = decodeMetadataResp(resp)
+		root, layouts, err = decodeMetadataResp(resp)
 		if err != nil {
 			return nil, fmt.Errorf("lowfive: opening %q remotely: %w", name, err)
 		}
@@ -1213,7 +1279,7 @@ func (v *DistMetadataVOL) openRemote(name string, ic *mpi.Intercomm) (h5.FileHan
 		}
 		return nil, fmt.Errorf("lowfive: opening %q remotely: %w", name, lastErr)
 	}
-	return v.newRemoteFile(name, root, &liveSource{ic: ic, client: client}), nil
+	return v.newRemoteFile(name, root, &liveSource{ic: ic, client: client, layouts: layouts}), nil
 }
 
 // fileFallbackOpen opens the named file through the base connector (full

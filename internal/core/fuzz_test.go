@@ -109,6 +109,92 @@ func FuzzDecodeBoxesResp(f *testing.F) {
 	})
 }
 
+// indexMsgFixture is producer 0's index-exchange message to a rank owning
+// blocks of both datasets of a two-producer file: the digest section, then
+// one entry per dataset.
+func indexMsgFixture() []byte {
+	grid2 := grid.Box{Min: []int64{0, 0}, Max: []int64{3, 7}}
+	part := grid.Box{Min: []int64{0, 0}, Max: []int64{9, 2}}
+	e := &h5.Encoder{}
+	encodeIndexDigests(e, []string{"/state/grid", "/particles"}, []layoutPrint{
+		ownLayout([]int64{8, 8}, []grid.Box{grid2}),
+		ownLayout([]int64{20, 3}, []grid.Box{part}),
+	})
+	e.PutString("/state/grid")
+	encodeBox(e, grid2)
+	e.PutString("/particles")
+	encodeBox(e, part)
+	return e.Buf
+}
+
+// FuzzDecodeIndexMsg: an index-exchange message is input from another
+// producer rank. Whatever it holds, filing it never panics; a message the
+// decoder accepts re-encodes to exactly its bytes and is filed with a
+// fingerprint for every dataset; a refused one fails with the error naming
+// its sender. The corpus in testdata/fuzz/FuzzDecodeIndexMsg holds hostile
+// digest counts, a truncated digest and an entry without its digest.
+func FuzzDecodeIndexMsg(f *testing.F) {
+	valid := indexMsgFixture()
+	seedMutations(f, valid)
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		var paths []string
+		var own []layoutPrint
+		entries := &h5.Encoder{}
+		err := decodeIndexMsg(buf, func(path string, p layoutPrint) {
+			paths, own = append(paths, path), append(own, p)
+		}, func(path string, box grid.Box) {
+			entries.PutString(path)
+			encodeBox(entries, box)
+		})
+		if err == nil {
+			re := &h5.Encoder{}
+			encodeIndexDigests(re, paths, own)
+			if re.Buf = append(re.Buf, entries.Buf...); !bytes.Equal(re.Buf, buf) {
+				t.Errorf("accepted message re-encodes to %d bytes, not its %d", len(re.Buf), len(buf))
+			}
+		}
+		// Filed as rank 1's message beside rank 0's valid one.
+		idx, ferr := indexFrom([][]byte{valid, buf})
+		if ferr != nil {
+			if !strings.Contains(ferr.Error(), "corrupt index message from rank 1") {
+				t.Errorf("refused with %q, want the error naming rank 1", ferr)
+			}
+			return
+		}
+		if err != nil {
+			t.Errorf("filed a message the decoder refuses: %v", err)
+		}
+		for path, di := range idx {
+			if di.layout == (layoutPrint{}) {
+				t.Errorf("dataset %q filed without a fingerprint", path)
+			}
+		}
+	})
+}
+
+// FuzzDecodeMetadataResp: a metadata answer is input from another process.
+// Whatever it holds, the decoder never panics, and every layout it accepts
+// belongs to a dataset of the decoded tree, under that dataset's path. The
+// corpus in testdata/fuzz/FuzzDecodeMetadataResp holds hostile layout
+// counts, a truncated fingerprint, paths naming a group or nothing, and
+// trailing bytes.
+func FuzzDecodeMetadataResp(f *testing.F) {
+	vol, _ := requestFixture(f)
+	fn, _ := vol.File("outfile.h5")
+	seedMutations(f, encodeMetadataResp(fn, vol.indexes["outfile.h5"]))
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		root, layouts, err := decodeMetadataResp(buf)
+		if err != nil {
+			return
+		}
+		for node, l := range layouts {
+			if got, err := root.Resolve(l.path); err != nil || got != node || node.Kind != h5.KindDataset {
+				t.Errorf("layout for %q is not the tree's dataset there (err %v)", l.path, err)
+			}
+		}
+	})
+}
+
 func FuzzDecodeDataspace(f *testing.F) {
 	sp, err := h5.NewSimpleMax([]int64{8, 8}, []int64{16, 16})
 	if err != nil {
@@ -168,7 +254,7 @@ func requestFixture(t testing.TB) (*DistMetadataVOL, *Node) {
 		}
 		entries = append(entries, indexEntry{box: box, src: i})
 	}
-	vol.indexes["outfile.h5"] = map[string][]indexEntry{"/state/grid": entries}
+	vol.indexes["outfile.h5"] = map[string]datasetIndex{"/state/grid": {entries: entries, layout: layoutPrint{1}}}
 	vol.putFile("outfile.h5", fn)
 	return vol, ds
 }

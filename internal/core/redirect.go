@@ -10,33 +10,49 @@ import (
 	"lowfive/mpi"
 )
 
-// One redirect per owner per open file. Step 1 of Algorithm 3 asks the
-// owners of the common-decomposition blocks a read touches which producers
-// hold data for it. An owner's index cannot change while its file is being
-// served, and an open remote file ends its serve session only at Close (the
-// done messages). So each owner is asked once per dataset per open file for
-// all its entries, and every read filters the cached entries itself, with
-// the filter the owners used to apply. The cache lives in the file's
-// liveSource and dies at Close; it never outlives the index it copies.
+// One redirect per owner per layout. Step 1 of Algorithm 3 asks the owners
+// of the common-decomposition blocks a read touches which producers hold
+// data for it. An owner answers with all its entries of the dataset, and
+// those follow from the dataset's layout: the producer count, the dims and
+// every producer's written boxes. Algorithm 1 digests exactly that into a
+// layout fingerprint, which every producer holds and each metadata answer
+// carries. A time loop writes a new file every step, usually with the same
+// decomposition, so the consumer keeps its records on the VOL, not on the
+// open file: one per (intercomm, dataset path), tagged with the fingerprint
+// it was fetched under. An open whose metadata shows the same fingerprint
+// reads through the record, its reads going straight to their data
+// streams; a different fingerprint replaces it. Each owner is thus asked
+// once per dataset per layout, every read filters the cached entries
+// itself with the filter the owners used to apply, and the table holds at
+// most one record per (intercomm, dataset path), however many steps run.
 
-// redirect is one dataset's redirect cache on an open remote file.
-type redirect struct {
+// redirectKey names a redirect record: one dataset path served over one
+// intercommunicator.
+type redirectKey struct {
+	ic   *mpi.Intercomm
 	path string
-	dc   grid.Decomposition // the common decomposition over the producers
-	rank int
+}
 
-	// mu guards the answers, which concurrent reads of the file may fetch.
-	// It is not held across a fetch: two reads missing the same owner at
-	// once both ask it, and both calls are counted on both sides.
+// redirect is one dataset's redirect record for one layout.
+type redirect struct {
+	path   string
+	layout layoutPrint
+	dc     grid.Decomposition // the common decomposition over the producers
+	rank   int
+
+	// mu guards the answers, which concurrent reads may fetch. It is not
+	// held across a fetch: two reads missing the same owner at once both
+	// ask it, and both calls are counted on both sides.
 	mu      sync.Mutex
 	answers []redirectAnswer // per owner block, valid where fetched is set
 	fetched []bool
 }
 
-func newRedirect(node *Node, producers int) *redirect {
+func newRedirect(node *Node, producers int, l datasetLayout) *redirect {
 	dims := node.Space.Dims()
 	return &redirect{
-		path:    node.Path(),
+		path:    l.path,
+		layout:  l.print,
 		dc:      grid.CommonDecomposition(dims, producers),
 		rank:    len(dims),
 		answers: make([]redirectAnswer, producers),
@@ -93,18 +109,27 @@ func (rd *redirect) store(o int, a redirectAnswer) {
 	rd.mu.Unlock()
 }
 
-// redirectFor returns the redirect cache of a dataset of the open file,
-// creating it on the dataset's first read.
-func (s *liveSource) redirectFor(node *Node) *redirect {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rd := s.redirects[node]
-	if rd == nil {
-		if s.redirects == nil {
-			s.redirects = map[*Node]*redirect{}
+// redirectFor returns the redirect record of a dataset of a file read over
+// ic, given the layouts of the file's metadata answer. The VOL's record is
+// reused while its fingerprint matches and replaced when it does not; a
+// reader still holding a replaced record finishes on it, which is correct
+// for the file it opened. A dataset the answer gave no fingerprint gets a
+// record of its own, which no other read shares.
+func (v *DistMetadataVOL) redirectFor(ic *mpi.Intercomm, node *Node, layouts map[*Node]datasetLayout) *redirect {
+	l, ok := layouts[node]
+	if !ok {
+		return newRedirect(node, ic.RemoteSize(), datasetLayout{path: node.Path()})
+	}
+	k := redirectKey{ic: ic, path: l.path}
+	v.qmu.Lock()
+	defer v.qmu.Unlock()
+	rd := v.redirects[k]
+	if rd == nil || rd.layout != l.print {
+		if v.redirects == nil {
+			v.redirects = map[redirectKey]*redirect{}
 		}
-		rd = newRedirect(node, s.ic.RemoteSize())
-		s.redirects[node] = rd
+		rd = newRedirect(node, ic.RemoteSize(), l)
+		v.redirects[k] = rd
 	}
 	return rd
 }
@@ -127,9 +152,10 @@ func (v *DistMetadataVOL) queryOwners(client *rpc.Client, ic *mpi.Intercomm, fil
 	return rd.order(owners, bb), boxWait, nil
 }
 
-// fetchOwners asks each of owners for its entries of the dataset and caches
-// the answers. Every replica of a block holds all of the block's entries,
-// so an answer from a replica fills the cache as the owner's would.
+// fetchOwners asks each of owners for its entries of the dataset and keeps
+// the answers in the record. Every replica of a block holds all of the
+// block's entries, so an answer from a replica fills the record as the
+// owner's would.
 func (v *DistMetadataVOL) fetchOwners(client *rpc.Client, ic *mpi.Intercomm, file string, rd *redirect, owners []int, bb grid.Box) error {
 	n := ic.RemoteSize()
 	repl := 1

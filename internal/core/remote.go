@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"lowfive/h5"
@@ -175,15 +174,14 @@ func (d *remoteDataset) Read(memSpace, fileSpace *h5.Dataspace, data []byte) err
 
 // liveSource reads from the producer task over RPC.
 type liveSource struct {
-	ic     *mpi.Intercomm
-	client *rpc.Client
-
-	mu        sync.Mutex
-	redirects map[*Node]*redirect // per dataset read, until Close
+	ic      *mpi.Intercomm
+	client  *rpc.Client
+	layouts map[*Node]datasetLayout // from the metadata answer
 }
 
 func (s *liveSource) fill(f *remoteFile, node *Node, fileSpace *h5.Dataspace, t *streamTarget) error {
-	return f.vol.queryStream(s.client, s.ic, f.name, s.redirectFor(node), fileSpace, t)
+	rd := f.vol.redirectFor(s.ic, node, s.layouts)
+	return f.vol.queryStream(s.client, s.ic, f.name, rd, fileSpace, t)
 }
 
 // close sends done to every producer rank, releasing its serve loop. With
@@ -198,11 +196,6 @@ func (s *liveSource) fill(f *remoteFile, node *Node, fileSpace *h5.Dataspace, t 
 // (fresh or replayed); a terminal timeout therefore means the done was
 // counted and only its ack died, not that the done was lost.
 func (s *liveSource) close(f *remoteFile) error {
-	// The dones end the serve session whose index the redirect answers
-	// copy: drop them first.
-	s.mu.Lock()
-	s.redirects = nil
-	s.mu.Unlock()
 	v := f.vol
 	var first error
 	for p := 0; p < s.ic.RemoteSize(); p++ {

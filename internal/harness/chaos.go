@@ -54,6 +54,12 @@ type Case struct {
 	// end-to-end deadline of each consumer call chain. Zero leaves both
 	// defenses off.
 	HedgeDelay, CallBudget time.Duration
+	// OpenWhenServed makes a Synthetic case's consumers open the file only
+	// once every producer serves it. Otherwise they open at once and their
+	// first requests park until the file is indexed, so whether a first
+	// attempt outlives its timeout depends on how long the producers take
+	// to write.
+	OpenWhenServed bool
 	// Policy supervises an Epochs case.
 	Policy workflow.Policy
 	// Stage, when set, runs an Epochs case through a staging store.

@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lowfive/h5"
@@ -39,6 +40,8 @@ func (c Config) faultExchange(spec workload.Spec, k Case) ([][]byte, Result) {
 	data := make([][]byte, spec.Consumers)
 	var qmu sync.Mutex
 	var qstats core.QueryStats
+	served := make(chan struct{}) // closed once every producer serves the file
+	var serving atomic.Int32
 	opts := append(c.mpiOpts(), mpi.WithWatchdog(faultWatchdog))
 	if len(k.Plan.Rules) > 0 {
 		opts = append(opts, mpi.WithFaultPlan(k.Plan))
@@ -53,6 +56,11 @@ func (c Config) faultExchange(spec workload.Spec, k Case) ([][]byte, Result) {
 			vol.SetPassthru("*", true)
 			vol.ReplicationFactor = faultReplication
 			vol.ChunkBytes = c.ChunkBytes
+			vol.OnServe = func(string) {
+				if serving.Add(1) == int32(spec.Producers) {
+					close(served)
+				}
+			}
 			c.instrument(vol, false)
 			fapl := h5.NewFileAccessProps(vol)
 			p.World.Barrier()
@@ -88,6 +96,9 @@ func (c Config) faultExchange(spec workload.Spec, k Case) ([][]byte, Result) {
 			fapl := h5.NewFileAccessProps(vol)
 			p.World.Barrier()
 			rec.Start()
+			if k.OpenWhenServed {
+				<-served
+			}
 			f, err := h5.OpenFile("faults.h5", fapl)
 			if err != nil {
 				errs.add(err)
@@ -202,14 +213,20 @@ func DefaultPartitionCases(spec workload.Spec, seed int64) []Case {
 		return Case{Name: name, HedgeDelay: partitionHedgeDelay, CallBudget: partitionCallBudget, Want: want,
 			Plan: mpi.FaultPlan{Seed: seed, Rules: []mpi.FaultRule{rule}}}
 	}
+	slow := tuned("slow-producer", Want{HedgeWins: true, NoFallbacks: true, MaxSeconds: 10},
+		mpi.FaultRule{Action: mpi.FaultDelay, Rank: 0, Tag: rpc.TagResponse, Count: 1,
+			Delay: 150 * time.Millisecond})
+	// The consumer opens once the file is served. A request parked past
+	// the per-attempt timeout would be re-sent to rank 0 as well, which
+	// answers the copy at once from its dedup cache, racing the hedge's
+	// answer; the case would then test the retry, not the hedge.
+	slow.OpenWhenServed = true
 	return []Case{
 		// One straggling response: the metadata answer is delayed far past
 		// the hedge delay, so the consumer's hedge to a replica must win
 		// while the straggler's answer is still in flight. Nothing is lost,
 		// so no read may touch the file transport.
-		tuned("slow-producer", Want{HedgeWins: true, NoFallbacks: true, MaxSeconds: 10},
-			mpi.FaultRule{Action: mpi.FaultDelay, Rank: 0, Tag: rpc.TagResponse, Count: 1,
-				Delay: 150 * time.Millisecond}),
+		slow,
 		// An asymmetric partition that never heals within the run: rank 0
 		// hears every request but all of its responses are silently dropped.
 		// The metadata hedge wins, the EWMA demotes rank 0 before its box

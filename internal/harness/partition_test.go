@@ -76,6 +76,40 @@ func TestPartitionTrialSlowProducerHedgeWins(t *testing.T) {
 	}
 }
 
+func TestPartitionTrialSlowProducerRetried(t *testing.T) {
+	// The retry path of a hedged call, driven on purpose: the primary's and
+	// the hedge's first answers are both held past the per-attempt timeout,
+	// so the metadata call times out with both in flight and re-sends to
+	// both. Each rank answers the copy from its dedup cache at once, the
+	// call ends on the first such answer, the held originals are dropped as
+	// stale when they land, and the exchange stays in memory, bit-identical.
+	c := partitionConfig()
+	spec := faultSpec(t)
+	held := faultCallTimeout + 100*time.Millisecond
+	k := Case{Name: "slow-producer-retried", HedgeDelay: partitionHedgeDelay, CallBudget: partitionCallBudget,
+		OpenWhenServed: true, Want: Want{NoFallbacks: true, MaxSeconds: 10},
+		Plan: mpi.FaultPlan{Seed: 7, Rules: []mpi.FaultRule{
+			// Producer task ranks are world ranks: 0 is the consumer's
+			// metadata partner, 1 its hedge.
+			{Action: mpi.FaultDelay, Rank: 0, Tag: rpc.TagResponse, Count: 1, Delay: held},
+			{Action: mpi.FaultDelay, Rank: 1, Tag: rpc.TagResponse, Count: 1, Delay: held},
+		}}}
+	results, err := c.Sweep(spec, []Case{k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := results[0]
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if r.Query.Retries == 0 {
+		t.Error("no retries: the first attempt did not time out")
+	}
+	if r.Query.HedgedCalls == 0 {
+		t.Error("the hedge never went out")
+	}
+}
+
 func TestPartitionTrialAsymmetricDemotesStraggler(t *testing.T) {
 	// An unhealed asymmetric partition: rank 0 hears requests but its
 	// responses vanish. The EWMA must demote it (queries re-route before

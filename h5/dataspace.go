@@ -378,7 +378,40 @@ func (s *Dataspace) SelectionBoxes() []grid.Box {
 }
 
 // Bounds returns the bounding box of the selection (empty if none selected).
-func (s *Dataspace) Bounds() grid.Box { return grid.BoundingBox(s.SelectionBoxes()) }
+// It reads the selection in place: every written triple and every read
+// asks for it, so it allocates only the box it returns.
+func (s *Dataspace) Bounds() grid.Box {
+	switch s.kind {
+	case selAll:
+		b := grid.Box{Min: make([]int64, len(s.dims)), Max: make([]int64, len(s.dims))}
+		for d, n := range s.dims {
+			b.Max[d] = n - 1
+		}
+		if b.IsEmpty() {
+			return grid.Box{}
+		}
+		return b
+	case selNone:
+		return grid.Box{}
+	case selPoints:
+		var b grid.Box
+		for _, p := range s.points {
+			if len(p) == 0 {
+				continue
+			}
+			if b.Min == nil {
+				b = grid.Box{Min: append([]int64(nil), p...), Max: append([]int64(nil), p...)}
+				continue
+			}
+			for d, x := range p {
+				b.Min[d], b.Max[d] = min(b.Min[d], x), max(b.Max[d], x)
+			}
+		}
+		return b
+	default:
+		return grid.BoundingBox(s.boxes)
+	}
+}
 
 // IsAll reports whether the entire extent is selected via SelectAll.
 func (s *Dataspace) IsAll() bool { return s.kind == selAll }

@@ -2,6 +2,7 @@ package h5
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -218,5 +219,61 @@ func TestHyperslabUnionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// boundsCases are selections of every kind: all, none, boxes (one, a
+// disjoint union, an empty one, a strided set) and points.
+func boundsCases(t *testing.T) map[string]*Dataspace {
+	t.Helper()
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := map[string]*Dataspace{
+		"all":     NewSimple(4, 6, 3),
+		"all-1d":  NewSimple(9),
+		"none":    NewSimple(4, 6).SelectNone(),
+		"scalar":  Scalar(),
+		"box":     NewSimple(8, 8),
+		"union":   NewSimple(8, 8),
+		"empty":   NewSimple(8, 8),
+		"strided": NewSimple(16, 16),
+		"points":  NewSimple(8, 8, 8),
+		"point":   NewSimple(8, 8),
+	}
+	must(cases["box"].SelectHyperslab(SelectSet, []int64{2, 3}, []int64{4, 2}))
+	must(cases["union"].SelectHyperslab(SelectSet, []int64{5, 0}, []int64{2, 2}))
+	must(cases["union"].SelectHyperslab(SelectOr, []int64{0, 6}, []int64{1, 2}))
+	must(cases["empty"].SelectBox(SelectSet, grid.Box{Min: []int64{3, 3}, Max: []int64{2, 3}}))
+	must(cases["strided"].SelectHyperslabStride(SelectSet, []int64{1, 2}, []int64{5, 3}, []int64{3, 4}, []int64{2, 1}))
+	must(cases["points"].SelectPoints(SelectSet, [][]int64{{4, 1, 7}, {0, 5, 2}, {6, 6, 0}}))
+	must(cases["point"].SelectPoints(SelectSet, [][]int64{{3, 5}}))
+	return cases
+}
+
+// TestBoundsMatchesSelectionBoxes: Bounds, read in place, equals the
+// bounding box of the cloned selection boxes for every kind of selection.
+func TestBoundsMatchesSelectionBoxes(t *testing.T) {
+	for name, s := range boundsCases(t) {
+		got, want := s.Bounds(), grid.BoundingBox(s.SelectionBoxes())
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Bounds() = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestBoundsAllocs: Bounds allocates only the box it returns, its Min and
+// Max, whatever the selection holds; an empty selection allocates nothing.
+func TestBoundsAllocs(t *testing.T) {
+	for name, s := range boundsCases(t) {
+		want := 2.0
+		if s.Bounds().IsEmpty() {
+			want = 0
+		}
+		if a := testing.AllocsPerRun(100, func() { s.Bounds() }); a != want {
+			t.Errorf("%s: Bounds allocates %v times, want %v", name, a, want)
+		}
 	}
 }

@@ -173,6 +173,11 @@ type DistMetadataVOL struct {
 
 	indexes map[string]map[string]datasetIndex // file -> dataset path -> index
 
+	// lastIndex is this rank's last index build, which the next file of the
+	// same layout reuses (see index.go). Only buildIndex touches it, and a
+	// rank runs its builds one at a time: each is a collective.
+	lastIndex *builtIndex
+
 	// parked holds consumer requests for files not yet indexed on this rank
 	// — e.g. a consumer racing ahead to the next timestep's file while we
 	// are still writing it. They are answered when the file's serve session
@@ -564,7 +569,7 @@ func (v *DistMetadataVOL) Serve(name string) error {
 	if len(ics) == 0 {
 		return fmt.Errorf("lowfive: Serve(%q): no intercomm registered", name)
 	}
-	if err := v.buildIndex(fn); err != nil {
+	if err := v.buildIndex(fn, false); err != nil {
 		return err
 	}
 	if err := v.persistOwnership(fn); err != nil {
@@ -642,7 +647,7 @@ func (v *DistMetadataVOL) ServeAsync(name string) (*ServeHandle, error) {
 	}
 	// The index exchange stays synchronous: it is collective over the
 	// producer ranks, and overlapping two collectives would reorder them.
-	if err := v.buildIndex(fn); err != nil {
+	if err := v.buildIndex(fn, false); err != nil {
 		return nil, err
 	}
 	if err := v.persistOwnership(fn); err != nil {
@@ -680,123 +685,6 @@ func (v *DistMetadataVOL) ServeAsync(name string) (*ServeHandle, error) {
 		h.done <- first
 	}()
 	return h, nil
-}
-
-// buildIndex implements Algorithm 1: every producer rank sends the bounding
-// box of each written data space to the ranks owning intersecting blocks of
-// the common decomposition; owners record (box, source). Each message also
-// carries the sender's own layout digest of every dataset, and every rank
-// folds the n digests in rank order into the dataset's fingerprint.
-func (v *DistMetadataVOL) buildIndex(fn *FileNode) error {
-	if tr := v.track(); tr != nil {
-		t0 := tr.Begin()
-		defer func() { tr.End(t0, "core", "index", trace.Str("file", fn.FileName)) }()
-	}
-	n := v.local.Size()
-	repl := v.ReplicationFactor
-	if repl < 1 {
-		repl = 1
-	}
-	if repl > n {
-		repl = n
-	}
-	type written struct {
-		node  *Node
-		path  string
-		boxes []grid.Box
-	}
-	var dsets []written
-	var walk func(node *Node)
-	walk = func(node *Node) {
-		if node.Kind == h5.KindDataset {
-			dsets = append(dsets, written{node, node.Path(), node.WrittenBoxes()})
-		}
-		for _, c := range node.Children() {
-			walk(c)
-		}
-	}
-	walk(fn.Node)
-	paths := make([]string, len(dsets))
-	own := make([]layoutPrint, len(dsets))
-	for i, ds := range dsets {
-		paths[i], own[i] = ds.path, ownLayout(ds.node.Space.Dims(), ds.boxes)
-	}
-	head := &h5.Encoder{}
-	encodeIndexDigests(head, paths, own)
-	out := make([]*h5.Encoder, n)
-	for i := range out {
-		out[i] = &h5.Encoder{Buf: append([]byte(nil), head.Buf...)}
-	}
-	for _, ds := range dsets {
-		dc := grid.CommonDecomposition(ds.node.Space.Dims(), n)
-		for _, bb := range ds.boxes {
-			for _, blk := range dc.Intersecting(bb) {
-				// With replication, each entry also goes to the next
-				// repl-1 ranks, the failover targets consumers try
-				// when the block's primary owner is unreachable.
-				for k := 0; k < repl; k++ {
-					e := out[(blk+k)%n]
-					e.PutString(ds.path)
-					encodeBox(e, bb)
-				}
-			}
-		}
-	}
-	msgs := make([][]byte, n)
-	for i, e := range out {
-		msgs[i] = e.Buf
-	}
-	// The index exchange is the collective synchronization the paper
-	// blames for part of LowFive's overhead vs DataSpaces (§IV-B-d).
-	in, err := v.local.Alltoall(msgs)
-	if err != nil {
-		return err
-	}
-	idx, err := indexFrom(in)
-	if err != nil {
-		return err
-	}
-	v.serveMu.Lock()
-	v.indexes[fn.FileName] = idx
-	v.serveMu.Unlock()
-	return nil
-}
-
-// indexFrom files the n messages of an index exchange, one per source rank,
-// into this rank's index of the file, and folds each dataset's n digests
-// in rank order into its fingerprint. An entry whose sender gave no digest
-// for its dataset is as corrupt as an undecodable message.
-func indexFrom(in [][]byte) (map[string]datasetIndex, error) {
-	idx := map[string]datasetIndex{}
-	digests := map[string][]layoutPrint{} // dataset path -> each rank's own digest
-	for src, buf := range in {
-		var orphan *string
-		err := decodeIndexMsg(buf, func(path string, p layoutPrint) {
-			if digests[path] == nil {
-				digests[path] = make([]layoutPrint, len(in))
-			}
-			digests[path][src] = p
-		}, func(path string, box grid.Box) {
-			if digests[path] == nil || digests[path][src] == (layoutPrint{}) {
-				orphan = &path
-			}
-			di := idx[path]
-			di.entries = append(di.entries, indexEntry{box: box, src: src})
-			idx[path] = di
-		})
-		if err == nil && orphan != nil {
-			err = fmt.Errorf("entry for %q without its layout digest", *orphan)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("lowfive: corrupt index message from rank %d: %v", src, err)
-		}
-	}
-	for path, own := range digests {
-		di := idx[path]
-		di.layout = foldLayout(own)
-		idx[path] = di
-	}
-	return idx, nil
 }
 
 // icServer multiplexes serve sessions for one intercommunicator: a single

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
 	"lowfive/h5"
 	"lowfive/internal/grid"
@@ -171,5 +173,64 @@ func TestParkedRequestAnsweredWhileServing(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParkedOpenOutlivesCallRetries: a consumer with a CallTimeout opens
+// file k while the producers' receive loop runs for file j and k is not
+// yet written. The producers index k three times the call's retry budget
+// (CallTimeout×(CallRetries+1)) later. Each retry of the parked metadata
+// request gets a pending reply, so the open waits for the index instead of
+// spending its retries, failing over to the other producer, and finding no
+// file to fall back to; it opens live and reads step k. The same holds
+// when the first attempt is hedged across both producers.
+func TestParkedOpenOutlivesCallRetries(t *testing.T) {
+	const timeout, retries = 10 * time.Millisecond, 1
+	late := 3 * timeout * (retries + 1)
+	for _, hedge := range []time.Duration{0, timeout / 2} {
+		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
+			opening := make(chan struct{})
+			err := mpi.RunWorkflow([]mpi.TaskSpec{
+				{Name: "prod", Procs: 2, Main: func(p *mpi.Proc) {
+					vol := NewDistMetadataVOL(p.Task, nil)
+					vol.SetIntercomm("*", p.Intercomm("cons"))
+					vol.ServeOnClose = false
+					fapl := h5.NewFileAccessProps(vol)
+					must(writeStep(fapl, "j.h5", 7).Close())
+					hj := get(vol.ServeAsync("j.h5"))
+					<-opening
+					time.Sleep(late)
+					must(writeStep(fapl, "k.h5", 1).Close())
+					hk := get(vol.ServeAsync("k.h5"))
+					must(hk.Wait())
+					must(hj.Wait())
+					if st := vol.Stats(); p.Task.Rank() == 0 && st.ParkedRequests == 0 {
+						t.Errorf("producer 0: %+v, want the open of k parked", st)
+					}
+				}},
+				{Name: "cons", Procs: 1, Main: func(p *mpi.Proc) {
+					vol := NewDistMetadataVOL(p.Task, nil)
+					vol.SetIntercomm("*", p.Intercomm("prod"))
+					vol.CallTimeout, vol.CallRetries, vol.HedgeDelay = timeout, retries, hedge
+					fapl := h5.NewFileAccessProps(vol)
+					fj := readStep(t, fapl, "j.h5", 7)
+					close(opening)
+					t0 := time.Now()
+					fk := readStep(t, fapl, "k.h5", 1)
+					if el := time.Since(t0); el < late {
+						t.Errorf("k opened after %v, before the producers wrote it at %v", el, late)
+					}
+					must(fk.Close())
+					must(fj.Close())
+					qs := vol.QueryStats()
+					if qs.FileFallbacks != 0 || qs.Failovers != 0 || qs.Retries == 0 {
+						t.Errorf("%+v: want the open to wait through its retries, with no failover or fallback", qs)
+					}
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -246,6 +246,44 @@ func decodeIndexMsg(buf []byte, digest func(path string, own layoutPrint), entry
 	return nil
 }
 
+// The flag round before each index exchange (see index.go): one byte per
+// producer, OR-ed across the task. A malformed flag folds to
+// indexFlagCorrupt, which absorbs whatever it meets, so a rank that took in
+// one anywhere in the round gets an error, never a reuse.
+const (
+	indexFlagSame    byte = 0
+	indexFlagChanged byte = 1
+	indexFlagCorrupt byte = 0xff
+)
+
+// encodeIndexFlag is one producer's flag: whether its index inputs differ
+// from those of its last build.
+func encodeIndexFlag(changed bool) []byte {
+	if changed {
+		return []byte{indexFlagChanged}
+	}
+	return []byte{indexFlagSame}
+}
+
+// orIndexFlags is the flag round's reduction. It is associative,
+// commutative and idempotent, as the dissemination round needs, and it
+// modifies neither argument.
+func orIndexFlags(a, b []byte) []byte {
+	if len(a) != 1 || len(b) != 1 || a[0] > indexFlagChanged || b[0] > indexFlagChanged {
+		return []byte{indexFlagCorrupt}
+	}
+	return []byte{a[0] | b[0]}
+}
+
+// decodeIndexFlag reads the flag round's result: whether any producer's
+// index inputs changed.
+func decodeIndexFlag(buf []byte) (changed bool, err error) {
+	if len(buf) != 1 || buf[0] > indexFlagChanged {
+		return false, fmt.Errorf("lowfive: corrupt index flag % x", buf)
+	}
+	return buf[0] == indexFlagChanged, nil
+}
+
 // --- box (redirect) query ---
 
 // encodeBoxesReq asks the owner of a common-decomposition block for its

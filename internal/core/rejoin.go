@@ -40,7 +40,8 @@ type RejoinStats struct {
 
 // Reindex re-runs the collective index exchange (Alg. 1) for a file already
 // in memory, rebuilding every rank's index shard and re-replicating entries
-// whose replica set lost a member. Collective over the local task.
+// whose replica set lost a member. It always runs the full exchange, never
+// reusing the last build. Collective over the local task.
 func (v *DistMetadataVOL) Reindex(name string) error {
 	fn, ok := v.File(name)
 	if !ok {
@@ -50,7 +51,7 @@ func (v *DistMetadataVOL) Reindex(name string) error {
 		t0 := tr.Begin()
 		defer func() { tr.End(t0, "core", "vol.reindex", trace.Str("file", name)) }()
 	}
-	return v.buildIndex(fn)
+	return v.buildIndex(fn, true)
 }
 
 // Rejoin rebuilds this rank's metadata tree for a passthru file from the

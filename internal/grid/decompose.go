@@ -5,8 +5,9 @@ import "sort"
 // FactorBalanced factors n into d factors that are as close to each other as
 // possible (paper §III-B: "The decomposition is found by factoring n into d
 // factors n1,...,nd that are as close to each other as possible"). The
-// product of the result is exactly n. Factors are returned unordered-by-size
-// but deterministically; callers map them onto dimensions themselves.
+// product of the result is exactly n. Factors are returned in descending
+// order; callers map them onto dimensions themselves. It runs on every time
+// step, so the only allocation is the result.
 func FactorBalanced(n, d int) []int64 {
 	if n <= 0 || d <= 0 {
 		panic("grid: FactorBalanced requires positive n and d")
@@ -17,22 +18,29 @@ func FactorBalanced(n, d int) []int64 {
 	}
 	// Assign prime factors of n, largest first, to the currently smallest
 	// factor slot (the classic MPI_Dims_create strategy).
-	for _, p := range primeFactorsDesc(n) {
+	var buf [64]int64 // an int has fewer than 64 prime factors
+	primes := primeFactors(n, buf[:0])
+	for i := len(primes) - 1; i >= 0; i-- {
 		smallest := 0
-		for i := 1; i < d; i++ {
-			if factors[i] < factors[smallest] {
-				smallest = i
+		for j := 1; j < d; j++ {
+			if factors[j] < factors[smallest] {
+				smallest = j
 			}
 		}
-		factors[smallest] *= p
+		factors[smallest] *= primes[i]
 	}
-	sort.Slice(factors, func(i, j int) bool { return factors[i] > factors[j] })
+	// Insertion sort, descending: there are d factors, a handful at most.
+	for i := 1; i < d; i++ {
+		for j := i; j > 0 && factors[j] > factors[j-1]; j-- {
+			factors[j], factors[j-1] = factors[j-1], factors[j]
+		}
+	}
 	return factors
 }
 
-// primeFactorsDesc returns the prime factorization of n in descending order.
-func primeFactorsDesc(n int) []int64 {
-	var f []int64
+// primeFactors appends the prime factorization of n to f in ascending
+// order.
+func primeFactors(n int, f []int64) []int64 {
 	m := int64(n)
 	for p := int64(2); p*p <= m; p++ {
 		for m%p == 0 {
@@ -43,7 +51,6 @@ func primeFactorsDesc(n int) []int64 {
 	if m > 1 {
 		f = append(f, m)
 	}
-	sort.Slice(f, func(i, j int) bool { return f[i] > f[j] })
 	return f
 }
 

@@ -2,6 +2,8 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -35,6 +37,59 @@ func TestFactorBalanced(t *testing.T) {
 				t.Errorf("FactorBalanced(%d,%d)=%v want %v", c.n, c.d, got, c.want)
 				break
 			}
+		}
+	}
+}
+
+// factorBalancedSorted is FactorBalanced as it was written with sort.Slice,
+// kept as the reference the allocation-free version must reproduce.
+func factorBalancedSorted(n, d int) []int64 {
+	factors := make([]int64, d)
+	for i := range factors {
+		factors[i] = 1
+	}
+	var primes []int64
+	m := int64(n)
+	for p := int64(2); p*p <= m; p++ {
+		for m%p == 0 {
+			primes = append(primes, p)
+			m /= p
+		}
+	}
+	if m > 1 {
+		primes = append(primes, m)
+	}
+	sort.Slice(primes, func(i, j int) bool { return primes[i] > primes[j] })
+	for _, p := range primes {
+		smallest := 0
+		for i := 1; i < d; i++ {
+			if factors[i] < factors[smallest] {
+				smallest = i
+			}
+		}
+		factors[smallest] *= p
+	}
+	sort.Slice(factors, func(i, j int) bool { return factors[i] > factors[j] })
+	return factors
+}
+
+// TestFactorBalancedMatchesSorted: for every n up to 1024 and d up to 4,
+// the factors equal those of the sort.Slice version, in the same order.
+func TestFactorBalancedMatchesSorted(t *testing.T) {
+	for n := 1; n <= 1024; n++ {
+		for d := 1; d <= 4; d++ {
+			if got, want := FactorBalanced(n, d), factorBalancedSorted(n, d); !slices.Equal(got, want) {
+				t.Errorf("FactorBalanced(%d, %d) = %v, want %v", n, d, got, want)
+			}
+		}
+	}
+}
+
+// TestFactorBalancedAllocs: the result is the only allocation.
+func TestFactorBalancedAllocs(t *testing.T) {
+	for _, c := range [][2]int{{4, 3}, {1024, 4}, {997, 2}, {1 << 30, 3}} {
+		if a := testing.AllocsPerRun(100, func() { FactorBalanced(c[0], c[1]) }); a != 1 {
+			t.Errorf("FactorBalanced(%d, %d) allocates %v times, want 1", c[0], c[1], a)
 		}
 	}
 }

@@ -211,6 +211,9 @@ func TestDedupWindowAncientDuplicateSwallowed(t *testing.T) {
 	if cached.answered {
 		t.Fatalf("ancient duplicate replayed a pruned response %q", cached.resp)
 	}
+	if cached.held {
+		t.Fatal("ancient duplicate taken for a held request — it would get a pending reply")
+	}
 	// A duplicate still inside the window replays its cached response.
 	s.answer(0, 200, []byte("recent"))
 	cached, dup = s.register(0, 200)

@@ -14,8 +14,8 @@ import (
 // copy a message. With every request duplicated, Call, CallAll, a one-frame
 // stream and Notify each dispatch the handler exactly once, and each call
 // returns its first and only dispatch's answer. A stream's request is held
-// open across its duplicate, which is swallowed while the stream is in
-// flight (once Close forgets the seq, a late duplicate re-dispatches by
+// open across its duplicate, which gets a pending reply while the stream is
+// in flight (once Close forgets the seq, a late duplicate re-dispatches by
 // design; see TestStreamRecoversDuplicatedRequest). On a world that
 // delivers once, the same traffic leaves the servers holding no dedup
 // state at all.

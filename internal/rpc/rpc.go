@@ -9,7 +9,10 @@
 // exchange safe under an unreliable transport: a duplicated request is
 // answered once (the server replays the cached response instead of
 // re-dispatching), and a retried call reuses its sequence number so the
-// server recognizes it. Dedup is kept only for a request that can arrive
+// server recognizes it. A retry of a request the server still holds
+// unanswered (parked until its answer can be built) gets a pending reply,
+// which the client counts as progress, so a held request spends none of
+// its client's retries. Dedup is kept only for a request that can arrive
 // twice: one its client may re-send (a client with a Timeout), or any
 // request on a world that can copy a message (mpi.Intercomm.DeliversOnce
 // false). A client without a Timeout marks its seqs, and on a world that
@@ -88,6 +91,11 @@ const (
 	// bookkeeping; answers echo the marked seq, so client matching sees the
 	// seq it sent. Sequence numbers never reach 2^62.
 	marks = notifyBit | onceBit
+
+	// pendingMark in a response envelope's deadline field marks a pending
+	// reply: the server holds the request and will answer it. An answer
+	// carries 0 there and a shed reply a negative RetryAfter.
+	pendingMark = 1
 )
 
 // checksum is the envelope CRC: one pass over everything but the CRC field
@@ -580,6 +588,15 @@ func (cl *call) wait() (msg, body []byte, src int, err error) {
 				buf.Release(msg)
 				continue
 			}
+			if rdl == pendingMark {
+				// The server holds the request: nothing was lost, so this
+				// is a fresh attempt, still within the Budget, the way
+				// each stream frame is. A hedge keeps its timer.
+				buf.Release(msg)
+				cl.attempts, cl.backoff = 1, c.Backoff
+				cl.arm()
+				continue
+			}
 			ra, shed := shedRetryAfter(rdl)
 			if !shed {
 				return msg, body, src, nil
@@ -729,9 +746,11 @@ var errGaveUp = errors.New("rpc: discard gave up")
 // response with respond=false means the request was a one-way notification.
 type Handler func(src int, req []byte) (resp []byte, respond bool)
 
-// reqState tracks one (src, seq) request through the server: seen but not
-// yet answered (in flight or parked), or answered with a cached response.
+// reqState tracks one (src, seq) request through the server: held (seen but
+// not yet answered: in flight or parked), or answered with a cached
+// response. The zero state is neither: a request out of the dedup window.
 type reqState struct {
+	held     bool
 	answered bool
 	resp     []byte
 }
@@ -740,13 +759,14 @@ type reqState struct {
 // by (source, sequence) the requests that can arrive twice — those whose
 // client may re-send them (a client with a Timeout), and every request on a
 // world with a FaultDuplicate rule: a duplicate of an already-answered
-// request gets the cached response resent, and a duplicate of one still in
-// flight (parked, or a one-way notification) is swallowed, so client
-// retries are idempotent. A request that can arrive only once is handed out
+// request gets the cached response resent, and a duplicate of one still
+// held (in flight or parked) gets a pending reply, so client retries are
+// idempotent and a request held past its client's timeout does not spend
+// the client's retries. A request that can arrive only once is handed out
 // with no bookkeeping at all. A notification (Notify) is never answered:
 // the seq Recv returns for it keeps its mark, and Respond,
-// RespondOverloaded, a Stream and the duplicate replay all send nothing for
-// a marked seq.
+// RespondOverloaded, a Stream, the duplicate replay and the pending reply
+// all send nothing for a marked seq.
 type Server struct {
 	IC      *mpi.Intercomm
 	Handler Handler
@@ -783,7 +803,8 @@ func (s *Server) ServeOne() int {
 // Recv blocks for one fresh request, for servers that need to defer or
 // re-queue requests instead of answering immediately. Corrupt envelopes are
 // dropped (the client's retry recovers them); duplicates never reach the
-// caller.
+// caller: an answered request's is answered from the cache, a held one's
+// with a pending reply.
 func (s *Server) Recv() (src int, seq uint64, req []byte) {
 	for {
 		msg, st := s.IC.Recv(mpi.AnySource, tagRequest)
@@ -808,9 +829,15 @@ func (s *Server) Recv() (src int, seq uint64, req []byte) {
 			return st.Source, rseq, body
 		}
 		if cached, dup := s.register(st.Source, rseq); dup {
-			if cached.answered && rseq&notifyBit == 0 {
+			switch {
+			case rseq&notifyBit != 0:
+				// A notification is never answered.
+			case cached.answered:
 				// Already answered: replay the response for the retry.
 				s.IC.Send(st.Source, tagResponse, seal(s.IC.Intact(), rseq, 0, cached.resp))
+			case cached.held:
+				// Held: the answer is coming, the client's timer is not.
+				s.IC.Send(st.Source, tagResponse, seal(s.IC.Intact(), rseq, pendingMark, nil))
 			}
 			continue
 		}
@@ -841,9 +868,10 @@ func (s *Server) dedups(seq uint64) bool {
 
 // register records a (src, seq) sighting. It returns dup=true when the
 // request was seen before; cached.answered is set when it was already
-// answered. Per source it holds at most 2*dedupWindow+1 entries and costs
-// O(1) amortized: a sweep runs only once the map has doubled past the
-// window, and then deletes at least dedupWindow entries.
+// answered, cached.held when it still awaits its answer. Per source it
+// holds at most 2*dedupWindow+1 entries and costs O(1) amortized: a sweep
+// runs only once the map has doubled past the window, and then deletes at
+// least dedupWindow entries.
 func (s *Server) register(src int, seq uint64) (cached reqState, dup bool) {
 	seq &^= marks
 	s.mu.Lock()
@@ -868,7 +896,7 @@ func (s *Server) register(src int, seq uint64) (cached reqState, dup bool) {
 	if st, ok := m[seq]; ok {
 		return st, true
 	}
-	m[seq] = reqState{}
+	m[seq] = reqState{held: true}
 	if seq > newest {
 		newest = seq
 		s.newest[src] = seq

@@ -42,6 +42,7 @@ const (
 	opAlltoall
 	opScan
 	opScatter
+	opAllreduceIdempotent
 )
 
 func intTag(seq uint64, op, round int) int {
@@ -234,6 +235,29 @@ func SumFloat64(a, b []byte) []byte { return EncodeFloat64(DecodeFloat64(a) + De
 func (c *Comm) Allreduce(data []byte, op ReduceOp) []byte {
 	res := c.Reduce(0, data, op)
 	return c.Bcast(0, res)
+}
+
+// AllreduceIdempotent combines every rank's payload with op and returns the
+// result on every rank in ceil(log2 n) rounds of a dissemination exchange:
+// in round k each rank sends what it has combined so far to rank+2^k and
+// combines in what rank-2^k sends. Allreduce takes twice the rounds (a
+// reduce, then a broadcast) but accepts any associative op; here every
+// payload reaches every rank, some more than once when n is not a power of
+// two, so op must be associative, commutative and idempotent (max, or).
+// Payloads travel by reference, so op must not modify its arguments.
+func (c *Comm) AllreduceIdempotent(data []byte, op ReduceOp) []byte {
+	tr, t0 := c.beginColl()
+	defer func() { endColl(tr, t0, "allreduce", int64(len(data))) }()
+	c.collSeq++
+	seq := c.collSeq
+	n := c.Size()
+	acc := data
+	for k, round := 1, 0; k < n; k, round = k<<1, round+1 {
+		c.Send((c.rank+k)%n, intTag(seq, opAllreduceIdempotent, round), acc)
+		in, _ := c.Recv((c.rank-k+n)%n, intTag(seq, opAllreduceIdempotent, round))
+		acc = op(acc, in)
+	}
+	return acc
 }
 
 // Alltoall sends data[i] to rank i and returns the payloads received from

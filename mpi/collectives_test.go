@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"lowfive/metrics"
 )
 
 var collectiveSizes = []int{1, 2, 3, 4, 5, 7, 8, 16, 33}
@@ -154,6 +156,37 @@ func TestAllreduceMax(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestAllreduceIdempotent checks the dissemination allreduce against every
+// rank's payload at each size, and that it takes ceil(log2 n) rounds: one
+// send per rank per round.
+func TestAllreduceIdempotent(t *testing.T) {
+	for _, n := range collectiveSizes {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			err := Run(n, func(c *Comm) {
+				out := c.AllreduceIdempotent(EncodeInt64(int64((c.Rank()*7)%n)), MaxInt64)
+				want := int64(0)
+				for r := 0; r < n; r++ {
+					want = max(want, int64((r*7)%n))
+				}
+				if got := DecodeInt64(out); got != want {
+					t.Errorf("rank %d: max=%d want %d", c.Rank(), got, want)
+				}
+			}, WithMetrics(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds := 0
+			for k := 1; k < n; k <<= 1 {
+				rounds++
+			}
+			if got := reg.Counter("mpi.sends").Value(); got != int64(n*rounds) {
+				t.Errorf("%d sends, want %d ranks x %d rounds", got, n, rounds)
 			}
 		})
 	}

@@ -171,7 +171,7 @@ type DistMetadataVOL struct {
 	// are served concurrently (fan-out).
 	serveMu sync.Mutex
 
-	indexes map[string]map[string]datasetIndex // file -> dataset path -> index
+	indexes map[string]*builtIndex // file -> the index build it is served under
 
 	// lastIndex is this rank's last index build, which the next file of the
 	// same layout reuses (see index.go). Only buildIndex touches it, and a
@@ -217,8 +217,8 @@ type DistMetadataVOL struct {
 	qstats QueryStats
 
 	// redirects holds the consumer's redirect records (Alg. 3 step 1), one
-	// per (intercomm, dataset path), each tagged with the layout
-	// fingerprint it was fetched under (see redirect.go).
+	// per (intercomm, dataset path), each tagged with the layout id it was
+	// fetched under (see redirect.go).
 	redirects map[redirectKey]*redirect
 
 	// Instrument handles resolved once from Metrics, so the serve and query
@@ -305,10 +305,9 @@ type QueryStats struct {
 	// BoxQueries is the number of redirect queries issued to the owners of
 	// intersecting common-decomposition blocks (Alg. 3 step 1). Each owner
 	// is asked once per dataset per layout: later reads, and later files
-	// whose metadata carries the same layout fingerprint, use its cached
-	// answer, so this counts redirect fetches, not reads or files. In a
-	// time loop whose decomposition holds, it stops growing after the
-	// first step.
+	// whose metadata carries the same layout id, use its cached answer, so
+	// this counts redirect fetches, not reads or files. In a time loop
+	// whose decomposition holds, it stops growing after the first step.
 	BoxQueries int64
 	// DataQueries is the number of data requests issued to producers that
 	// hold intersecting boxes (Alg. 3 step 2).
@@ -394,14 +393,6 @@ type indexEntry struct {
 	src int // producer rank that wrote the box
 }
 
-// datasetIndex is one dataset's part of a file's distributed index on this
-// rank: the entries it owns or replicates, and the dataset's layout
-// fingerprint, the same on every producer rank.
-type datasetIndex struct {
-	entries []indexEntry
-	layout  layoutPrint
-}
-
 // NewDistMetadataVOL builds the distributed VOL for one rank of a task.
 // local is the task's communicator; base (optional) handles file passthru.
 func NewDistMetadataVOL(local *mpi.Comm, base h5.Connector) *DistMetadataVOL {
@@ -409,7 +400,7 @@ func NewDistMetadataVOL(local *mpi.Comm, base h5.Connector) *DistMetadataVOL {
 		MetadataVOL:  NewMetadataVOL(base),
 		local:        local,
 		ServeOnClose: true,
-		indexes:      map[string]map[string]datasetIndex{},
+		indexes:      map[string]*builtIndex{},
 		parked:       map[*mpi.Intercomm][]parkedReq{},
 	}
 }
@@ -925,19 +916,20 @@ func (v *DistMetadataVOL) dispatch(s *icServer, src int, seq uint64, req request
 }
 
 // answer builds the response to an answerable metadata or redirect query;
-// the caller holds serveMu. A metadata answer carries the layout
-// fingerprint of each dataset. A redirect query is answered with all of
-// this rank's index entries for the dataset, not just those meeting the
-// read: the entries follow from the layout, so the consumer fetches them
-// once per layout.
+// the caller holds serveMu. A metadata answer carries the layout id of the
+// file's index build. A redirect query is answered with all of this rank's
+// index entries for the dataset, not just those meeting the read: the
+// entries follow from the build, so the consumer fetches them once per
+// layout id.
 func (v *DistMetadataVOL) answer(req request) []byte {
+	b := v.indexes[req.file]
 	if req.op == opMetadata {
 		v.stats.MetadataRequests++
 		fn, _ := v.File(req.file) // nil once the file was removed after serving
-		return encodeMetadataResp(fn, v.indexes[req.file])
+		return encodeMetadataResp(fn, b.id)
 	}
 	v.stats.BoxQueries++
-	return encodeBoxesResp(v.indexes[req.file][req.dset].entries, req.box.Dim())
+	return encodeBoxesResp(b.idx[req.dset], req.box.Dim())
 }
 
 // observeServe records one inline-answered request into the serve-latency
@@ -1115,7 +1107,7 @@ func (v *DistMetadataVOL) openRemote(name string, ic *mpi.Intercomm) (h5.FileHan
 	partner := ic.LocalRank() % n
 	tr := v.track()
 	var root *Node
-	var layouts map[*Node]datasetLayout
+	var id uint64
 	var lastErr error
 	// Any producer rank can answer a metadata request (the hierarchy is
 	// replicated task-wide), so fail over through all of them before giving
@@ -1153,7 +1145,7 @@ func (v *DistMetadataVOL) openRemote(name string, ic *mpi.Intercomm) (h5.FileHan
 			}
 			continue
 		}
-		root, layouts, err = decodeMetadataResp(resp)
+		root, id, err = decodeMetadataResp(resp)
 		if err != nil {
 			return nil, fmt.Errorf("lowfive: opening %q remotely: %w", name, err)
 		}
@@ -1167,7 +1159,7 @@ func (v *DistMetadataVOL) openRemote(name string, ic *mpi.Intercomm) (h5.FileHan
 		}
 		return nil, fmt.Errorf("lowfive: opening %q remotely: %w", name, lastErr)
 	}
-	return v.newRemoteFile(name, root, &liveSource{ic: ic, client: client, layouts: layouts}), nil
+	return v.newRemoteFile(name, root, &liveSource{ic: ic, client: client, id: id}), nil
 }
 
 // fileFallbackOpen opens the named file through the base connector (full

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -109,52 +110,47 @@ func FuzzDecodeBoxesResp(f *testing.F) {
 	})
 }
 
+// indexFixtureID is the layout id proposal of indexMsgFixture.
+const indexFixtureID = 0x5eed_1d
+
 // indexMsgFixture is producer 0's index-exchange message to a rank owning
-// blocks of both datasets of a two-producer file: the digest section, then
-// one entry per dataset.
+// blocks of both datasets of a two-producer file: the proposal, then one
+// entry per dataset.
 func indexMsgFixture() []byte {
-	grid2 := grid.Box{Min: []int64{0, 0}, Max: []int64{3, 7}}
-	part := grid.Box{Min: []int64{0, 0}, Max: []int64{9, 2}}
 	e := &h5.Encoder{}
-	encodeIndexDigests(e, []string{"/state/grid", "/particles"}, []layoutPrint{
-		ownLayout([]int64{8, 8}, []grid.Box{grid2}),
-		ownLayout([]int64{20, 3}, []grid.Box{part}),
-	})
+	e.PutI64(indexFixtureID)
 	e.PutString("/state/grid")
-	encodeBox(e, grid2)
+	encodeBox(e, grid.Box{Min: []int64{0, 0}, Max: []int64{3, 7}})
 	e.PutString("/particles")
-	encodeBox(e, part)
+	encodeBox(e, grid.Box{Min: []int64{0, 0}, Max: []int64{9, 2}})
 	return e.Buf
 }
 
 // FuzzDecodeIndexMsg: an index-exchange message is input from another
 // producer rank. Whatever it holds, filing it never panics; a message the
-// decoder accepts re-encodes to exactly its bytes and is filed with a
-// fingerprint for every dataset; a refused one fails with the error naming
-// its sender. The corpus in testdata/fuzz/FuzzDecodeIndexMsg holds hostile
-// digest counts, a truncated digest and an entry without its digest.
+// decoder accepts carries a non-zero proposal, re-encodes to exactly its
+// bytes and is filed under the larger of the two proposals; a refused one
+// fails with the error naming its sender. The corpus in
+// testdata/fuzz/FuzzDecodeIndexMsg holds a truncated and a zero proposal, a
+// truncated entry, and messages in the retired fingerprint format.
 func FuzzDecodeIndexMsg(f *testing.F) {
 	valid := indexMsgFixture()
 	seedMutations(f, valid)
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		var paths []string
-		var own []layoutPrint
-		entries := &h5.Encoder{}
-		err := decodeIndexMsg(buf, func(path string, p layoutPrint) {
-			paths, own = append(paths, path), append(own, p)
-		}, func(path string, box grid.Box) {
-			entries.PutString(path)
-			encodeBox(entries, box)
+		re := &h5.Encoder{}
+		id, err := decodeIndexMsg(buf, func(path string, box grid.Box) {
+			re.PutString(path)
+			encodeBox(re, box)
 		})
 		if err == nil {
-			re := &h5.Encoder{}
-			encodeIndexDigests(re, paths, own)
-			if re.Buf = append(re.Buf, entries.Buf...); !bytes.Equal(re.Buf, buf) {
-				t.Errorf("accepted message re-encodes to %d bytes, not its %d", len(re.Buf), len(buf))
+			head := &h5.Encoder{}
+			head.PutI64(int64(id))
+			if id == 0 || !bytes.Equal(append(head.Buf, re.Buf...), buf) {
+				t.Errorf("accepted message with proposal %x re-encodes to other bytes", id)
 			}
 		}
 		// Filed as rank 1's message beside rank 0's valid one.
-		idx, ferr := indexFrom([][]byte{valid, buf})
+		b, ferr := indexFrom([][]byte{valid, buf})
 		if ferr != nil {
 			if !strings.Contains(ferr.Error(), "corrupt index message from rank 1") {
 				t.Errorf("refused with %q, want the error naming rank 1", ferr)
@@ -164,33 +160,28 @@ func FuzzDecodeIndexMsg(f *testing.F) {
 		if err != nil {
 			t.Errorf("filed a message the decoder refuses: %v", err)
 		}
-		for path, di := range idx {
-			if di.layout == (layoutPrint{}) {
-				t.Errorf("dataset %q filed without a fingerprint", path)
-			}
+		if want := max(id, indexFixtureID); b.id != want {
+			t.Errorf("filed under layout id %x, want the larger proposal %x", b.id, want)
 		}
 	})
 }
 
 // FuzzDecodeMetadataResp: a metadata answer is input from another process.
-// Whatever it holds, the decoder never panics, and every layout it accepts
-// belongs to a dataset of the decoded tree, under that dataset's path. The
-// corpus in testdata/fuzz/FuzzDecodeMetadataResp holds hostile layout
-// counts, a truncated fingerprint, paths naming a group or nothing, and
-// trailing bytes.
+// Whatever it holds, the decoder never panics, and a layout id it accepts
+// is non-zero and is the answer's last eight bytes. The corpus in
+// testdata/fuzz/FuzzDecodeMetadataResp holds a truncated and a zero id,
+// trailing bytes, and answers in the retired fingerprint format.
 func FuzzDecodeMetadataResp(f *testing.F) {
 	vol, _ := requestFixture(f)
 	fn, _ := vol.File("outfile.h5")
-	seedMutations(f, encodeMetadataResp(fn, vol.indexes["outfile.h5"]))
+	seedMutations(f, encodeMetadataResp(fn, vol.indexes["outfile.h5"].id))
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		root, layouts, err := decodeMetadataResp(buf)
+		_, id, err := decodeMetadataResp(buf)
 		if err != nil {
 			return
 		}
-		for node, l := range layouts {
-			if got, err := root.Resolve(l.path); err != nil || got != node || node.Kind != h5.KindDataset {
-				t.Errorf("layout for %q is not the tree's dataset there (err %v)", l.path, err)
-			}
+		if id == 0 || len(buf) < 8 || binary.LittleEndian.Uint64(buf[len(buf)-8:]) != id {
+			t.Errorf("accepted layout id %x that is not the answer's last eight bytes", id)
 		}
 	})
 }
@@ -254,7 +245,7 @@ func requestFixture(t testing.TB) (*DistMetadataVOL, *Node) {
 		}
 		entries = append(entries, indexEntry{box: box, src: i})
 	}
-	vol.indexes["outfile.h5"] = map[string]datasetIndex{"/state/grid": {entries: entries, layout: layoutPrint{1}}}
+	vol.indexes["outfile.h5"] = &builtIndex{id: 1, idx: map[string][]indexEntry{"/state/grid": entries}}
 	vol.putFile("outfile.h5", fn)
 	return vol, ds
 }
@@ -276,8 +267,8 @@ func (b *segmentBuffer) Grab(n int) []byte {
 // consumer to exactly what ReadPacked assembles at the producer.
 func answerRaw(t *testing.T, vol *DistMetadataVOL, buf []byte) {
 	req, err := decodeRequest(buf)
-	if err != nil {
-		return
+	if _, indexed := vol.indexes[req.file]; err != nil || !indexed {
+		return // dispatch parks a request for a file not indexed yet
 	}
 	switch req.op {
 	case opMetadata:

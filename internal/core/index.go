@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 
 	"lowfive/h5"
@@ -20,11 +21,19 @@ import (
 // dissemination OR of ceil(log2 n) rounds of one byte: each says whether
 // its index inputs differ from those of its last build. When no rank's do
 // and every rank holds a last build, every rank files the new file under
-// the index it already has, fingerprints included, with nothing built,
-// exchanged, decoded or folded. Otherwise every rank runs the full
-// exchange, which replaces every rank's last build. A rank with no last
-// build (a fresh or restarted one, or one whose last exchange failed) says
-// changed, so it forces the full exchange on all of them.
+// the build it already has, layout id included, with nothing built,
+// exchanged or decoded. Otherwise every rank runs the full exchange, which
+// replaces every rank's last build. A rank with no last build (a fresh or
+// restarted one, or one whose last exchange failed) says changed, so it
+// forces the full exchange on all of them.
+//
+// The layout id names one build. Every exchange message opens with its
+// sender's fresh random non-zero proposal, the same to every rank, so every
+// rank sees the same n proposals and takes their maximum: all producers
+// agree the id without another round. A reused build keeps its id, and
+// every exchange (a changed layout, Reindex, Rejoin, a restarted producer
+// set) draws a new one, so consumers key their redirect records on it (see
+// redirect.go): equal ids mean one build, hence equal owner answers.
 
 // indexInput is what one dataset contributes to this rank's index
 // messages: its path, its dims and its written boxes in write order.
@@ -34,13 +43,14 @@ type indexInput struct {
 	boxes []grid.Box
 }
 
-// builtIndex is this rank's last index build: every input its messages were
-// built from, and the index the exchange gave it. It holds the datasets of
-// one file, the last one indexed.
+// builtIndex is one index build on this rank: every input its messages were
+// built from, the layout id its exchange agreed, and the entries of each
+// dataset this rank owns or replicates. Files of one layout share it.
 type builtIndex struct {
 	producers, repl int
 	inputs          []indexInput // tree order
-	idx             map[string]datasetIndex
+	id              uint64
+	idx             map[string][]indexEntry // dataset path -> entries
 }
 
 // holds reports whether b was built from exactly these inputs; a nil b
@@ -101,45 +111,41 @@ func (v *DistMetadataVOL) buildIndex(fn *FileNode, full bool) error {
 		}
 		if !changed {
 			v.lastIndex = last
-			v.setIndex(fn.FileName, last.idx)
+			v.setIndex(fn.FileName, last)
 			return nil
 		}
 	}
-	idx, err := exchangeIndex(v.local, repl, inputs)
+	b, err := exchangeIndex(v.local, repl, inputs)
 	if err != nil {
 		return err
 	}
-	v.lastIndex = &builtIndex{producers: n, repl: repl, inputs: inputs, idx: idx}
-	v.setIndex(fn.FileName, idx)
+	v.lastIndex = b
+	v.setIndex(fn.FileName, b)
 	return nil
 }
 
-// setIndex files idx as the named file's index, which makes the file
+// setIndex files b as the named file's index, which makes the file
 // answerable.
-func (v *DistMetadataVOL) setIndex(name string, idx map[string]datasetIndex) {
+func (v *DistMetadataVOL) setIndex(name string, b *builtIndex) {
 	v.serveMu.Lock()
-	v.indexes[name] = idx
+	v.indexes[name] = b
 	v.serveMu.Unlock()
 }
 
 // exchangeIndex is Algorithm 1's exchange: every producer rank sends the
 // bounding box of each written data space to the ranks owning intersecting
 // blocks of the common decomposition; owners record (box, source). Each
-// message also carries the sender's own layout digest of every dataset, and
-// every rank folds the n digests in rank order into the dataset's
-// fingerprint.
-func exchangeIndex(local *mpi.Comm, repl int, inputs []indexInput) (map[string]datasetIndex, error) {
+// message opens with the sender's layout id proposal.
+func exchangeIndex(local *mpi.Comm, repl int, inputs []indexInput) (*builtIndex, error) {
 	n := local.Size()
-	paths := make([]string, len(inputs))
-	own := make([]layoutPrint, len(inputs))
-	for i, in := range inputs {
-		paths[i], own[i] = in.path, ownLayout(in.dims, in.boxes)
+	var proposal uint64
+	for proposal == 0 {
+		proposal = rand.Uint64()
 	}
-	head := &h5.Encoder{}
-	encodeIndexDigests(head, paths, own)
 	out := make([]*h5.Encoder, n)
 	for i := range out {
-		out[i] = &h5.Encoder{Buf: append([]byte(nil), head.Buf...)}
+		out[i] = &h5.Encoder{}
+		out[i].PutI64(int64(proposal))
 	}
 	for _, in := range inputs {
 		dc := grid.CommonDecomposition(in.dims, n)
@@ -166,42 +172,27 @@ func exchangeIndex(local *mpi.Comm, repl int, inputs []indexInput) (map[string]d
 	if err != nil {
 		return nil, err
 	}
-	return indexFrom(in)
+	b, err := indexFrom(in)
+	if err != nil {
+		return nil, err
+	}
+	b.producers, b.repl, b.inputs = n, repl, inputs
+	return b, nil
 }
 
 // indexFrom files the n messages of an index exchange, one per source rank,
-// into this rank's index of the file, and folds each dataset's n digests
-// in rank order into its fingerprint. An entry whose sender gave no digest
-// for its dataset is as corrupt as an undecodable message.
-func indexFrom(in [][]byte) (map[string]datasetIndex, error) {
-	idx := map[string]datasetIndex{}
-	digests := map[string][]layoutPrint{} // dataset path -> each rank's own digest
+// into this rank's entries of the file, and takes the largest of the n
+// proposals as the build's layout id.
+func indexFrom(in [][]byte) (*builtIndex, error) {
+	b := &builtIndex{idx: map[string][]indexEntry{}}
 	for src, buf := range in {
-		var orphan *string
-		err := decodeIndexMsg(buf, func(path string, p layoutPrint) {
-			if digests[path] == nil {
-				digests[path] = make([]layoutPrint, len(in))
-			}
-			digests[path][src] = p
-		}, func(path string, box grid.Box) {
-			if digests[path] == nil || digests[path][src] == (layoutPrint{}) {
-				orphan = &path
-			}
-			di := idx[path]
-			di.entries = append(di.entries, indexEntry{box: box, src: src})
-			idx[path] = di
+		id, err := decodeIndexMsg(buf, func(path string, box grid.Box) {
+			b.idx[path] = append(b.idx[path], indexEntry{box: box, src: src})
 		})
-		if err == nil && orphan != nil {
-			err = fmt.Errorf("entry for %q without its layout digest", *orphan)
-		}
 		if err != nil {
 			return nil, fmt.Errorf("lowfive: corrupt index message from rank %d: %v", src, err)
 		}
+		b.id = max(b.id, id)
 	}
-	for path, own := range digests {
-		di := idx[path]
-		di.layout = foldLayout(own)
-		idx[path] = di
-	}
-	return idx, nil
+	return b, nil
 }

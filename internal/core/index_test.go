@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -14,14 +16,12 @@ import (
 	"lowfive/mpi"
 )
 
-// sameIndex reports whether two file indexes are one map: the second file
-// was filed under the first's build.
-func sameIndex(a, b map[string]datasetIndex) bool {
-	return a != nil && reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
-}
+// sameIndex reports whether the second file was filed under the first's
+// build.
+func sameIndex(a, b *builtIndex) bool { return a != nil && a == b }
 
-// indexOf returns the index filed for a file.
-func (v *DistMetadataVOL) indexOf(name string) map[string]datasetIndex {
+// indexOf returns the index build filed for a file.
+func (v *DistMetadataVOL) indexOf(name string) *builtIndex {
 	v.serveMu.Lock()
 	defer v.serveMu.Unlock()
 	return v.indexes[name]
@@ -179,9 +179,10 @@ func (m *layoutModel) file(name string, r int) *FileNode {
 // index: a seeded time loop in which producers keep their boxes or change
 // them one producer at a time, a dataset's dims change, datasets come and
 // go, the replication factor changes and a producer restarts. After every
-// step each producer's index, entries and fingerprints, deep-equals a full
-// exchange over the same file, and it is the last step's index exactly
-// when the step changed nothing.
+// step each producer's entries deep-equal a full exchange over the same
+// file; every producer holds the same layout id; and the index is the last
+// step's build, and its id the last id, exactly when the step changed
+// nothing.
 func TestIndexReuseMatchesFullBuild(t *testing.T) {
 	const steps = 120
 	for _, producers := range []int{3, 4} {
@@ -192,7 +193,7 @@ func TestIndexReuseMatchesFullBuild(t *testing.T) {
 					r := c.Rank()
 					m := newLayoutModel(seed, producers)
 					vol := NewDistMetadataVOL(c, nil)
-					var last map[string]datasetIndex
+					var last *builtIndex
 					for s := 0; s < steps; s++ {
 						kind := stepKeep
 						if s > 0 {
@@ -212,11 +213,21 @@ func TestIndexReuseMatchesFullBuild(t *testing.T) {
 						must(vol.buildIndex(fn, false))
 						got := vol.indexOf(name)
 						full := get(exchangeIndex(c, m.repl, indexInputs(fn)))
-						if !reflect.DeepEqual(got, full) {
+						if !reflect.DeepEqual(got.idx, full.idx) {
 							t.Errorf("rank %d, step %d (%s): index differs from a full build", r, s, kind)
 						}
-						if reused, want := sameIndex(got, last), s > 0 && kind == stepKeep; reused != want {
+						want := s > 0 && kind == stepKeep
+						if reused := sameIndex(got, last); reused != want {
 							t.Errorf("rank %d, step %d (%s): reused the last build: %v, want %v", r, s, kind, reused, want)
+						}
+						if last != nil && (got.id == last.id) != want {
+							t.Errorf("rank %d, step %d (%s): layout id %x after %x, want equal exactly on reuse", r, s, kind, got.id, last.id)
+						}
+						id := binary.LittleEndian.AppendUint64(nil, got.id)
+						for k, other := range c.Allgather(id) {
+							if !bytes.Equal(other, id) {
+								t.Errorf("rank %d, step %d: layout id %x, rank %d holds % x", r, s, got.id, k, other)
+							}
 						}
 						if n := len(vol.lastIndex.inputs); n != len(m.dsets) {
 							t.Errorf("rank %d, step %d: last build holds %d datasets, the file %d", r, s, n, len(m.dsets))
@@ -239,13 +250,13 @@ func TestIndexReuseMatchesFullBuild(t *testing.T) {
 
 // TestReindexRunsFullExchange: a file of the same layout as the last one is
 // filed under the last build, and Reindex of it still runs the exchange:
-// a new index, equal to the reused one, that the next file of the layout
-// reuses in turn.
+// a new index, equal to the reused one but under a new layout id, that the
+// next file of the layout reuses in turn, id included.
 func TestReindexRunsFullExchange(t *testing.T) {
 	err := mpi.Run(3, func(c *mpi.Comm) {
 		m := newLayoutModel(5, 3)
 		vol := NewDistMetadataVOL(c, nil)
-		build := func(name string) map[string]datasetIndex {
+		build := func(name string) *builtIndex {
 			fn := m.file(name, c.Rank())
 			vol.putFile(name, fn)
 			must(vol.buildIndex(fn, false))
@@ -257,11 +268,14 @@ func TestReindexRunsFullExchange(t *testing.T) {
 		}
 		must(vol.Reindex("b.h5"))
 		re := vol.indexOf("b.h5")
-		if sameIndex(re, b) || !reflect.DeepEqual(re, b) {
+		if sameIndex(re, b) || !reflect.DeepEqual(re.idx, b.idx) {
 			t.Errorf("rank %d: Reindex reused the last build, or built another index", c.Rank())
 		}
-		if next := build("c.h5"); !sameIndex(next, re) {
-			t.Errorf("rank %d: c.h5 not filed under Reindex's build", c.Rank())
+		if re.id == b.id {
+			t.Errorf("rank %d: Reindex kept layout id %x", c.Rank(), re.id)
+		}
+		if next := build("c.h5"); !sameIndex(next, re) || next.id != re.id {
+			t.Errorf("rank %d: c.h5 not filed under Reindex's build and id", c.Rank())
 		}
 	})
 	if err != nil {
@@ -349,7 +363,7 @@ func TestIndexSoakOncePerLayout(t *testing.T) {
 			vol.SetIntercomm("*", p.Intercomm("cons"))
 			fapl := h5.NewFileAccessProps(vol)
 			r := p.Task.Rank()
-			var last map[string]datasetIndex
+			var last *builtIndex
 			exchanges, boxQueries := 0, int64(0)
 			for s := 0; s < steps; s++ {
 				gridVals, partVals := workload.GenerateProducer(spec(s), r)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 
@@ -55,11 +54,12 @@ func encodeMetadataReq(file string) []byte {
 }
 
 // encodeMetadataResp answers a metadata request with the file's tree and
-// then its layout section, the fingerprint of each dataset the rank's index
-// holds, in tree order so the bytes are deterministic:
+// then the layout id of the index build the file is served under:
 //
-//	[count i64] then count × [path][fingerprint 16 B]
-func encodeMetadataResp(fn *FileNode, idx map[string]datasetIndex) []byte {
+//	[1][tree][id u64]
+//
+// A file this rank no longer holds is answered [0].
+func encodeMetadataResp(fn *FileNode, id uint64) []byte {
 	e := &h5.Encoder{}
 	if fn == nil {
 		e.PutU8(0)
@@ -67,183 +67,70 @@ func encodeMetadataResp(fn *FileNode, idx map[string]datasetIndex) []byte {
 	}
 	e.PutU8(1)
 	EncodeTree(e, fn.Node, nil)
-	at, count := len(e.Buf), 0
-	e.PutI64(0)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.Kind == h5.KindDataset {
-			path := n.Path()
-			if di, ok := idx[path]; ok {
-				e.PutString(path)
-				e.Buf = append(e.Buf, di.layout[:]...)
-				count++
-			}
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(fn.Node)
-	binary.LittleEndian.PutUint64(e.Buf[at:], uint64(count))
+	e.PutI64(int64(id))
 	return e.Buf
 }
 
-// datasetLayout is what a consumer's open file knows of one dataset's
-// layout: its path and its fingerprint.
-type datasetLayout struct {
-	path  string
-	print layoutPrint
-}
-
-// decodeMetadataResp reads a metadata answer: the file's tree and the
-// layout of each of its datasets. The answer comes from another process,
-// so a layout count the buffer cannot hold, a path that names no dataset
-// of the tree and trailing bytes are all corrupt.
-func decodeMetadataResp(buf []byte) (*Node, map[*Node]datasetLayout, error) {
+// decodeMetadataResp reads a metadata answer: the file's tree and its
+// layout id. The answer comes from another process, so a truncated or zero
+// id and trailing bytes are corrupt.
+func decodeMetadataResp(buf []byte) (*Node, uint64, error) {
 	d := &h5.Decoder{Buf: buf}
 	if d.U8() == 0 {
-		return nil, nil, fmt.Errorf("lowfive: producer does not have the requested file")
+		return nil, 0, fmt.Errorf("lowfive: producer does not have the requested file")
 	}
 	root, err := DecodeTree(d, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	n, err := printCount(d)
+	id, err := getLayoutID(d)
 	if err != nil {
-		return nil, nil, fmt.Errorf("lowfive: corrupt metadata layout section: %w", err)
-	}
-	layouts := make(map[*Node]datasetLayout, n)
-	for i := 0; i < n; i++ {
-		path := d.String()
-		p := getPrint(d)
-		if d.Err != nil {
-			return nil, nil, fmt.Errorf("lowfive: corrupt metadata layout section: %w", d.Err)
-		}
-		node, err := root.Resolve(path)
-		if err != nil || node.Kind != h5.KindDataset {
-			return nil, nil, fmt.Errorf("lowfive: corrupt metadata layout section: %q is no dataset of the file", path)
-		}
-		layouts[node] = datasetLayout{path: node.Path(), print: p}
+		return nil, 0, fmt.Errorf("lowfive: corrupt metadata answer: %w", err)
 	}
 	if d.Pos != len(buf) {
-		return nil, nil, fmt.Errorf("lowfive: corrupt metadata answer: %d trailing bytes", len(buf)-d.Pos)
+		return nil, 0, fmt.Errorf("lowfive: corrupt metadata answer: %d trailing bytes", len(buf)-d.Pos)
 	}
-	return root, layouts, nil
+	return root, id, nil
 }
 
-// --- layout fingerprints ---
-
-// layoutPrint is a dataset's layout fingerprint: the first 16 bytes of a
-// SHA-256 over everything an owner's redirect answer depends on, which is
-// the producer count, the dataset's dims and every producer's written
-// boxes, in source order. Equal fingerprints mean equal answers from every
-// owner, so a consumer reuses the answers it fetched under one for any
-// file that carries it (see redirect). A collision would read through
-// stale owners without an error; at 128 bits it is out of practical reach.
-type layoutPrint [16]byte
-
-// printRecordMin is the least wire size of one [path][fingerprint] record:
-// an empty path's length prefix and the fingerprint.
-const printRecordMin = int64(8 + len(layoutPrint{}))
-
-// ownLayout digests one producer's share of a dataset's layout: the dims it
-// holds and its written boxes, in write order.
-func ownLayout(dims []int64, boxes []grid.Box) layoutPrint {
-	e := &h5.Encoder{Buf: make([]byte, 0, 8+8*len(dims)+len(boxes)*(8+16*len(dims)))}
-	e.PutI64(int64(len(dims)))
-	for _, n := range dims {
-		e.PutI64(n)
-	}
-	for _, b := range boxes {
-		encodeBox(e, b)
-	}
-	sum := sha256.Sum256(e.Buf)
-	return layoutPrint(sum[:])
-}
-
-// foldLayout combines the producers' own digests of a dataset, in rank
-// order, into its fingerprint; a producer without the dataset contributes
-// the zero digest. Every rank folds the same n digests, so every producer
-// holds the same fingerprint.
-func foldLayout(own []layoutPrint) layoutPrint {
-	buf := make([]byte, 8, 8+len(own)*len(layoutPrint{}))
-	binary.LittleEndian.PutUint64(buf, uint64(len(own)))
-	for _, p := range own {
-		buf = append(buf, p[:]...)
-	}
-	sum := sha256.Sum256(buf)
-	return layoutPrint(sum[:])
-}
-
-// printCount reads the count of a fingerprint section and checks it against
-// the bytes left, before anything is allocated for it.
-func printCount(d *h5.Decoder) (int, error) {
-	n := d.I64()
+// getLayoutID reads a layout id. Producers never propose zero, so a zero id
+// is as corrupt as a truncated one.
+func getLayoutID(d *h5.Decoder) (uint64, error) {
+	id := uint64(d.I64())
 	if d.Err != nil {
-		return 0, d.Err
+		return 0, fmt.Errorf("layout id: %w", d.Err)
 	}
-	if n < 0 || n > int64(len(d.Buf)-d.Pos)/printRecordMin {
-		return 0, fmt.Errorf("%d fingerprints in %d bytes", n, len(d.Buf)-d.Pos)
+	if id == 0 {
+		return 0, fmt.Errorf("zero layout id")
 	}
-	return int(n), nil
-}
-
-// getPrint reads one fingerprint.
-func getPrint(d *h5.Decoder) (p layoutPrint) {
-	if d.Err != nil {
-		return p
-	}
-	if d.Pos+len(p) > len(d.Buf) {
-		d.Err = fmt.Errorf("truncated fingerprint at offset %d", d.Pos)
-		return p
-	}
-	d.Pos += copy(p[:], d.Buf[d.Pos:])
-	return p
+	return id, nil
 }
 
 // --- index exchange (Algorithm 1) ---
 
-// encodeIndexDigests writes the fingerprint section that starts every
-// index-exchange message: the sender's own layout digest of each of its
-// datasets,
+// An index-exchange message starts with the sender's layout id proposal,
+// the same 8 bytes to every rank; the sender's entries for the receiving
+// rank follow, each [path][box], to the end of the message:
 //
-//	[count i64] then count × [path][digest 16 B]
+//	[proposal u64] then [path][box]...
 //
-// The sender's entries for the receiving rank follow, each [path][box], to
-// the end of the message.
-func encodeIndexDigests(e *h5.Encoder, paths []string, own []layoutPrint) {
-	e.PutI64(int64(len(paths)))
-	for i, path := range paths {
-		e.PutString(path)
-		e.Buf = append(e.Buf, own[i][:]...)
-	}
-}
-
-// decodeIndexMsg reads one index-exchange message, handing each digest and
-// each entry to its callback in message order.
-func decodeIndexMsg(buf []byte, digest func(path string, own layoutPrint), entry func(path string, box grid.Box)) error {
+// decodeIndexMsg reads one, handing each entry to entry in message order,
+// and returns the proposal.
+func decodeIndexMsg(buf []byte, entry func(path string, box grid.Box)) (uint64, error) {
 	d := &h5.Decoder{Buf: buf}
-	n, err := printCount(d)
+	id, err := getLayoutID(d)
 	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		path := d.String()
-		p := getPrint(d)
-		if d.Err != nil {
-			return d.Err
-		}
-		digest(path, p)
+		return 0, err
 	}
 	for d.Pos < len(d.Buf) {
 		path := d.String()
 		box := decodeBox(d)
 		if d.Err != nil {
-			return d.Err
+			return 0, d.Err
 		}
 		entry(path, box)
 	}
-	return nil
+	return id, nil
 }
 
 // The flag round before each index exchange (see index.go): one byte per
@@ -289,8 +176,8 @@ func decodeIndexFlag(buf []byte) (changed bool, err error) {
 // encodeBoxesReq asks the owner of a common-decomposition block for its
 // index entries of one dataset. The owner answers with every entry of bb's
 // rank, whatever its bounds: the consumer keeps the answer for as long as
-// the dataset's layout fingerprint stays the same and filters it against
-// each read itself (see redirect).
+// the file's layout id stays the same and filters it against each read
+// itself (see redirect).
 func encodeBoxesReq(file, dset string, bb grid.Box) []byte {
 	e := &h5.Encoder{}
 	e.PutU8(opBoxes)

@@ -13,18 +13,21 @@ import (
 // One redirect per owner per layout. Step 1 of Algorithm 3 asks the owners
 // of the common-decomposition blocks a read touches which producers hold
 // data for it. An owner answers with all its entries of the dataset, and
-// those follow from the dataset's layout: the producer count, the dims and
-// every producer's written boxes. Algorithm 1 digests exactly that into a
-// layout fingerprint, which every producer holds and each metadata answer
-// carries. A time loop writes a new file every step, usually with the same
+// those are fixed by the file's index build. Each build carries a layout id
+// that all producers agree in Algorithm 1's exchange and that a file reused
+// under the build keeps (see index.go); each metadata answer carries it. A
+// time loop writes a new file every step, usually with the same
 // decomposition, so the consumer keeps its records on the VOL, not on the
-// open file: one per (intercomm, dataset path), tagged with the fingerprint
-// it was fetched under. An open whose metadata shows the same fingerprint
-// reads through the record, its reads going straight to their data
-// streams; a different fingerprint replaces it. Each owner is thus asked
-// once per dataset per layout, every read filters the cached entries
-// itself with the filter the owners used to apply, and the table holds at
-// most one record per (intercomm, dataset path), however many steps run.
+// open file: one per (intercomm, dataset path), tagged with the id it was
+// fetched under. An open whose metadata shows the same id reads through the
+// record, its reads going straight to their data streams; another id
+// replaces it. The id names a build, not its contents: after any new
+// exchange (a changed layout, also one changed back, a Reindex, a Rejoin or
+// restarted producers) the consumer asks the owners once more for every
+// dataset of the file. Each owner is thus asked once per dataset per
+// build, every read filters the cached entries itself with the filter the
+// owners used to apply, and the table holds at most one record per
+// (intercomm, dataset path), however many steps run.
 
 // redirectKey names a redirect record: one dataset path served over one
 // intercommunicator.
@@ -33,12 +36,12 @@ type redirectKey struct {
 	path string
 }
 
-// redirect is one dataset's redirect record for one layout.
+// redirect is one dataset's redirect record for one layout id.
 type redirect struct {
-	path   string
-	layout layoutPrint
-	dc     grid.Decomposition // the common decomposition over the producers
-	rank   int
+	path string
+	id   uint64             // the layout id it was fetched under
+	dc   grid.Decomposition // the common decomposition over the producers
+	rank int
 
 	// mu guards the answers, which concurrent reads may fetch. It is not
 	// held across a fetch: two reads missing the same owner at once both
@@ -48,11 +51,11 @@ type redirect struct {
 	fetched []bool
 }
 
-func newRedirect(node *Node, producers int, l datasetLayout) *redirect {
+func newRedirect(node *Node, producers int, id uint64) *redirect {
 	dims := node.Space.Dims()
 	return &redirect{
-		path:    l.path,
-		layout:  l.print,
+		path:    node.Path(),
+		id:      id,
 		dc:      grid.CommonDecomposition(dims, producers),
 		rank:    len(dims),
 		answers: make([]redirectAnswer, producers),
@@ -110,25 +113,20 @@ func (rd *redirect) store(o int, a redirectAnswer) {
 }
 
 // redirectFor returns the redirect record of a dataset of a file read over
-// ic, given the layouts of the file's metadata answer. The VOL's record is
-// reused while its fingerprint matches and replaced when it does not; a
-// reader still holding a replaced record finishes on it, which is correct
-// for the file it opened. A dataset the answer gave no fingerprint gets a
-// record of its own, which no other read shares.
-func (v *DistMetadataVOL) redirectFor(ic *mpi.Intercomm, node *Node, layouts map[*Node]datasetLayout) *redirect {
-	l, ok := layouts[node]
-	if !ok {
-		return newRedirect(node, ic.RemoteSize(), datasetLayout{path: node.Path()})
-	}
-	k := redirectKey{ic: ic, path: l.path}
+// ic, given the layout id of the file's metadata answer. The VOL's record is
+// reused while its id matches and replaced when it does not; a reader still
+// holding a replaced record finishes on it, which is correct for the file
+// it opened.
+func (v *DistMetadataVOL) redirectFor(ic *mpi.Intercomm, node *Node, id uint64) *redirect {
+	k := redirectKey{ic: ic, path: node.Path()}
 	v.qmu.Lock()
 	defer v.qmu.Unlock()
 	rd := v.redirects[k]
-	if rd == nil || rd.layout != l.print {
+	if rd == nil || rd.id != id {
 		if v.redirects == nil {
 			v.redirects = map[redirectKey]*redirect{}
 		}
-		rd = newRedirect(node, ic.RemoteSize(), l)
+		rd = newRedirect(node, ic.RemoteSize(), id)
 		v.redirects[k] = rd
 	}
 	return rd

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -102,7 +103,7 @@ func TestRedirectOrderMatchesServerFilter(t *testing.T) {
 		for o := range answerer {
 			answerer[o] = (o + rng.Intn(min(repl, n))) % n
 		}
-		rd := newRedirect(NewDatasetNode("d", h5.U8, h5.NewSimple(dims...)), n, datasetLayout{path: "/d"})
+		rd := newRedirect(NewDatasetNode("d", h5.U8, h5.NewSimple(dims...)), n, 1)
 		for o := range answerer {
 			a, err := decodeBoxesResp(encodeBoxesResp(index[answerer[o]], len(dims)), len(dims), n)
 			if err != nil {
@@ -137,13 +138,13 @@ func TestRedirectCacheConcurrentUse(t *testing.T) {
 		{Name: "cons", Procs: 1, Main: func(p *mpi.Proc) {
 			vol := NewDistMetadataVOL(p.Task, nil)
 			ic := p.Intercomm("prod")
+			fn := NewFileNode("f.h5")
 			nodes := []*Node{
 				NewDatasetNode("a", h5.U8, h5.NewSimple(6, 9)),
 				NewDatasetNode("b", h5.U8, h5.NewSimple(6, 9)),
 			}
-			layouts := map[*Node]datasetLayout{
-				nodes[0]: {path: "/a", print: layoutPrint{1}},
-				nodes[1]: {path: "/b", print: layoutPrint{2}},
+			for _, n := range nodes {
+				must(fn.AddChild(n))
 			}
 			whole := grid.Box{Min: []int64{0, 0}, Max: []int64{5, 8}}
 			var entries []indexEntry
@@ -156,7 +157,7 @@ func TestRedirectCacheConcurrentUse(t *testing.T) {
 				wg.Add(1)
 				go func(node *Node) {
 					defer wg.Done()
-					rd := vol.redirectFor(ic, node, layouts)
+					rd := vol.redirectFor(ic, node, 1)
 					owners := rd.dc.Intersecting(whole)
 					for _, o := range rd.missing(owners) {
 						a, err := decodeBoxesResp(resp, 2, producers)
@@ -218,84 +219,35 @@ func TestDecodeBoxesRespRejectsCorruptAnswers(t *testing.T) {
 	}
 }
 
-// TestLayoutPrintCoversRedirectInputs: the fingerprint is a function of
-// what an owner's redirect answer depends on and changes with each part of
-// it: the producer count, the dims, any producer's boxes and their order.
-func TestLayoutPrintCoversRedirectInputs(t *testing.T) {
-	dims := []int64{8, 12}
-	b := func(x0, x1 int64) grid.Box { return grid.Box{Min: []int64{x0, 0}, Max: []int64{x1, 11}} }
-	base := func() [][]grid.Box { return [][]grid.Box{{b(0, 3)}, {b(4, 5), b(6, 7)}, nil} }
-	fold := func(dims []int64, boxes [][]grid.Box) layoutPrint {
-		own := make([]layoutPrint, len(boxes))
-		for r, bs := range boxes {
-			own[r] = ownLayout(dims, bs)
-		}
-		return foldLayout(own)
-	}
-	want := fold(dims, base())
-	if got := fold([]int64{8, 12}, base()); got != want {
-		t.Fatalf("same layout folds to %x and %x", got, want)
-	}
-	for _, c := range []struct {
-		name  string
-		dims  []int64
-		boxes func([][]grid.Box) [][]grid.Box
-	}{
-		{"one more producer", dims, func(bs [][]grid.Box) [][]grid.Box { return append(bs, nil) }},
-		{"other dims", []int64{8, 13}, func(bs [][]grid.Box) [][]grid.Box { return bs }},
-		{"other rank", []int64{8, 12, 1}, func(bs [][]grid.Box) [][]grid.Box { return bs }},
-		{"one box grown", dims, func(bs [][]grid.Box) [][]grid.Box { bs[1][1] = b(6, 8); return bs }},
-		{"boxes reordered", dims, func(bs [][]grid.Box) [][]grid.Box { bs[1][0], bs[1][1] = bs[1][1], bs[1][0]; return bs }},
-		{"box moved to another producer", dims, func(bs [][]grid.Box) [][]grid.Box { bs[2], bs[1] = bs[1][1:], bs[1][:1]; return bs }},
-		{"producers swapped", dims, func(bs [][]grid.Box) [][]grid.Box { bs[0], bs[1] = bs[1], bs[0]; return bs }},
-	} {
-		if got := fold(c.dims, c.boxes(base())); got == want {
-			t.Errorf("%s: fingerprint unchanged", c.name)
-		}
-	}
-}
-
-// TestLayoutSectionsRejectCorrupt: the fingerprint sections of the index
-// message and of the metadata answer refuse a count the buffer cannot hold
-// before reading a record, a truncated fingerprint, an entry without its
-// digest and a layout naming no dataset of the tree.
+// TestLayoutSectionsRejectCorrupt: the layout id sections of the index
+// message and of the metadata answer refuse a truncated or zero id, and the
+// metadata answer refuses trailing bytes after its id.
 func TestLayoutSectionsRejectCorrupt(t *testing.T) {
-	setCount := func(b []byte, at int, n int64) []byte {
-		c := append([]byte(nil), b...)
-		e := &h5.Encoder{}
-		e.PutI64(n)
-		copy(c[at:], e.Buf)
-		return c
-	}
 	msg := indexMsgFixture()
-	orphan := &h5.Encoder{}
-	encodeIndexDigests(orphan, []string{"/a"}, []layoutPrint{{1}})
-	orphan.PutString("/b")
-	encodeBox(orphan, grid.Box{Min: []int64{0}, Max: []int64{1}})
+	if b, err := indexFrom([][]byte{msg}); err != nil || b.id != indexFixtureID {
+		t.Fatalf("valid message: err %v", err)
+	}
 	vol, _ := requestFixture(t)
 	fn, _ := vol.File("outfile.h5")
-	meta := encodeMetadataResp(fn, vol.indexes["outfile.h5"])
-	if _, layouts, err := decodeMetadataResp(meta); err != nil || len(layouts) != 1 {
-		t.Fatalf("valid answer: %d layouts, err %v", len(layouts), err)
+	meta := encodeMetadataResp(fn, vol.indexes["outfile.h5"].id)
+	if _, id, err := decodeMetadataResp(meta); err != nil || id != 1 {
+		t.Fatalf("valid answer: id %x, err %v", id, err)
 	}
-	at := len(meta) - (8 + 8 + len("/state/grid") + len(layoutPrint{}))
-	group := &h5.Encoder{Buf: append([]byte(nil), meta[:at]...)}
-	group.PutI64(1)
-	group.PutString("/state")
-	group.Buf = append(group.Buf, make([]byte, len(layoutPrint{}))...)
+	zeroID := func(b []byte, at int) []byte {
+		c := append([]byte(nil), b...)
+		copy(c[at:at+8], make([]byte, 8))
+		return c
+	}
 	for _, c := range []struct {
 		name, want string
 		err        error
 	}{
-		{"index: count past the buffer", "2305843009213693952 fingerprints", indexErr(setCount(msg, 0, 1<<61))},
-		{"index: negative count", "-1 fingerprints", indexErr(setCount(msg, 0, -1))},
-		{"index: count one past", "fingerprints in", indexErr(setCount(msg, 0, int64(len(msg)/24+1)))},
-		{"index: truncated fingerprint", "truncated fingerprint", indexErr(orphan.Buf[:8+8+len("/a")+len(layoutPrint{})-2])},
-		{"index: entry without digest", `entry for "/b" without its layout digest`, indexErr(orphan.Buf)},
-		{"metadata: count past the buffer", "2305843009213693952 fingerprints", metaErr(setCount(meta, at, 1<<61))},
-		{"metadata: count one past", "2 fingerprints", metaErr(setCount(meta, at, 2))},
-		{"metadata: truncated fingerprint", "truncated fingerprint", metaErr(meta[:len(meta)-1])},
-		{"metadata: path of a group", `"/state" is no dataset`, metaErr(group.Buf)},
+		{"index: empty message", "layout id", indexErr(nil)},
+		{"index: truncated id", "layout id", indexErr(msg[:7])},
+		{"index: zero id", "zero layout id", indexErr(zeroID(msg, 0))},
+		{"metadata: no id", "layout id", metaErr(meta[:len(meta)-8])},
+		{"metadata: truncated id", "layout id", metaErr(meta[:len(meta)-1])},
+		{"metadata: zero id", "zero layout id", metaErr(zeroID(meta, len(meta)-8))},
 		{"metadata: trailing bytes", "1 trailing bytes", metaErr(append(append([]byte(nil), meta...), 0))},
 	} {
 		if c.err == nil || !strings.Contains(c.err.Error(), c.want) {
@@ -326,37 +278,48 @@ var redirectDims = []int64{8, 12, 6}
 // holding its global linear index; an empty range writes nothing.
 func writeRows(fapl *h5.FileAccessProps, name string, r0, r1 int64) error {
 	box := grid.Box{Min: []int64{r0, 0, 0}, Max: []int64{r1 - 1, redirectDims[1] - 1, redirectDims[2] - 1}}
-	return writeBox(fapl, name, box)
+	return writeBoxes(fapl, name, box)
 }
 
-// writeBox writes box of a redirectDims dataset, each element holding its
-// global linear index; an empty box writes nothing.
-func writeBox(fapl *h5.FileAccessProps, name string, box grid.Box) error {
+// gridName names the k-th dataset writeBoxes creates.
+func gridName(k int) string {
+	if k == 0 {
+		return "grid"
+	}
+	return fmt.Sprintf("grid%d", k)
+}
+
+// writeBoxes writes a file of one redirectDims dataset per box, the k-th
+// named gridName(k), each element of the box holding its global linear
+// index; an empty box writes nothing.
+func writeBoxes(fapl *h5.FileAccessProps, name string, boxes ...grid.Box) error {
 	f, err := h5.CreateFile(name, fapl)
 	if err != nil {
 		return err
 	}
-	ds, err := f.CreateDataset("grid", h5.U64, h5.NewSimple(redirectDims...))
-	if err != nil {
-		return err
-	}
-	if !box.IsEmpty() {
-		sel := h5.NewSimple(redirectDims...)
-		if err := sel.SelectBox(h5.SelectSet, box); err != nil {
+	for k, box := range boxes {
+		ds, err := f.CreateDataset(gridName(k), h5.U64, h5.NewSimple(redirectDims...))
+		if err != nil {
 			return err
 		}
-		vals := make([]uint64, 0, box.NumPoints())
-		box.Runs(redirectDims, func(start, n int64) {
-			for k := int64(0); k < n; k++ {
-				vals = append(vals, uint64(start+k))
+		if !box.IsEmpty() {
+			sel := h5.NewSimple(redirectDims...)
+			if err := sel.SelectBox(h5.SelectSet, box); err != nil {
+				return err
 			}
-		})
-		if err := ds.Write(nil, sel, h5.Bytes(vals)); err != nil {
+			vals := make([]uint64, 0, box.NumPoints())
+			box.Runs(redirectDims, func(start, n int64) {
+				for k := int64(0); k < n; k++ {
+					vals = append(vals, uint64(start+k))
+				}
+			})
+			if err := ds.Write(nil, sel, h5.Bytes(vals)); err != nil {
+				return err
+			}
+		}
+		if err := ds.Close(); err != nil {
 			return err
 		}
-	}
-	if err := ds.Close(); err != nil {
-		return err
 	}
 	return f.Close() // indexes and serves
 }
@@ -364,7 +327,14 @@ func writeBox(fapl *h5.FileAccessProps, name string, box grid.Box) error {
 // readBox reads box from the open file's grid and checks every element.
 func readBox(t *testing.T, f *h5.File, box grid.Box) {
 	t.Helper()
-	ds, err := f.OpenDataset("grid")
+	readDataset(t, f, "grid", box)
+}
+
+// readDataset reads box from the named dataset of the open file and checks
+// every element.
+func readDataset(t *testing.T, f *h5.File, name string, box grid.Box) {
+	t.Helper()
+	ds, err := f.OpenDataset(name)
 	if err != nil {
 		t.Error(err)
 		return
@@ -556,14 +526,16 @@ func TestRedirectFailoverFillsCacheFromReplica(t *testing.T) {
 }
 
 // TestRedirectReissuesOnLayoutChange: over six steps of a time loop, each a
-// new file, the consumer asks the owners on the first step and again
-// exactly on the step where the layout changes, and reuses its record on
-// every other step; every producer holds the same fingerprint, which
-// changes exactly there; and every step reads back the right values. One
-// run turns row slabs into column slabs; in the other only producer 2's
-// box grows, over the same dims.
+// new file, the consumer asks the owners of every dataset on the first step
+// and again exactly on the steps where the layout changes, and reuses its
+// records on every other step; every producer holds the same layout id,
+// which changes exactly there; and every step reads back the right values.
+// One run turns row slabs into column slabs; in another only producer 2's
+// box grows, over the same dims; one turns rows into columns and back
+// (A → B → A); and in a file of two datasets only the second one changes,
+// which still re-asks the owners of both: the id names the file's build.
 func TestRedirectReissuesOnLayoutChange(t *testing.T) {
-	const producers, steps, change = 4, 6, 3
+	const producers, steps = 4, 6
 	rows := func(r int64) grid.Box {
 		return grid.Box{Min: []int64{2 * r, 0, 0}, Max: []int64{2*r + 1, 11, 5}}
 	}
@@ -577,12 +549,40 @@ func TestRedirectReissuesOnLayoutChange(t *testing.T) {
 		}
 		return b
 	}
+	// switchAt is a one-dataset layout: before(r) until step at, after(r)
+	// from it on.
+	switchAt := func(at int, before, after func(int64) grid.Box) func(int, int64) []grid.Box {
+		return func(s int, r int64) []grid.Box {
+			if s < at {
+				return []grid.Box{before(r)}
+			}
+			return []grid.Box{after(r)}
+		}
+	}
 	for _, c := range []struct {
-		name          string
-		before, after func(int64) grid.Box
-	}{{"decomposition", rows, cols}, {"one-box", rows, grown}} {
+		name    string
+		changes []int                           // steps whose layout differs from the step before
+		boxes   func(s int, r int64) []grid.Box // producer r's box of each dataset at step s
+	}{
+		{"decomposition", []int{3}, switchAt(3, rows, cols)},
+		{"one-box", []int{3}, switchAt(3, rows, grown)},
+		{"a-b-a", []int{2, 4}, func(s int, r int64) []grid.Box {
+			if s == 2 || s == 3 {
+				return []grid.Box{cols(r)}
+			}
+			return []grid.Box{rows(r)}
+		}},
+		{"one-of-two-datasets", []int{3}, func(s int, r int64) []grid.Box {
+			second := rows(r)
+			if s >= 3 {
+				second = cols(r)
+			}
+			return []grid.Box{rows(r), second}
+		}},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			var prints [steps][producers]layoutPrint
+			datasets := len(c.boxes(0, 0))
+			var ids [steps][producers]uint64
 			var mu sync.Mutex
 			var served int64
 			err := mpi.RunWorkflow([]mpi.TaskSpec{
@@ -591,15 +591,9 @@ func TestRedirectReissuesOnLayoutChange(t *testing.T) {
 					vol.SetIntercomm("*", p.Intercomm("cons"))
 					r := p.Task.Rank()
 					for s := 0; s < steps; s++ {
-						box := c.before(int64(r))
-						if s >= change {
-							box = c.after(int64(r))
-						}
 						name := fmt.Sprintf("step%d.h5", s)
-						must(writeBox(h5.NewFileAccessProps(vol), name, box))
-						vol.serveMu.Lock()
-						prints[s][r] = vol.indexes[name]["/grid"].layout
-						vol.serveMu.Unlock()
+						must(writeBoxes(h5.NewFileAccessProps(vol), name, c.boxes(s, int64(r))...))
+						ids[s][r] = vol.indexOf(name).id
 					}
 					mu.Lock()
 					served += vol.Stats().BoxQueries
@@ -612,25 +606,28 @@ func TestRedirectReissuesOnLayoutChange(t *testing.T) {
 					var asked int64
 					for s := 0; s < steps; s++ {
 						f := get(h5.OpenFile(fmt.Sprintf("step%d.h5", s), fapl))
-						readBox(t, f, grid.WholeExtent(redirectDims))
-						// Smaller reads need only some producers' data: a
-						// stale record would leave the others' parts unread.
-						rng := rand.New(rand.NewSource(int64(s)))
-						for k := 0; k < 8; k++ {
-							readBox(t, f, randomReadBox(rng))
+						for k := 0; k < datasets; k++ {
+							readDataset(t, f, gridName(k), grid.WholeExtent(redirectDims))
+							// Smaller reads need only some producers' data:
+							// a stale record would leave the others' parts
+							// unread.
+							rng := rand.New(rand.NewSource(int64(s)))
+							for q := 0; q < 8; q++ {
+								readDataset(t, f, gridName(k), randomReadBox(rng))
+							}
 						}
 						must(f.Close())
 						got := vol.QueryStats().BoxQueries - asked
 						asked += got
 						want := int64(0)
-						if s == 0 || s == change {
-							want = producers
+						if s == 0 || slices.Contains(c.changes, s) {
+							want = int64(producers * datasets)
 						}
 						if got != want {
 							t.Errorf("step %d: %d box queries, want %d", s, got, want)
 						}
-						if len(vol.redirects) != 1 {
-							t.Errorf("step %d: %d redirect records, want 1", s, len(vol.redirects))
+						if len(vol.redirects) != datasets {
+							t.Errorf("step %d: %d redirect records, want %d", s, len(vol.redirects), datasets)
 						}
 					}
 					mu.Lock()
@@ -644,17 +641,69 @@ func TestRedirectReissuesOnLayoutChange(t *testing.T) {
 			if served != 0 {
 				t.Errorf("served minus issued box queries = %d, want 0", served)
 			}
-			for s := range prints {
-				for r := range prints[s] {
-					if prints[s][r] != prints[s][0] {
-						t.Errorf("step %d: producer %d holds fingerprint %x, producer 0 %x", s, r, prints[s][r], prints[s][0])
+			for s := range ids {
+				for r := range ids[s] {
+					if ids[s][r] != ids[s][0] || ids[s][r] == 0 {
+						t.Errorf("step %d: producer %d holds layout id %x, producer 0 %x", s, r, ids[s][r], ids[s][0])
 					}
 				}
-				if s > 0 && (prints[s][0] == prints[s-1][0]) != (s != change) {
-					t.Errorf("step %d: fingerprint %x after %x; want a change exactly at step %d", s, prints[s][0], prints[s-1][0], change)
+				if s > 0 && (ids[s][0] == ids[s-1][0]) == slices.Contains(c.changes, s) {
+					t.Errorf("step %d: layout id %x after %x; want a change exactly at steps %v", s, ids[s][0], ids[s-1][0], c.changes)
 				}
 			}
 		})
+	}
+}
+
+// TestRedirectReissuesAfterProducerRestart: between two steps of one layout
+// every producer is replaced by a fresh VOL while the consumer lives on.
+// The fresh producers agree a new layout id, so the consumer's next open
+// asks every owner again instead of reading through records fetched from
+// the old ones, and reads the right values: ids are never reused.
+func TestRedirectReissuesAfterProducerRestart(t *testing.T) {
+	const producers = 4
+	var ids [2][producers]uint64
+	err := mpi.RunWorkflow([]mpi.TaskSpec{
+		{Name: "prod", Procs: producers, Main: func(p *mpi.Proc) {
+			r := p.Task.Rank()
+			for s := range ids {
+				vol := NewDistMetadataVOL(p.Task, nil)
+				vol.SetIntercomm("*", p.Intercomm("cons"))
+				name := fmt.Sprintf("step%d.h5", s)
+				must(writeRows(h5.NewFileAccessProps(vol), name, int64(r)*2, int64(r)*2+2))
+				ids[s][r] = vol.indexOf(name).id
+			}
+		}},
+		{Name: "cons", Procs: 1, Main: func(p *mpi.Proc) {
+			vol := NewDistMetadataVOL(p.Task, nil)
+			vol.SetIntercomm("*", p.Intercomm("prod"))
+			fapl := h5.NewFileAccessProps(vol)
+			rng := rand.New(rand.NewSource(7))
+			for s := range ids {
+				f := get(h5.OpenFile(fmt.Sprintf("step%d.h5", s), fapl))
+				readBox(t, f, grid.WholeExtent(redirectDims))
+				for k := 0; k < 8; k++ {
+					readBox(t, f, randomReadBox(rng))
+				}
+				must(f.Close())
+				if got, want := vol.QueryStats().BoxQueries, int64(producers*(s+1)); got != want {
+					t.Errorf("after step %d: %d box queries, want %d (every owner again after the restart)", s, got, want)
+				}
+			}
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids[1][0] == ids[0][0] {
+		t.Errorf("restarted producers reused layout id %x", ids[0][0])
+	}
+	for s := range ids {
+		for r := range ids[s] {
+			if ids[s][r] != ids[s][0] {
+				t.Errorf("step %d: producer %d holds layout id %x, producer 0 %x", s, r, ids[s][r], ids[s][0])
+			}
+		}
 	}
 }
 

@@ -174,13 +174,13 @@ func (d *remoteDataset) Read(memSpace, fileSpace *h5.Dataspace, data []byte) err
 
 // liveSource reads from the producer task over RPC.
 type liveSource struct {
-	ic      *mpi.Intercomm
-	client  *rpc.Client
-	layouts map[*Node]datasetLayout // from the metadata answer
+	ic     *mpi.Intercomm
+	client *rpc.Client
+	id     uint64 // the layout id of the metadata answer
 }
 
 func (s *liveSource) fill(f *remoteFile, node *Node, fileSpace *h5.Dataspace, t *streamTarget) error {
-	rd := f.vol.redirectFor(s.ic, node, s.layouts)
+	rd := f.vol.redirectFor(s.ic, node, s.id)
 	return f.vol.queryStream(s.client, s.ic, f.name, rd, fileSpace, t)
 }
 

@@ -292,10 +292,9 @@ func (t *streamTarget) scatter(box grid.Box, data []byte) {
 const streamWindow = 2
 
 // queryStream runs Algorithm 3 with a streamed data step: the redirect
-// answers of the intersecting blocks' owners (asked once per layout, see
-// redirect), then one stream per producer
-// holding data, drained in producer order with each frame scattered
-// straight into target. Streams are requested a sliding window ahead of the
+// answers of the intersecting blocks' owners (asked once per layout id, see
+// redirect), then one stream per producer holding data, drained in producer
+// order with each frame scattered straight into target. Streams are requested a sliding window ahead of the
 // drain cursor.
 func (v *DistMetadataVOL) queryStream(client *rpc.Client, ic *mpi.Intercomm, file string, rd *redirect, fileSpace *h5.Dataspace, target *streamTarget) error {
 	bb := fileSpace.Bounds()

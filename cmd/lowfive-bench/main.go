@@ -13,8 +13,6 @@
 //	lowfive-bench -trace out.json -profile   # also write a Chrome trace
 //	lowfive-bench -faults              # fault + supervised-recovery sweeps (chaos testing)
 //	lowfive-bench -storm               # query-storm overload sweep (admission control, load shedding)
-//	lowfive-bench -json                # write BENCH_<date>.json benchmark baseline
-//	lowfive-bench -compare BENCH_2026-08-06.json -bench-iters 1   # warn-only diff vs baseline
 package main
 
 import (
@@ -56,13 +54,7 @@ func main() {
 		stormZipf    = flag.Float64("storm-zipf", 0, "zipf skew of storm box popularity, must be > 1 (0 = default 1.2)")
 		stormQueries = flag.Int("storm-queries", 0, "queries per favored client for -storm — the closed-loop stand-in for a storm duration (0 = default tuning)")
 		stormSeed    = flag.Uint64("storm-seed", benchStormSeed, "seed for the storm's deterministic query sequences")
-		seed         = flag.Int64("seed", 0, "seed for the fault-injection plans (0 defers to -fault-seed)")
-		oldSeed      = flag.Int64("fault-seed", 1, "deprecated alias for -seed")
-		jsonOut      = flag.Bool("json", false, "measure the allocation-sensitive benchmarks (Fig 5/7/11, redistribution) and write BENCH_<date>.json")
-		compare      = flag.String("compare", "", "measure a fresh benchmark run and diff it against this committed BENCH_*.json baseline (warn-only; writes nothing)")
-		iters        = flag.Int("bench-iters", 0, "fixed iteration count for -json/-compare measurements (0 = auto-scale until stable)")
-		outFile      = flag.String("out", "", "output path for -json (default BENCH_<date>.json in the current directory)")
-		validate     = flag.String("validate", "", "validate a BENCH_*.json file's metrics-plane latency fields and exit")
+		seed         = flag.Int64("seed", 1, "seed for the fault-injection plans")
 		httpAddr     = flag.String("http", "", "serve live metrics (/metrics, /metrics.json, /stats, /slow) on this address while the run executes (e.g. :8080 or 127.0.0.1:0)")
 		statsOut     = flag.String("stats-out", "", "with -profile, also write the run artifact (stats + metrics snapshot + slow queries) as JSON to this file")
 		transport    = flag.String("transport", harness.TransportChan, "message engine: chan (in-proc, cost-modeled — runs the figure suite) or sock (real sockets, one process per rank — runs the socket smoke sweep)")
@@ -103,26 +95,9 @@ func main() {
 	cfg.Log = os.Stderr
 	cfg.Transport = *transport
 
-	if *validate != "" {
-		if err := validateBenchJSON(*validate); err != nil {
-			fmt.Fprintf(os.Stderr, "bench validate failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	switch *transport {
 	case harness.TransportChan:
 	case harness.TransportSock:
-		if *jsonOut {
-			// The sock flavor of -json: the chan report's distributed-VOL
-			// cases re-measured over real rank processes.
-			if err := runBenchJSONSock(cfg, *outFile); err != nil {
-				fmt.Fprintf(os.Stderr, "sock bench json failed: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		}
 		if *faults {
 			if err := runSockFaults(cfg); err != nil {
 				fmt.Fprintf(os.Stderr, "sock fault sweep failed: %v\n", err)
@@ -159,26 +134,7 @@ func main() {
 		return
 	}
 
-	if *compare != "" {
-		if err := runBenchCompare(cfg, *compare, *iters); err != nil {
-			fmt.Fprintf(os.Stderr, "bench compare failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonOut {
-		if err := runBenchJSON(cfg, *iters, *outFile); err != nil {
-			fmt.Fprintf(os.Stderr, "bench json failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *faults {
-		if *seed == 0 {
-			*seed = *oldSeed
-		}
 		if err := runFaults(cfg, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "fault sweep failed: %v\n", err)
 			os.Exit(1)
@@ -360,6 +316,14 @@ func runFaultSweeps(cfg harness.Config, seed int64) error {
 	fmt.Println("all fault, partition, recovery and staging cases delivered bit-identical consumer data")
 	return nil
 }
+
+// benchStormSeed is the default -storm-seed: it fixes the storm's
+// deterministic query sequences, so every run of -storm replays one storm.
+const benchStormSeed = 42
+
+// stormP99Factor bounds the favored tenant's storm-phase p99 as a multiple
+// of its unloaded baseline p99 — the sweep's fairness contract.
+const stormP99Factor = 5
 
 // runStorm runs the query-storm overload sweep at the smallest configured
 // scale: an unloaded baseline, then the storm itself — a greedy tenant

@@ -51,10 +51,10 @@ type redirect struct {
 	fetched []bool
 }
 
-func newRedirect(node *Node, producers int, id uint64) *redirect {
+func newRedirect(node *Node, path string, producers int, id uint64) *redirect {
 	dims := node.Space.Dims()
 	return &redirect{
-		path:    node.Path(),
+		path:    path,
 		id:      id,
 		dc:      grid.CommonDecomposition(dims, producers),
 		rank:    len(dims),
@@ -112,13 +112,13 @@ func (rd *redirect) store(o int, a redirectAnswer) {
 	rd.mu.Unlock()
 }
 
-// redirectFor returns the redirect record of a dataset of a file read over
-// ic, given the layout id of the file's metadata answer. The VOL's record is
-// reused while its id matches and replaced when it does not; a reader still
-// holding a replaced record finishes on it, which is correct for the file
-// it opened.
-func (v *DistMetadataVOL) redirectFor(ic *mpi.Intercomm, node *Node, id uint64) *redirect {
-	k := redirectKey{ic: ic, path: node.Path()}
+// redirectFor returns the redirect record of dataset node, at path, of a
+// file read over ic, given the layout id of the file's metadata answer. The
+// VOL's record is reused while its id matches and replaced when it does not;
+// a reader still holding a replaced record finishes on it, which is correct
+// for the file it opened.
+func (v *DistMetadataVOL) redirectFor(ic *mpi.Intercomm, node *Node, path string, id uint64) *redirect {
+	k := redirectKey{ic: ic, path: path}
 	v.qmu.Lock()
 	defer v.qmu.Unlock()
 	rd := v.redirects[k]
@@ -126,7 +126,7 @@ func (v *DistMetadataVOL) redirectFor(ic *mpi.Intercomm, node *Node, id uint64) 
 		if v.redirects == nil {
 			v.redirects = map[redirectKey]*redirect{}
 		}
-		rd = newRedirect(node, ic.RemoteSize(), id)
+		rd = newRedirect(node, path, ic.RemoteSize(), id)
 		v.redirects[k] = rd
 	}
 	return rd

@@ -103,7 +103,7 @@ func TestRedirectOrderMatchesServerFilter(t *testing.T) {
 		for o := range answerer {
 			answerer[o] = (o + rng.Intn(min(repl, n))) % n
 		}
-		rd := newRedirect(NewDatasetNode("d", h5.U8, h5.NewSimple(dims...)), n, 1)
+		rd := newRedirect(NewDatasetNode("d", h5.U8, h5.NewSimple(dims...)), "/d", n, 1)
 		for o := range answerer {
 			a, err := decodeBoxesResp(encodeBoxesResp(index[answerer[o]], len(dims)), len(dims), n)
 			if err != nil {
@@ -157,7 +157,7 @@ func TestRedirectCacheConcurrentUse(t *testing.T) {
 				wg.Add(1)
 				go func(node *Node) {
 					defer wg.Done()
-					rd := vol.redirectFor(ic, node, 1)
+					rd := vol.redirectFor(ic, node, node.Path(), 1)
 					owners := rd.dc.Intersecting(whole)
 					for _, o := range rd.missing(owners) {
 						a, err := decodeBoxesResp(resp, 2, producers)

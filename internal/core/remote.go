@@ -20,8 +20,8 @@ import (
 
 // pieceSource is where a remote file's dataset bytes come from.
 type pieceSource interface {
-	// fill places the fileSpace-selected bytes of dataset node into t.
-	fill(f *remoteFile, node *Node, fileSpace *h5.Dataspace, t *streamTarget) error
+	// fill places the fileSpace-selected bytes of dataset d into t.
+	fill(d *remoteDataset, fileSpace *h5.Dataspace, t *streamTarget) error
 	// close tells the source this consumer is done with the file.
 	close(f *remoteFile) error
 }
@@ -73,7 +73,7 @@ func (o *remoteObject) DatasetOpen(name string) (h5.DatasetHandle, error) {
 	if !ok || c.Kind != h5.KindDataset {
 		return nil, fmt.Errorf("lowfive: dataset %q not found under %q", name, o.node.Path())
 	}
-	return &remoteDataset{file: o.file, node: c}, nil
+	return &remoteDataset{file: o.file, node: c, path: c.Path()}, nil
 }
 
 func (o *remoteObject) Children() ([]h5.ObjectInfo, error) {
@@ -110,10 +110,11 @@ func readAttribute(n *Node, name string) (*h5.Datatype, *h5.Dataspace, []byte, e
 type remoteDataset struct {
 	file *remoteFile
 	node *Node
+	path string // node.Path(), built once at open rather than on every read
 }
 
 func (d *remoteDataset) readOnly() error {
-	return fmt.Errorf("lowfive: remote dataset %q is read-only", d.node.Path())
+	return fmt.Errorf("lowfive: remote dataset %q is read-only", d.path)
 }
 
 func (d *remoteDataset) Datatype() *h5.Datatype   { return d.node.Type }
@@ -156,13 +157,13 @@ func (d *remoteDataset) Read(memSpace, fileSpace *h5.Dataspace, data []byte) err
 		dst = data[:n]
 	}
 	t := newStreamTarget(dst, fileSpace, es)
-	err := f.src.fill(f, d.node, fileSpace, t)
+	err := f.src.fill(d, fileSpace, t)
 	if tr != nil {
 		tr.Span("core", "query", start, time.Now(),
-			trace.Str("dataset", d.node.Path()), trace.I64("bytes", n))
+			trace.Str("dataset", d.path), trace.I64("bytes", n))
 	}
 	if err != nil {
-		if err := f.vol.fileFallback(f.name, d.node.Path(), fileSpace, t, err, time.Since(start)); err != nil {
+		if err := f.vol.fileFallback(f.name, d.path, fileSpace, t, err, time.Since(start)); err != nil {
 			return err
 		}
 	}
@@ -179,9 +180,10 @@ type liveSource struct {
 	id     uint64 // the layout id of the metadata answer
 }
 
-func (s *liveSource) fill(f *remoteFile, node *Node, fileSpace *h5.Dataspace, t *streamTarget) error {
-	rd := f.vol.redirectFor(s.ic, node, s.id)
-	return f.vol.queryStream(s.client, s.ic, f.name, rd, fileSpace, t)
+func (s *liveSource) fill(d *remoteDataset, fileSpace *h5.Dataspace, t *streamTarget) error {
+	v := d.file.vol
+	rd := v.redirectFor(s.ic, d.node, d.path, s.id)
+	return v.queryStream(s.client, s.ic, d.file.name, rd, fileSpace, t)
 }
 
 // close sends done to every producer rank, releasing its serve loop. With
@@ -231,10 +233,10 @@ type stagedSource struct {
 
 // fill resolves epoch → log offsets through the store's span index and
 // places every intersecting chunk.
-func (s *stagedSource) fill(f *remoteFile, node *Node, fileSpace *h5.Dataspace, t *streamTarget) error {
-	v := f.vol
+func (s *stagedSource) fill(d *remoteDataset, fileSpace *h5.Dataspace, t *streamTarget) error {
+	v := d.file.vol
 	start := time.Now()
-	chunks, err := v.Stage.Chunks(f.name, s.epoch, node.Path(), fileSpace.Bounds())
+	chunks, err := v.Stage.Chunks(d.file.name, s.epoch, d.path, fileSpace.Bounds())
 	if err != nil {
 		return err
 	}

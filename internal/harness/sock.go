@@ -15,7 +15,7 @@ import (
 	"lowfive/internal/transport"
 )
 
-// Transport names for Config.Transport and the bench JSON transport field.
+// Transport names for Config.Transport and lowfive-bench -transport.
 const (
 	// TransportChan is the in-proc engine: ranks as goroutines of this
 	// process (the default, and the only engine the simulation trials use).

@@ -8,7 +8,6 @@ import (
 
 	"lowfive/internal/rankmain"
 	"lowfive/internal/transport"
-	"lowfive/internal/workload"
 	"lowfive/mpi"
 )
 
@@ -253,27 +252,6 @@ func runSockFaultCase(fc SockFaultCase) (SockFaultResult, error) {
 		return res, fmt.Errorf("expected resent frames > 0, got 0 (faults never landed?)")
 	}
 	return res, nil
-}
-
-// SockVOLWall runs one distributed-VOL exchange as a real multi-process
-// sock world — one OS process per rank over Unix sockets — and returns
-// its wall-clock seconds, spawn and world formation included: the bench
-// JSON's sock-engine column next to the chan engine's modeled numbers.
-// Consumer digests are checked bit-for-bit against the in-proc reference
-// before the time is trusted.
-func (c Config) SockVOLWall(ws workload.Spec, epochs int) (float64, error) {
-	spec := rankmain.Spec{
-		Producers: ws.Producers, Consumers: ws.Consumers, Epochs: epochs,
-		Workload: "vol", GridPoints: ws.GridPointsPerProducer, Particles: ws.ParticlesPerProducer,
-		Seed: 7, ToleranceMs: 30000,
-	}
-	res, err := runSockFaultCase(SockFaultCase{
-		Name: "bench", Network: "unix", Spec: spec, KillRank: -1,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return res.Seconds, nil
 }
 
 // waitProcs waits for every current rank process, bounded by the timeout.

@@ -2,6 +2,7 @@ package h5
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -218,8 +219,10 @@ func (d *Dataset) Handle() DatasetHandle { return d.h }
 // Datatype returns the element type.
 func (d *Dataset) Datatype() *Datatype { return d.h.Datatype() }
 
-// Dataspace returns the dataset extent with everything selected.
-func (d *Dataset) Dataspace() *Dataspace { return d.h.Dataspace() }
+// Dataspace returns a copy of the dataset extent with everything selected;
+// the caller owns it. This is the one place a dataset's dataspace is
+// cloned: the handle only lends its own (DatasetHandle.Dataspace).
+func (d *Dataset) Dataspace() *Dataspace { return d.h.Dataspace().Clone().SelectAll() }
 
 // Close releases the dataset.
 func (d *Dataset) Close() error { return d.h.Close() }
@@ -229,19 +232,18 @@ func (d *Dataset) Close() error { return d.h.Close() }
 func (d *Dataset) Extend(dims ...int64) error { return d.h.SetExtent(dims) }
 
 // validateTransfer checks the mem/file space pairing shared by Read/Write.
+// It reads the handle's lent extent in place and allocates nothing unless
+// it fails.
 func (d *Dataset) validateTransfer(memSpace, fileSpace *Dataspace, data []byte) error {
 	es := int64(d.h.Datatype().Size)
-	n := d.h.Dataspace().NumPoints()
+	ext := d.h.Dataspace()
+	n := ext.NumPoints()
 	if fileSpace != nil {
-		fdims := fileSpace.Dims()
-		ddims := d.h.Dataspace().Dims()
-		if len(fdims) != len(ddims) {
-			return fmt.Errorf("h5: file space rank %d != dataset rank %d", len(fdims), len(ddims))
+		if len(fileSpace.dims) != len(ext.dims) {
+			return fmt.Errorf("h5: file space rank %d != dataset rank %d", len(fileSpace.dims), len(ext.dims))
 		}
-		for i := range fdims {
-			if fdims[i] != ddims[i] {
-				return fmt.Errorf("h5: file space dims %v != dataset dims %v", fdims, ddims)
-			}
+		if !slices.Equal(fileSpace.dims, ext.dims) {
+			return fmt.Errorf("h5: file space dims %v != dataset dims %v", fileSpace.Dims(), ext.Dims())
 		}
 		n = fileSpace.NumSelected()
 	}

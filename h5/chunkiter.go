@@ -20,9 +20,11 @@ type ChunkIter struct {
 }
 
 // NewChunkIter returns an iterator over space's selection emitting sub-boxes
-// of at most maxBytes bytes each (at elemSize bytes per element).
+// of at most maxBytes bytes each (at elemSize bytes per element). It reads
+// the selection in place (Dataspace.Boxes): the selection must not change
+// while the iterator runs, and a box Next returns must not be modified.
 func NewChunkIter(space *Dataspace, elemSize int64, maxBytes int) *ChunkIter {
-	return NewChunkIterBoxes(space.SelectionBoxes(), elemSize, maxBytes)
+	return NewChunkIterBoxes(space.Boxes(), elemSize, maxBytes)
 }
 
 // NewChunkIterBoxes is NewChunkIter over an explicit box list (already in
@@ -36,14 +38,21 @@ func NewChunkIterBoxes(boxes []grid.Box, elemSize int64, maxBytes int) *ChunkIte
 	if maxPoints < 1 {
 		maxPoints = 1
 	}
+	it := &ChunkIter{elemSize: elemSize, maxPoints: maxPoints, pending: make([]grid.Box, 0, len(boxes))}
+	it.Reset(boxes...)
+	return it
+}
+
+// Reset restarts the iterator over boxes, keeping its budget and its stack's
+// storage: a caller chunking many regions in a row reuses one iterator.
+func (it *ChunkIter) Reset(boxes ...grid.Box) {
 	// Stack order: reverse so pop-from-end yields selection order.
-	pending := make([]grid.Box, 0, len(boxes))
+	it.pending = it.pending[:0]
 	for i := len(boxes) - 1; i >= 0; i-- {
 		if !boxes[i].IsEmpty() {
-			pending = append(pending, boxes[i])
+			it.pending = append(it.pending, boxes[i])
 		}
 	}
-	return &ChunkIter{elemSize: elemSize, maxPoints: maxPoints, pending: pending}
 }
 
 // Next returns the next sub-box of the selection, or false when exhausted.

@@ -350,9 +350,25 @@ func (s *Dataspace) NumSelected() int64 {
 	}
 }
 
-// SelectionBoxes returns the selection as disjoint boxes in selection order.
-// Point selections are returned as single-element boxes.
+// SelectionBoxes returns the selection as disjoint boxes in selection order,
+// each a copy the caller owns. Point selections are returned as
+// single-element boxes.
 func (s *Dataspace) SelectionBoxes() []grid.Box {
+	boxes := s.Boxes()
+	out := make([]grid.Box, len(boxes))
+	for i, b := range boxes {
+		out[i] = b.Clone()
+	}
+	return out
+}
+
+// Boxes is the selection as SelectionBoxes returns it, read in place: a
+// hyperslab selection's own boxes, and for a point selection boxes whose
+// bounds are the stored coordinates. The caller must not modify them, and
+// they are valid only until the selection or extent changes. Only an all
+// selection's one box is built, and a point selection's slice. This is how
+// the data path visits a selection without copying it.
+func (s *Dataspace) Boxes() []grid.Box {
 	switch s.kind {
 	case selAll:
 		return []grid.Box{grid.WholeExtent(s.dims)}
@@ -360,20 +376,12 @@ func (s *Dataspace) SelectionBoxes() []grid.Box {
 		return nil
 	case selPoints:
 		out := make([]grid.Box, len(s.points))
-		one := make([]int64, len(s.dims))
-		for i := range one {
-			one[i] = 1
-		}
 		for i, p := range s.points {
-			out[i] = grid.NewBox(p, one)
+			out[i] = grid.Box{Min: p, Max: p}
 		}
 		return out
 	default:
-		out := make([]grid.Box, len(s.boxes))
-		for i, b := range s.boxes {
-			out[i] = b.Clone()
-		}
-		return out
+		return s.boxes
 	}
 }
 
@@ -383,14 +391,10 @@ func (s *Dataspace) SelectionBoxes() []grid.Box {
 func (s *Dataspace) Bounds() grid.Box {
 	switch s.kind {
 	case selAll:
-		b := grid.Box{Min: make([]int64, len(s.dims)), Max: make([]int64, len(s.dims))}
-		for d, n := range s.dims {
-			b.Max[d] = n - 1
+		if b := grid.WholeExtent(s.dims); !b.IsEmpty() {
+			return b
 		}
-		if b.IsEmpty() {
-			return grid.Box{}
-		}
-		return b
+		return grid.Box{}
 	case selNone:
 		return grid.Box{}
 	case selPoints:
@@ -400,7 +404,7 @@ func (s *Dataspace) Bounds() grid.Box {
 				continue
 			}
 			if b.Min == nil {
-				b = grid.Box{Min: append([]int64(nil), p...), Max: append([]int64(nil), p...)}
+				b = grid.Box{Min: p, Max: p}.Clone()
 				continue
 			}
 			for d, x := range p {
@@ -420,7 +424,7 @@ func (s *Dataspace) IsAll() bool { return s.kind == selAll }
 // order within the extent.
 func (s *Dataspace) runs() [][2]int64 {
 	var out [][2]int64
-	for _, b := range s.SelectionBoxes() {
+	for _, b := range s.Boxes() {
 		b.Runs(s.dims, func(off, n int64) { out = append(out, [2]int64{off, n}) })
 	}
 	return out

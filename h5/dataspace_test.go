@@ -264,11 +264,12 @@ func TestBoundsMatchesSelectionBoxes(t *testing.T) {
 	}
 }
 
-// TestBoundsAllocs: Bounds allocates only the box it returns, its Min and
-// Max, whatever the selection holds; an empty selection allocates nothing.
+// TestBoundsAllocs: Bounds allocates only the box it returns, one array
+// holding its Min and Max, whatever the selection holds; an empty selection
+// allocates nothing.
 func TestBoundsAllocs(t *testing.T) {
 	for name, s := range boundsCases(t) {
-		want := 2.0
+		want := 1.0
 		if s.Bounds().IsEmpty() {
 			want = 0
 		}

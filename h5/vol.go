@@ -69,7 +69,9 @@ type ObjectHandle interface {
 	GroupCreate(name string) (ObjectHandle, error)
 	// GroupOpen opens a direct child group.
 	GroupOpen(name string) (ObjectHandle, error)
-	// DatasetCreate creates a direct child dataset.
+	// DatasetCreate creates a direct child dataset. space becomes the
+	// connector's: CreateDataset passes a fresh copy with everything
+	// selected, which the connector may keep as the dataset's extent.
 	DatasetCreate(name string, dt *Datatype, space *Dataspace) (DatasetHandle, error)
 	// DatasetOpen opens a direct child dataset.
 	DatasetOpen(name string) (DatasetHandle, error)
@@ -95,7 +97,10 @@ type DatasetHandle interface {
 	AttrOps
 	// Datatype returns the element type.
 	Datatype() *Datatype
-	// Dataspace returns the dataset's extent (with everything selected).
+	// Dataspace lends the handle's own extent, with everything selected.
+	// The caller only reads it, and only until its own call returns: it
+	// must not modify or keep it, and a later SetExtent changes it in
+	// place. Dataset.Dataspace makes the one copy a user gets.
 	Dataspace() *Dataspace
 	// Write transfers the elements selected in memSpace out of data into
 	// the elements selected in fileSpace. A nil fileSpace means the whole

@@ -273,7 +273,10 @@ func (o *metaObject) GroupOpen(name string) (h5.ObjectHandle, error) {
 func (o *metaObject) DatasetCreate(name string, dt *h5.Datatype, space *h5.Dataspace) (h5.DatasetHandle, error) {
 	ds := &metaDataset{vol: o.vol, file: o.file}
 	if o.node != nil {
-		n := NewDatasetNode(name, dt, space.Clone())
+		// space is already this dataset's own copy (h5.CreateDataset
+		// cloned it), so the node keeps it, everything selected: handles
+		// lend it as the extent.
+		n := NewDatasetNode(name, dt, space.SelectAll())
 		if err := o.node.AddChild(n); err != nil {
 			return nil, err
 		}
@@ -428,7 +431,7 @@ func (d *metaDataset) Datatype() *h5.Datatype {
 
 func (d *metaDataset) Dataspace() *h5.Dataspace {
 	if d.node != nil {
-		return d.node.Space.Clone().SelectAll()
+		return d.node.Space
 	}
 	return d.base.Dataspace()
 }
@@ -447,9 +450,6 @@ func (d *metaDataset) Write(memSpace, fileSpace *h5.Dataspace, data []byte) erro
 
 func (d *metaDataset) Read(memSpace, fileSpace *h5.Dataspace, data []byte) error {
 	if d.node != nil {
-		if fileSpace == nil {
-			fileSpace = d.node.Space.Clone().SelectAll()
-		}
 		packed, err := d.node.ReadPacked(fileSpace)
 		if err != nil {
 			return err

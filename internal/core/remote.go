@@ -118,7 +118,7 @@ func (d *remoteDataset) readOnly() error {
 }
 
 func (d *remoteDataset) Datatype() *h5.Datatype   { return d.node.Type }
-func (d *remoteDataset) Dataspace() *h5.Dataspace { return d.node.Space.Clone().SelectAll() }
+func (d *remoteDataset) Dataspace() *h5.Dataspace { return d.node.Space }
 
 func (d *remoteDataset) Write(_, _ *h5.Dataspace, _ []byte) error { return d.readOnly() }
 func (d *remoteDataset) SetExtent([]int64) error                  { return d.readOnly() }
@@ -141,7 +141,7 @@ func (d *remoteDataset) Close() error { return nil }
 func (d *remoteDataset) Read(memSpace, fileSpace *h5.Dataspace, data []byte) error {
 	es := d.node.Type.Size
 	if fileSpace == nil {
-		fileSpace = d.node.Space.Clone().SelectAll()
+		fileSpace = d.node.Space
 	}
 	f := d.file
 	tr := f.vol.track()

@@ -41,27 +41,38 @@ type segmentWriter interface {
 // StreamRegions sends the query intersection of a dataset's triples over a
 // response stream, splitting each intersection region into sub-boxes that
 // fit one frame. Bytes move once, from the stored triples into pooled
-// frames.
+// frames. Selections are read in place, each intersection lands in one
+// scratch box and one chunk iterator splits every region, so a region that
+// fits one frame allocates nothing here.
 func (n *Node) StreamRegions(st segmentWriter, query *h5.Dataspace) error {
 	if n.Kind != h5.KindDataset {
 		return fmt.Errorf("lowfive: extract from non-dataset %q", n.Name)
 	}
 	es := int64(n.Type.Size)
-	qBoxes := query.SelectionBoxes()
+	qBoxes := query.Boxes()
+	var (
+		region grid.Box      // the intersection at hand, made once, refilled
+		it     *h5.ChunkIter // splits each region into frame-sized sub-boxes
+		hdr    int           // bytes of a segment header at the query's rank
+	)
 	for _, tr := range n.Triples {
 		var packed []byte // fetched lazily: only if some region intersects
 		triBase := int64(0)
-		for _, tb := range tr.FileSpace.SelectionBoxes() {
+		for _, tb := range tr.FileSpace.Boxes() {
 			for _, qb := range qBoxes {
-				region := tb.Intersect(qb)
-				if region.IsEmpty() {
+				if !tb.Intersects(qb) {
 					continue
 				}
+				if it == nil {
+					region = qb.Clone()
+					hdr = 8 + 16*region.Dim() + 8
+					it = h5.NewChunkIterBoxes(nil, es, st.MaxSegment()-hdr)
+				}
+				tb.IntersectInto(qb, region)
 				if packed == nil {
 					packed = tr.PackedData(int(es))
 				}
-				hdr := 8 + 16*region.Dim() + 8
-				it := h5.NewChunkIterBoxes([]grid.Box{region}, es, st.MaxSegment()-hdr)
+				it.Reset(region)
 				for {
 					sub, ok := it.Next()
 					if !ok {
@@ -201,7 +212,7 @@ func (v *DistMetadataVOL) chunkPool() *buf.Pool {
 // fileSel: the consumer half of the single-copy path.
 type streamTarget struct {
 	dst   []byte
-	boxes []grid.Box // fileSel's selection boxes
+	boxes []grid.Box // fileSel's selection boxes, read in place
 	bases []int64    // running element offset of each box in dst
 	es    int
 
@@ -212,7 +223,7 @@ type streamTarget struct {
 
 func newStreamTarget(dst []byte, fileSel *h5.Dataspace, es int) *streamTarget {
 	rank := fileSel.Rank()
-	t := &streamTarget{dst: dst, boxes: fileSel.SelectionBoxes(), es: es}
+	t := &streamTarget{dst: dst, boxes: fileSel.Boxes(), es: es}
 	scratch := make([]int64, 4*rank)
 	t.seg = grid.Box{Min: scratch[:rank], Max: scratch[rank : 2*rank]}
 	t.region = grid.Box{Min: scratch[2*rank : 3*rank], Max: scratch[3*rank:]}

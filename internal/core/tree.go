@@ -186,9 +186,13 @@ func (n *Node) RecordWrite(memSpace, fileSpace *h5.Dataspace, data []byte) error
 	if n.Kind != h5.KindDataset {
 		return fmt.Errorf("lowfive: write to non-dataset %q", n.Name)
 	}
+	// The triple keeps its own copy of the file selection, made once: the
+	// caller may change its dataspace after the write, and the node's
+	// extent changes in place on SetExtent.
 	if fileSpace == nil {
-		fileSpace = n.Space.Clone().SelectAll()
+		fileSpace = n.Space
 	}
+	fileSpace = fileSpace.Clone()
 	es := n.Type.Size
 	switch n.Ownership {
 	case OwnDeep:
@@ -198,10 +202,10 @@ func (n *Node) RecordWrite(memSpace, fileSpace *h5.Dataspace, data []byte) error
 		} else {
 			packed = h5.GatherSelected(make([]byte, 0, fileSpace.NumSelected()*int64(es)), data, memSpace, es)
 		}
-		n.Triples = append(n.Triples, &Triple{FileSpace: fileSpace.Clone(), Data: packed, Owned: true})
+		n.Triples = append(n.Triples, &Triple{FileSpace: fileSpace, Data: packed, Owned: true})
 	case OwnShallow:
 		n.Triples = append(n.Triples, &Triple{
-			FileSpace: fileSpace.Clone(),
+			FileSpace: fileSpace,
 			MemSpace:  cloneOrNil(memSpace),
 			Data:      data,
 		})
@@ -228,17 +232,22 @@ func (n *Node) ReadPacked(fileSel *h5.Dataspace) ([]byte, error) {
 	}
 	es := int64(n.Type.Size)
 	if fileSel == nil {
-		fileSel = n.Space.Clone().SelectAll()
+		fileSel = n.Space
 	}
 	dst := make([]byte, fileSel.NumSelected()*es)
+	// Selections are read in place; intersections land in one scratch box.
+	var region grid.Box
 	reqBase := int64(0)
-	for _, rb := range fileSel.SelectionBoxes() {
+	for _, rb := range fileSel.Boxes() {
+		if region.Min == nil {
+			region = rb.Clone()
+		}
 		for _, tr := range n.Triples {
 			packed := tr.PackedData(int(es))
 			triBase := int64(0)
-			for _, tb := range tr.FileSpace.SelectionBoxes() {
-				region := tb.Intersect(rb)
-				if !region.IsEmpty() {
+			for _, tb := range tr.FileSpace.Boxes() {
+				if tb.Intersects(rb) {
+					tb.IntersectInto(rb, region)
 					grid.CopyRegion(dst[reqBase*es:], rb, packed[triBase*es:], tb, region, int(es))
 				}
 				triBase += tb.NumPoints()

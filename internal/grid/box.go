@@ -22,7 +22,7 @@ func NewBox(start, count []int64) Box {
 	if len(start) != len(count) {
 		panic("grid: start/count dimension mismatch")
 	}
-	b := Box{Min: make([]int64, len(start)), Max: make([]int64, len(start))}
+	b := newBox(len(start))
 	for d := range start {
 		b.Min[d] = start[d]
 		b.Max[d] = start[d] + count[d] - 1
@@ -30,10 +30,20 @@ func NewBox(start, count []int64) Box {
 	return b
 }
 
+// newBox returns a box of dimension dim whose bounds share one zeroed
+// allocation: Min is its first half and Max its second.
+func newBox(dim int) Box {
+	b := make([]int64, 2*dim)
+	return Box{Min: b[:dim:dim], Max: b[dim:]}
+}
+
 // WholeExtent returns the box covering an entire extent of the given dims.
 func WholeExtent(dims []int64) Box {
-	start := make([]int64, len(dims))
-	return NewBox(start, dims)
+	b := newBox(len(dims))
+	for d, n := range dims {
+		b.Max[d] = n - 1
+	}
+	return b
 }
 
 // Dim returns the dimensionality.
@@ -76,9 +86,15 @@ func (b Box) Count() []int64 {
 	return c
 }
 
-// Clone deep-copies the box.
+// Clone deep-copies the box into one allocation.
 func (b Box) Clone() Box {
-	return Box{Min: append([]int64(nil), b.Min...), Max: append([]int64(nil), b.Max...)}
+	if b.Dim() == 0 {
+		return Box{}
+	}
+	c := newBox(b.Dim())
+	copy(c.Min, b.Min)
+	copy(c.Max, b.Max)
+	return c
 }
 
 // Equal reports exact equality of bounds.
@@ -106,7 +122,7 @@ func (b Box) Contains(pt []int64) bool {
 
 // Intersect returns the intersection of two boxes (possibly empty).
 func (b Box) Intersect(o Box) Box {
-	out := Box{Min: make([]int64, b.Dim()), Max: make([]int64, b.Dim())}
+	out := newBox(b.Dim())
 	b.IntersectInto(o, out)
 	return out
 }

@@ -98,7 +98,7 @@ func (dc Decomposition) NumBlocks() int {
 // empty when L < k.
 func (dc Decomposition) Block(i int) Box {
 	coords := Coords(dc.Blocks, int64(i))
-	b := Box{Min: make([]int64, len(dc.Dims)), Max: make([]int64, len(dc.Dims))}
+	b := newBox(len(dc.Dims))
 	for d := range dc.Dims {
 		L, k, j := dc.Dims[d], dc.Blocks[d], coords[d]
 		b.Min[d] = j * L / k
@@ -109,38 +109,43 @@ func (dc Decomposition) Block(i int) Box {
 
 // Intersecting returns the indices of all blocks whose bounds intersect the
 // query box. It walks only the block-coordinate subrange covering the query
-// rather than scanning all n blocks.
+// rather than scanning all n blocks, and allocates only its result: every
+// read asks it for the owners of its bounding box.
 func (dc Decomposition) Intersecting(q Box) []int {
 	if q.IsEmpty() {
 		return nil
 	}
 	d := len(dc.Dims)
-	lo := make([]int64, d)
-	hi := make([]int64, d)
+	var bufs [3][8]int64 // lo, hi and cur for up to 8 dimensions, on the stack
+	lo, hi, cur := bufs[0][:0], bufs[1][:0], bufs[2][:0]
+	count := 1
 	for k := 0; k < d; k++ {
 		L, nb := dc.Dims[k], dc.Blocks[k]
-		qmin, qmax := q.Min[k], q.Max[k]
-		if qmin < 0 {
-			qmin = 0
-		}
-		if qmax > L-1 {
-			qmax = L - 1
-		}
+		qmin, qmax := max(q.Min[k], 0), min(q.Max[k], L-1)
 		if qmin > qmax {
 			return nil
 		}
-		// Block j spans [j*L/nb, (j+1)*L/nb-1]; invert: the block containing
-		// coordinate x is floor(((x+1)*nb-1)/L) == largest j with j*L/nb <= x.
-		lo[k] = blockOf(qmin, L, nb)
-		hi[k] = blockOf(qmax, L, nb)
+		// Block j spans [j*L/nb, (j+1)*L/nb-1]; blockOf finds the one
+		// holding a coordinate.
+		lo = append(lo, blockOf(qmin, L, nb))
+		hi = append(hi, blockOf(qmax, L, nb))
+		count *= int(hi[k] - lo[k] + 1)
 	}
-	var out []int
-	cur := append([]int64(nil), lo...)
+	cur = append(cur, lo...)
+	out := make([]int, 0, count)
 	for {
-		idx := LinearIndex(dc.Blocks, cur)
-		// Guard against empty blocks at this coordinate (possible when L < nb).
-		if dc.Block(int(idx)).Intersects(q) {
-			out = append(out, int(idx))
+		// Every block of the subrange lies between the blocks holding the
+		// query's corners, so it intersects the query unless it is empty,
+		// which happens along a dimension shorter than its block count.
+		hit := true
+		for k, j := range cur {
+			if L, nb := dc.Dims[k], dc.Blocks[k]; (j+1)*L/nb == j*L/nb {
+				hit = false
+				break
+			}
+		}
+		if hit {
+			out = append(out, int(LinearIndex(dc.Blocks, cur)))
 		}
 		k := d - 1
 		for k >= 0 {

@@ -201,3 +201,95 @@ func TestDecompositionPartitionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// intersectingRef is the plain form of Intersecting: it tests each block of
+// the covering subrange by building the block and intersecting it with the
+// query. It is the reference TestIntersectingMatchesReference holds
+// Intersecting to.
+func intersectingRef(dc Decomposition, q Box) []int {
+	if q.IsEmpty() {
+		return nil
+	}
+	d := len(dc.Dims)
+	lo := make([]int64, d)
+	hi := make([]int64, d)
+	for k := 0; k < d; k++ {
+		L, nb := dc.Dims[k], dc.Blocks[k]
+		qmin, qmax := q.Min[k], q.Max[k]
+		if qmin < 0 {
+			qmin = 0
+		}
+		if qmax > L-1 {
+			qmax = L - 1
+		}
+		if qmin > qmax {
+			return nil
+		}
+		lo[k] = blockOf(qmin, L, nb)
+		hi[k] = blockOf(qmax, L, nb)
+	}
+	var out []int
+	cur := append([]int64(nil), lo...)
+	for {
+		idx := LinearIndex(dc.Blocks, cur)
+		if dc.Block(int(idx)).Intersects(q) {
+			out = append(out, int(idx))
+		}
+		k := d - 1
+		for k >= 0 {
+			cur[k]++
+			if cur[k] <= hi[k] {
+				break
+			}
+			cur[k] = lo[k]
+			k--
+		}
+		if k < 0 {
+			return out
+		}
+	}
+}
+
+// TestIntersectingMatchesReference: for every rank up to 4 and every block
+// count up to 64, Intersecting returns exactly the reference's blocks in
+// the reference's order, over random extents (some shorter than their
+// block count, so with empty blocks) and random queries, which may reach
+// outside the extent or be empty.
+func TestIntersectingMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(38))
+	for rank := 1; rank <= 4; rank++ {
+		for n := 1; n <= 64; n++ {
+			for trial := 0; trial < 12; trial++ {
+				dims := make([]int64, rank)
+				q := Box{Min: make([]int64, rank), Max: make([]int64, rank)}
+				for k := range dims {
+					dims[k] = 1 + r.Int63n(24)
+					q.Min[k] = r.Int63n(dims[k]+6) - 3
+					q.Max[k] = q.Min[k] + r.Int63n(dims[k]+3) - 1
+				}
+				dc := CommonDecomposition(dims, n)
+				got, want := dc.Intersecting(q), intersectingRef(dc, q)
+				if !slices.Equal(got, want) {
+					t.Fatalf("dims=%v n=%d blocks=%v q=%v: got %v, want %v", dims, n, dc.Blocks, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestIntersectingAllocs: Intersecting allocates only its result, one
+// slice, and nothing for a query outside the extent.
+func TestIntersectingAllocs(t *testing.T) {
+	dc := CommonDecomposition([]int64{40, 30, 20}, 24)
+	hit := Box{Min: []int64{5, 3, 2}, Max: []int64{30, 17, 19}}
+	miss := Box{Min: []int64{41, 0, 0}, Max: []int64{50, 5, 5}}
+	if len(dc.Intersecting(hit)) < 2 {
+		t.Fatal("the hit query should cover several blocks")
+	}
+	if a := testing.AllocsPerRun(100, func() { dc.Intersecting(hit) }); a != 1 {
+		t.Errorf("Intersecting allocates %v times for a hit, want 1", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { dc.Intersecting(miss) }); a != 0 {
+		t.Errorf("Intersecting allocates %v times for a miss, want 0", a)
+	}
+}

@@ -225,7 +225,7 @@ func (o *object) DatasetCreate(name string, dt *h5.Datatype, space *h5.Dataspace
 		}
 		size *= m
 	}
-	n := core.NewDatasetNode(name, dt, space.Clone())
+	n := core.NewDatasetNode(name, dt, space.Clone().SelectAll())
 	if err := o.node.AddChild(n); err != nil {
 		return nil, err
 	}
@@ -302,7 +302,7 @@ type dataset struct {
 }
 
 func (d *dataset) Datatype() *h5.Datatype   { return d.node.Type }
-func (d *dataset) Dataspace() *h5.Dataspace { return d.node.Space.Clone().SelectAll() }
+func (d *dataset) Dataspace() *h5.Dataspace { return d.node.Space }
 
 // runLayout converts a file-space selection into byte offsets/lengths
 // within the dataset's extent. The on-disk layout is row-major over the
@@ -311,7 +311,7 @@ func (d *dataset) runLayout(fileSpace *h5.Dataspace) (offs, lens []int64) {
 	es := int64(d.node.Type.Size)
 	base := d.f.extents[d.node]
 	layout := d.node.Space.MaxDims()
-	for _, b := range fileSpace.SelectionBoxes() {
+	for _, b := range fileSpace.Boxes() {
 		b.Runs(layout, func(off, n int64) {
 			offs = append(offs, base+off*es)
 			lens = append(lens, n*es)
@@ -334,7 +334,7 @@ type RunStorage interface {
 func (d *dataset) Write(memSpace, fileSpace *h5.Dataspace, data []byte) error {
 	es := int64(d.node.Type.Size)
 	if fileSpace == nil {
-		fileSpace = d.node.Space.Clone().SelectAll()
+		fileSpace = d.node.Space
 	}
 	var packed []byte
 	if memSpace == nil {
@@ -363,7 +363,7 @@ func (d *dataset) Write(memSpace, fileSpace *h5.Dataspace, data []byte) error {
 func (d *dataset) Read(memSpace, fileSpace *h5.Dataspace, data []byte) error {
 	es := int64(d.node.Type.Size)
 	if fileSpace == nil {
-		fileSpace = d.node.Space.Clone().SelectAll()
+		fileSpace = d.node.Space
 	}
 	var packed []byte
 	if n := fileSpace.NumSelected() * es; memSpace == nil {

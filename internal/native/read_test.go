@@ -88,7 +88,7 @@ func TestDirectReadMatchesIdentityMemSpace(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dh := openDataset(t, c, "direct.h5", tc.dset)
 			es := dh.Datatype().Size
-			sel := dh.Dataspace()
+			sel := dh.Dataspace().Clone() // the handle lends its own; select on a copy
 			if err := tc.sel(sel); err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestDirectReadAllocatesNoSelectionBuffer(t *testing.T) {
 	c := newTestConnector()
 	writeReadFixture(t, c, "alloc.h5")
 	dh := openDataset(t, c, "alloc.h5", "particles")
-	sel := dh.Dataspace()
+	sel := dh.Dataspace().Clone() // the handle lends its own; select on a copy
 	if err := sel.SelectHyperslab(h5.SelectSet, []int64{1000, 0}, []int64{20000, 3}); err != nil {
 		t.Fatal(err)
 	}

@@ -92,9 +92,10 @@ func TestOnRecvCrashFiresWithAndWithoutTimeout(t *testing.T) {
 }
 
 // The bench path — a fail-stop Call, and a one-frame Drain — allocates
-// exactly the request and response envelopes and transport messages, and
-// for the stream its call handle, sender and frame: the server keeps no
-// dedup entry for a request its client never re-sends. A client with a
+// exactly the request and response envelopes, and for the stream its call
+// handle, sender and frame. The two transport messages of each move by
+// value and allocate nothing. The server keeps no dedup entry for a
+// request its client never re-sends. A client with a
 // Timeout allocates exactly as much: its blocked receive re-arms the
 // mailbox's one deadline timer, and its dedup path stores entries by value.
 func TestWaitLoopAllocs(t *testing.T) {
@@ -103,8 +104,8 @@ func TestWaitLoopAllocs(t *testing.T) {
 		timeout     time.Duration
 		call, frame float64
 	}{
-		{"fail-stop", 0, 4, 10},
-		{"timeout", time.Minute, 4, 10},
+		{"fail-stop", 0, 2, 8},
+		{"timeout", time.Minute, 2, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pool := buf.NewPool(4096, 8)

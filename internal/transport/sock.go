@@ -614,9 +614,10 @@ func (s *Sock) ctlFrame(kind int64, data []byte) Frame {
 // pool when the peer's ack, which a held frame asks for at once, trims the
 // entry — one round trip. Any other payload is copied into the entry, so a
 // small pooled chunk is back in its pool when Send returns. Either way
-// Send drops the caller's reference (buf.Release). A self-send hands f
-// over by reference and the receiver releases it; a failed send leaves
-// the payload with the caller.
+// Send drops the caller's reference (buf.Release). A self-send hands a
+// copy of f, payload by reference, to the receiver, which releases it; a
+// failed send leaves the payload with the caller. Send does not keep f
+// itself past the call.
 func (s *Sock) Send(dst int, f *Frame) error {
 	if dst < 0 || dst >= len(s.peers) {
 		return &PeerDeadError{Rank: dst, Err: fmt.Errorf("rank out of range")}
@@ -627,7 +628,10 @@ func (s *Sock) Send(dst int, f *Frame) error {
 		s.sentBytes.Add(int64(len(f.Data)))
 		s.recvFrames.Add(1)
 		s.recvBytes.Add(int64(len(f.Data)))
-		s.deliverInbound(f)
+		// The receiver keeps what it is delivered; Send keeps no *Frame
+		// past the call, so a caller's frame can live on its stack.
+		self := *f
+		s.deliverInbound(&self)
 		return nil
 	}
 	p := &s.peers[dst]

@@ -6,7 +6,8 @@
 // Two engines implement the Transport interface:
 //
 //   - Chan: the in-proc channel delivery extracted from the original
-//     goroutine runtime. Frames move by reference (zero copies), the α–β
+//     goroutine runtime. Frames move by value and their payloads by
+//     reference (zero copies, no allocation per frame), the α–β
 //     cost model charges the sending goroutine before the frame becomes
 //     visible, and delivery is synchronous. This is the fast-test and
 //     fault-simulation backend.
@@ -27,7 +28,8 @@ import "fmt"
 // sent on, the sender's rank local to that communicator, the sender's
 // world rank, the user tag and the payload. It is both the in-memory
 // mailbox record of the chan engine and the unit of the sock engine's
-// wire format.
+// wire format. Frames travel by value through Send, DeliverFunc and the
+// mailbox, so sending one allocates nothing; only Data is shared.
 type Frame struct {
 	// CommID is the communicator context the frame belongs to; receives
 	// only match frames of their own communicator.
@@ -53,9 +55,10 @@ type Frame struct {
 	Data []byte
 }
 
-// DeliverFunc hands an inbound frame to the local runtime for world rank
-// dst. Implementations must be safe for concurrent use: the sock engine
-// calls it from one reader goroutine per peer connection.
+// DeliverFunc hands an inbound sock-engine frame to the local runtime for
+// world rank dst; the frame is the callee's to keep. Implementations must
+// be safe for concurrent use: the sock engine calls it from one reader
+// goroutine per peer connection.
 type DeliverFunc func(dst int, f *Frame)
 
 // Transport moves frames between world ranks. Send is fire-and-forget
@@ -67,9 +70,14 @@ type DeliverFunc func(dst int, f *Frame)
 // the caller must not touch the payload again. A non-nil error is always a
 // *PeerDeadError naming the unreachable destination; the caller owns the
 // frame's payload again and decides whether to release it.
+//
+// The frame itself moves by value, so a send through the interface
+// allocates nothing for it. Chan implements Transport directly. Sock's own
+// Send takes a *Frame, which it does not keep past the call, and the mpi
+// layer wraps it (mpi/sockworld.go).
 type Transport interface {
 	// Send ships f to world rank dst.
-	Send(dst int, f *Frame) error
+	Send(dst int, f Frame) error
 	// Close shuts the engine down and releases its resources (sockets,
 	// listeners, coordinator registration). Safe to call more than once.
 	Close() error

@@ -122,16 +122,18 @@ func TestFrameTooBig(t *testing.T) {
 
 func TestChanEngine(t *testing.T) {
 	var gotDst int
-	var gotFrame *Frame
+	var got Frame
 	charged := 0
-	tr := NewChan(func(dst int, f *Frame) { gotDst, gotFrame = dst, f },
+	tr := NewChan(func(dst int, f Frame) { gotDst, got = dst, f },
 		func(bytes int) { charged += bytes })
-	f := &Frame{CommID: 1, Src: 0, Tag: 7, Data: []byte("abc")}
+	f := Frame{CommID: 1, Src: 0, Tag: 7, Data: []byte("abc")}
 	if err := tr.Send(3, f); err != nil {
 		t.Fatal(err)
 	}
-	if gotDst != 3 || gotFrame != f {
-		t.Fatalf("delivered (%d,%p), want (3,%p)", gotDst, gotFrame, f)
+	// The frame arrives as an equal value whose payload is the sender's
+	// very slice: the chan engine copies no bytes.
+	if gotDst != 3 || got.CommID != f.CommID || got.Tag != f.Tag || &got.Data[0] != &f.Data[0] {
+		t.Fatalf("delivered (%d,%+v), want (3,%+v) sharing its payload", gotDst, got, f)
 	}
 	if charged != 3 {
 		t.Fatalf("cost charged %d bytes, want 3", charged)

@@ -70,7 +70,7 @@ func (c *Comm) Send(dest, tag int, data []byte) {
 	w := c.world
 	w.opGate(c.ranks[c.rank], c.inc)
 	w.recordSend(c.ranks[c.rank], c.ranks[dest], len(data))
-	m := &message{CommID: c.id, Src: c.rank, WorldSrc: c.ranks[c.rank], Tag: tag, Data: data}
+	m := message{CommID: c.id, Src: c.rank, WorldSrc: c.ranks[c.rank], Tag: tag, Data: data}
 	if w.fault != nil {
 		self := c.ranks[c.rank]
 		if w.failed[self].Load() {
@@ -164,7 +164,7 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status) {
 	if src != AnySource {
 		c.checkRank(src)
 	}
-	m := c.world.recv(c.ranks[c.rank], c.id, []int{src}, c.ranks, tag, c.inc, time.Time{}, c.Track(), "recv")
+	m, _ := c.world.recv(c.ranks[c.rank], c.id, []int{src}, c.ranks, tag, c.inc, time.Time{}, c.Track(), "recv")
 	return m.Data, Status{Source: m.Src, Tag: m.Tag, Bytes: len(m.Data)}
 }
 

@@ -473,3 +473,24 @@ func TestIsendCrashSurfacesTypedError(t *testing.T) {
 		t.Fatal("no send completed before the injected crash")
 	}
 }
+
+// A chan-engine Send and its matching Recv allocate nothing beyond the
+// payload, which the caller makes: the frame moves by value from the
+// sender's stack into the mailbox and out to the receiver.
+func TestChanSendRecvAllocs(t *testing.T) {
+	err := Run(1, func(c *Comm) {
+		payload := []byte("steady")
+		allocs := testing.AllocsPerRun(200, func() {
+			c.Send(0, 3, payload)
+			if data, st := c.Recv(0, 3); &data[0] != &payload[0] || st.Bytes != len(payload) {
+				t.Errorf("received %q (%+v), want the sent slice", data, st)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Send+Recv allocates %v times, want 0", allocs)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

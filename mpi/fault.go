@@ -109,7 +109,7 @@ func IsHaltPanic(r any) bool {
 // throttle), or never (drop, partition; the payload returns to its pool).
 // The clean path delivers by reference with no copy. A crash does not
 // return: the rank dies by panic.
-func (w *World) faultSend(worldSrc, worldDst int, m *message, tr *trace.Track) {
+func (w *World) faultSend(worldSrc, worldDst int, m message, tr *trace.Track) {
 	v, fire := w.fault.Decide(worldSrc, worldDst, m.Tag, false, len(m.Data))
 	if !fire {
 		w.deliver(worldDst, m)
@@ -131,7 +131,7 @@ func (w *World) faultSend(worldSrc, worldDst int, m *message, tr *trace.Track) {
 		// released independently, so they must not share a pooled chunk.
 		dup := append([]byte(nil), m.Data...)
 		w.deliver(worldDst, m)
-		w.deliver(worldDst, &message{CommID: m.CommID, Src: m.Src, WorldSrc: m.WorldSrc, Tag: m.Tag, Data: dup})
+		w.deliver(worldDst, message{CommID: m.CommID, Src: m.Src, WorldSrc: m.WorldSrc, Tag: m.Tag, Data: dup})
 	case FaultCorrupt:
 		out := v.Flip(m.Data)
 		buf.Release(m.Data)
@@ -157,7 +157,7 @@ func (w *World) faultSend(worldSrc, worldDst int, m *message, tr *trace.Track) {
 // releases it, modeling in-flight bytes on a slow link: the sender has
 // already returned. The verdict's Done is closed even if the world aborted
 // meanwhile (the payload then returns to its pool).
-func (w *World) deliverAsync(worldDst int, m *message, v transport.Verdict) {
+func (w *World) deliverAsync(worldDst int, m message, v transport.Verdict) {
 	go func() {
 		if v.Done != nil {
 			defer close(v.Done)

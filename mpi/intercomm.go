@@ -81,7 +81,7 @@ func (ic *Intercomm) Send(dest, tag int, data []byte) {
 	w := ic.world
 	w.opGate(ic.local[ic.rank], ic.inc)
 	w.recordSend(ic.local[ic.rank], ic.remote[dest], len(data))
-	m := &message{CommID: ic.sendID(), Src: ic.rank, WorldSrc: ic.local[ic.rank], Tag: tag, Data: data}
+	m := message{CommID: ic.sendID(), Src: ic.rank, WorldSrc: ic.local[ic.rank], Tag: tag, Data: data}
 	if w.fault != nil {
 		self := ic.local[ic.rank]
 		if w.failed[self].Load() {
@@ -117,8 +117,8 @@ func (ic *Intercomm) Recv(src, tag int) ([]byte, Status) {
 // two replicas outlives the death of one; an empty srcs matches nothing
 // and waits out the deadline.
 func (ic *Intercomm) RecvUntil(srcs []int, tag int, deadline time.Time) ([]byte, Status, bool) {
-	m := ic.world.recv(ic.local[ic.rank], ic.recvID(), srcs, ic.remote, tag, ic.inc, deadline, ic.Track(), "ic.recv")
-	if m == nil {
+	m, ok := ic.world.recv(ic.local[ic.rank], ic.recvID(), srcs, ic.remote, tag, ic.inc, deadline, ic.Track(), "ic.recv")
+	if !ok {
 		return nil, Status{}, false
 	}
 	return m.Data, Status{Source: m.Src, Tag: m.Tag, Bytes: len(m.Data)}, true

@@ -117,9 +117,16 @@ func NewSockWorld(cfg SockWorldConfig, opts ...Option) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.xport = sock
+	w.xport = sockEngine{sock}
 	return w, nil
 }
+
+// sockEngine is the sock engine as a transport.Transport: its Send takes
+// the frame by value and lends the engine a pointer to it, which the
+// engine does not keep, so the frame stays on the sender's stack.
+type sockEngine struct{ *transport.Sock }
+
+func (e sockEngine) Send(dst int, f transport.Frame) error { return e.Sock.Send(dst, &f) }
 
 // sockRecoveryHook turns transport recovery events into metrics counters
 // (when the world carries a registry) and flight-recorder entries (when
@@ -204,7 +211,7 @@ func (w *World) LocalRank() int { return w.localRank }
 // SockStats returns the sock engine's data-plane counters, or false for
 // an in-proc world.
 func (w *World) SockStats() (transport.SockStats, bool) {
-	if s, ok := w.xport.(*transport.Sock); ok {
+	if s, ok := w.xport.(sockEngine); ok {
 		return s.Stats(), true
 	}
 	return transport.SockStats{}, false

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -551,9 +552,10 @@ func (w *World) watch(stop <-chan struct{}) {
 }
 
 // message is a single in-flight message: exactly a transport frame. The
-// alias keeps the chan engine zero-copy and allocation-identical to the
-// pre-seam runtime — the value a sender constructs is the value the
-// receiver's mailbox stores, whichever engine carried it.
+// alias keeps the chan engine zero-copy: the value a sender constructs on
+// its stack is the value the receiver's mailbox stores, whichever engine
+// carried it, and only the payload slice is shared. Messages move by value
+// end to end, so a send allocates nothing beyond the payload.
 type message = transport.Frame
 
 // mailbox holds undelivered messages for one world rank, plus the rank's
@@ -562,7 +564,7 @@ type message = transport.Frame
 type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	msgs []*message
+	msgs []message
 
 	waiting          bool
 	waitSince        time.Time
@@ -660,7 +662,7 @@ func (b *mailbox) armLocked(deadline time.Time, d time.Duration) {
 	}
 }
 
-func (b *mailbox) put(m *message) {
+func (b *mailbox) put(m message) {
 	b.mu.Lock()
 	b.msgs = append(b.msgs, m)
 	// Broadcast, not Signal: a rank may have several goroutines (e.g. serve
@@ -691,16 +693,16 @@ func matches(m *message, commID uint64, src, tag int) bool {
 func (b *mailbox) find(commID uint64, srcs []int, tag int) int {
 	if len(srcs) == 1 {
 		src := srcs[0]
-		for i, m := range b.msgs {
-			if matches(m, commID, src, tag) {
+		for i := range b.msgs {
+			if matches(&b.msgs[i], commID, src, tag) {
 				return i
 			}
 		}
 		return -1
 	}
-	for i, m := range b.msgs {
+	for i := range b.msgs {
 		for _, src := range srcs {
-			if matches(m, commID, src, tag) {
+			if matches(&b.msgs[i], commID, src, tag) {
 				return i
 			}
 		}
@@ -710,9 +712,9 @@ func (b *mailbox) find(commID uint64, srcs []int, tag int) int {
 
 // recv is the receive under Comm.Recv and Intercomm.RecvUntil: the
 // operation gate and the OnRecv fault rules run once, then take removes
-// the message, or returns nil at the deadline. With a tracer attached,
+// the message, or reports false at the deadline. With a tracer attached,
 // the span covers the time blocked waiting.
-func (w *World) recv(self int, commID uint64, srcs, ranks []int, tag int, inc uint32, deadline time.Time, tr *trace.Track, span string) *message {
+func (w *World) recv(self int, commID uint64, srcs, ranks []int, tag int, inc uint32, deadline time.Time, tr *trace.Track, span string) (message, bool) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -721,21 +723,21 @@ func (w *World) recv(self int, commID uint64, srcs, ranks []int, tag int, inc ui
 	if w.fault != nil {
 		w.injectRecv(self, tag, tr)
 	}
-	m := w.boxes[self].take(w, self, commID, srcs, ranks, tag, inc, true, deadline)
-	if m != nil && tr != nil {
+	m, ok := w.boxes[self].take(w, self, commID, srcs, ranks, tag, inc, true, deadline)
+	if ok && tr != nil {
 		tr.Span("mpi", span, t0, time.Now(),
 			trace.I64("src", int64(m.Src)), trace.I64("tag", int64(m.Tag)),
 			trace.I64("bytes", int64(len(m.Data))))
 	}
-	return m
+	return m, ok
 }
 
 // peek is the probe under Probe and Iprobe: the status of a matching
 // message, without receiving it, waiting until deadline (see take).
 func (w *World) peek(self int, commID uint64, src int, ranks []int, tag int, inc uint32, deadline time.Time) (Status, bool) {
 	w.opGate(self, inc)
-	m := w.boxes[self].take(w, self, commID, []int{src}, ranks, tag, inc, false, deadline)
-	if m == nil {
+	m, ok := w.boxes[self].take(w, self, commID, []int{src}, ranks, tag, inc, false, deadline)
+	if !ok {
 		return Status{}, false
 	}
 	return Status{Source: m.Src, Tag: m.Tag, Bytes: len(m.Data)}, true
@@ -744,8 +746,8 @@ func (w *World) peek(self int, commID uint64, src int, ranks []int, tag int, inc
 // take removes and returns the first message on commID with the given tag
 // (or AnyTag) from one of srcs — local ranks of a group whose world ranks
 // ranks lists, or AnySource. remove=false peeks without removing (Probe).
-// A zero deadline blocks until a message arrives; otherwise take returns
-// nil once the deadline passes, at once when it already has (Iprobe), and
+// A zero deadline blocks until a message arrives; otherwise take reports
+// false once the deadline passes, at once when it already has (Iprobe), and
 // a blocking wait arms the mailbox's one timer for the earliest deadline
 // of its waiters, allocating nothing. While it waits the mailbox is
 // marked waiting, so the watchdog and the supervisor see a blocked rank. A
@@ -755,7 +757,7 @@ func (w *World) peek(self int, commID uint64, src int, ranks []int, tag int, inc
 // receive: after a supervisor restart, a stale waiter from the previous
 // incarnation re-checks it on every wakeup and dies instead of stealing
 // the new incarnation's messages.
-func (b *mailbox) take(w *World, self int, commID uint64, srcs, ranks []int, tag int, inc uint32, remove bool, deadline time.Time) *message {
+func (b *mailbox) take(w *World, self int, commID uint64, srcs, ranks []int, tag int, inc uint32, remove bool, deadline time.Time) (message, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
@@ -773,10 +775,12 @@ func (b *mailbox) take(w *World, self int, commID uint64, srcs, ranks []int, tag
 		if i := b.find(commID, srcs, tag); i >= 0 {
 			m := b.msgs[i]
 			if remove {
-				b.msgs = append(b.msgs[:i], b.msgs[i+1:]...)
+				// Delete clears the vacated tail slot, so the mailbox does
+				// not keep a received payload reachable.
+				b.msgs = slices.Delete(b.msgs, i, i+1)
 			}
 			b.received++
-			return m
+			return m, true
 		}
 		if w.sourcesGone(srcs, ranks, tag) {
 			panic(&RankFailedError{Rank: ranks[srcs[0]]})
@@ -784,7 +788,7 @@ func (b *mailbox) take(w *World, self int, commID uint64, srcs, ranks []int, tag
 		if !deadline.IsZero() {
 			d := time.Until(deadline)
 			if d <= 0 {
-				return nil
+				return message{}, false
 			}
 			b.armLocked(deadline, d)
 		}
@@ -847,7 +851,7 @@ func (w *World) markExited(worldRank int) {
 // as failed (sock engine: connection broke mid-world) marks the peer
 // failed and drops the frame the same way, so transport-level peer death
 // flows into the existing RankFailedError machinery.
-func (w *World) deliver(worldDest int, m *message) {
+func (w *World) deliver(worldDest int, m message) {
 	if w.aborted.Load() {
 		panic(&AbortedError{Err: w.abortReason()})
 	}
@@ -867,7 +871,7 @@ func (w *World) deliver(worldDest int, m *message) {
 // destination rank's mailbox. The chan engine calls it synchronously from
 // the sender's goroutine; the sock engine calls it from the reader
 // goroutine of the connection the frame arrived on.
-func (w *World) enqueue(worldDest int, m *message) {
+func (w *World) enqueue(worldDest int, m message) {
 	w.boxes[worldDest].put(m)
 	w.delivered.Add(1)
 }
@@ -884,5 +888,5 @@ func (w *World) enqueueInbound(worldDest int, m *message) {
 			w.linkBytes[m.WorldSrc*w.size+worldDest].Add(int64(len(m.Data)))
 		}
 	}
-	w.enqueue(worldDest, m)
+	w.enqueue(worldDest, *m)
 }

@@ -71,54 +71,61 @@ func (o *Object) Path() string { return o.path }
 // Handle exposes the underlying VOL handle (for transport-layer callers).
 func (o *Object) Handle() ObjectHandle { return o.h }
 
-func splitPath(path string) ([]string, error) {
+// checkPath validates a slash-separated object path, ignoring leading and
+// trailing slashes, and returns it trimmed.
+func checkPath(path string) (string, error) {
 	path = strings.Trim(path, "/")
 	if path == "" {
-		return nil, fmt.Errorf("h5: empty object path")
+		return "", fmt.Errorf("h5: empty object path")
 	}
-	segs := strings.Split(path, "/")
-	for _, s := range segs {
-		if s == "" || s == "." || s == ".." {
-			return nil, fmt.Errorf("h5: invalid path %q", path)
+	for rest, more := path, true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, "/")
+		if seg == "" || seg == "." || seg == ".." {
+			return "", fmt.Errorf("h5: invalid path %q", path)
 		}
 	}
-	return segs, nil
+	return path, nil
 }
 
-// walk opens intermediate groups down to the parent of the last segment.
-// The returned cleanup closes the intermediates (not o.h itself).
-func (o *Object) walk(path string) (parent ObjectHandle, last string, cleanup func(), err error) {
-	segs, err := splitPath(path)
+// walk opens the intermediate groups of path and returns the parent of its
+// last segment. Each intermediate group is closed once its child is open,
+// so the caller closes only a returned parent that is not o.h (release).
+func (o *Object) walk(path string) (parent ObjectHandle, last string, err error) {
+	path, err = checkPath(path)
 	if err != nil {
-		return nil, "", nil, err
-	}
-	var opened []ObjectHandle
-	cleanup = func() {
-		for i := len(opened) - 1; i >= 0; i-- {
-			opened[i].Close()
-		}
+		return nil, "", err
 	}
 	cur := o.h
-	for _, seg := range segs[:len(segs)-1] {
-		next, err := cur.GroupOpen(seg)
-		if err != nil {
-			cleanup()
-			return nil, "", nil, fmt.Errorf("h5: opening group %q under %q: %w", seg, o.path, err)
+	for {
+		seg, rest, more := strings.Cut(path, "/")
+		if !more {
+			return cur, seg, nil
 		}
-		opened = append(opened, next)
-		cur = next
+		next, err := cur.GroupOpen(seg)
+		o.release(cur)
+		if err != nil {
+			return nil, "", fmt.Errorf("h5: opening group %q under %q: %w", seg, o.path, err)
+		}
+		cur, path = next, rest
 	}
-	return cur, segs[len(segs)-1], cleanup, nil
+}
+
+// release closes a handle walk returned, unless it is o's own.
+func (o *Object) release(h ObjectHandle) {
+	if h != o.h {
+		h.Close()
+	}
 }
 
 // CreateGroup creates a group at the (possibly nested) path; intermediate
 // groups must already exist.
 func (o *Object) CreateGroup(path string) (*Group, error) {
-	parent, last, cleanup, err := o.walk(path)
+	parent, last, err := o.walk(path)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
+	defer o.release(parent)
 	h, err := parent.GroupCreate(last)
 	if err != nil {
 		return nil, err
@@ -128,11 +135,11 @@ func (o *Object) CreateGroup(path string) (*Group, error) {
 
 // OpenGroup opens a group at the (possibly nested) path.
 func (o *Object) OpenGroup(path string) (*Group, error) {
-	parent, last, cleanup, err := o.walk(path)
+	parent, last, err := o.walk(path)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
+	defer o.release(parent)
 	h, err := parent.GroupOpen(last)
 	if err != nil {
 		return nil, err
@@ -145,11 +152,11 @@ func (o *Object) CreateDataset(path string, dt *Datatype, space *Dataspace) (*Da
 	if dt == nil || space == nil {
 		return nil, fmt.Errorf("h5: CreateDataset %q: nil datatype or dataspace", path)
 	}
-	parent, last, cleanup, err := o.walk(path)
+	parent, last, err := o.walk(path)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
+	defer o.release(parent)
 	h, err := parent.DatasetCreate(last, dt, space.Clone().SelectAll())
 	if err != nil {
 		return nil, err
@@ -159,11 +166,11 @@ func (o *Object) CreateDataset(path string, dt *Datatype, space *Dataspace) (*Da
 
 // OpenDataset opens the dataset at the path.
 func (o *Object) OpenDataset(path string) (*Dataset, error) {
-	parent, last, cleanup, err := o.walk(path)
+	parent, last, err := o.walk(path)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
+	defer o.release(parent)
 	h, err := parent.DatasetOpen(last)
 	if err != nil {
 		return nil, err
@@ -177,11 +184,11 @@ func (o *Object) Children() ([]ObjectInfo, error) { return o.h.Children() }
 // Delete unlinks the object at the (possibly nested) path and everything
 // under it.
 func (o *Object) Delete(path string) error {
-	parent, last, cleanup, err := o.walk(path)
+	parent, last, err := o.walk(path)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	defer o.release(parent)
 	return parent.Delete(last)
 }
 

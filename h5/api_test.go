@@ -43,6 +43,51 @@ func TestPathValidation(t *testing.T) {
 	}
 }
 
+// TestWalkAllocs pins the path walk under CreateDataset and OpenDataset:
+// a one-segment path costs no allocation and resolves to the object's own
+// handle, which callers do not close, and a path is validated whole before
+// any group on it is opened.
+func TestWalkAllocs(t *testing.T) {
+	f, err := h5.CreateFile("w.h5", memFapl())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := f.CreateGroup("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.CreateDataset("d", h5.U8, h5.NewSimple(4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.CreateDataset("d", h5.U8, h5.NewSimple(4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.OpenDataset("/g/d"); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []*h5.Object{&f.Object, &g.Object} {
+		for _, p := range []string{"d", "/d", "d/"} {
+			if a := testing.AllocsPerRun(100, func() { o.Walk(p) }); a != 0 {
+				t.Errorf("walk(%q) under %q allocates %v times, want 0", p, o.Path(), a)
+			}
+			if parent, last, err := o.Walk(p); err != nil || parent != o.Handle() || last != "d" {
+				t.Errorf("walk(%q) under %q = %v, %q, %v", p, o.Path(), parent, last, err)
+			}
+		}
+	}
+	// OpenDataset adds only its *Dataset and that dataset's path to what
+	// the connector allocates.
+	h := g.Handle()
+	vol := testing.AllocsPerRun(100, func() { h.DatasetOpen("d") })
+	api := testing.AllocsPerRun(100, func() { g.OpenDataset("d") })
+	if api != vol+2 {
+		t.Errorf("OpenDataset allocates %v times, connector %v: want connector + 2", api, vol)
+	}
+	if _, err := f.OpenGroup("missing/./x"); err == nil || !strings.Contains(err.Error(), "invalid path") {
+		t.Errorf("OpenGroup through a missing group with a bad segment: %v, want invalid path", err)
+	}
+}
+
 func TestCreateDatasetValidation(t *testing.T) {
 	f, _ := h5.CreateFile("d.h5", memFapl())
 	if _, err := f.CreateDataset("d", nil, h5.NewSimple(4)); err == nil {

@@ -92,21 +92,22 @@ func (v *MetadataVOL) memoryOn(name string) bool { return lastMatch(v.memory, na
 // passthruOn reports whether the file is written through to the base.
 func (v *MetadataVOL) passthruOn(name string) bool { return lastMatch(v.passthru, name, false) }
 
-// matchDataset matches a pattern against a dataset path like
+// matchDataset matches a pattern against dataset n, whose path is like
 // "/group1/grid". path.Match's `*` never crosses a separator, so a pattern
-// without one ("*", "grid*") is matched against the path's base name —
-// making SetZeroCopy("*", "*") cover datasets inside groups, as intended —
-// while a pattern containing a separator matches the full path.
-func matchDataset(pat, dsetPath string) bool {
+// without one ("*", "grid*") is matched against the path's base name, which
+// is n.Name — making SetZeroCopy("*", "*") cover datasets inside groups, as
+// intended — while only a pattern containing a separator builds the full
+// path to match against.
+func matchDataset(pat string, n *Node) bool {
 	if !strings.Contains(pat, "/") {
-		return matchPattern(pat, path.Base(dsetPath))
+		return matchPattern(pat, n.Name)
 	}
-	return matchPattern(pat, dsetPath)
+	return matchPattern(pat, n.Path())
 }
 
-func (v *MetadataVOL) zeroCopyOn(fileName, dsetPath string) bool {
+func (v *MetadataVOL) zeroCopyOn(fileName string, n *Node) bool {
 	for _, zp := range v.zeroCopy {
-		if matchPattern(zp.filePat, fileName) && matchDataset(zp.dsetPat, dsetPath) {
+		if matchPattern(zp.filePat, fileName) && matchDataset(zp.dsetPat, n) {
 			return true
 		}
 	}
@@ -280,7 +281,7 @@ func (o *metaObject) DatasetCreate(name string, dt *h5.Datatype, space *h5.Datas
 		if err := o.node.AddChild(n); err != nil {
 			return nil, err
 		}
-		if o.vol.zeroCopyOn(o.file.name, n.Path()) {
+		if o.vol.zeroCopyOn(o.file.name, n) {
 			n.Ownership = OwnShallow
 		}
 		ds.node = n

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"path"
+	"strings"
 	"testing"
 
 	"lowfive/h5"
@@ -174,6 +176,40 @@ func TestMetaVOLAttributes(t *testing.T) {
 	}
 	if _, _, err := ds.ReadAttribute("missing"); err == nil {
 		t.Error("missing attribute should fail")
+	}
+}
+
+// TestMatchDatasetAgreesWithFullPath pins matchDataset, which matches a
+// pattern without a separator against the node's name, to the rule it
+// replaced: such a pattern against path.Base of the full path, any other
+// against the full path.
+func TestMatchDatasetAgreesWithFullPath(t *testing.T) {
+	root := NewGroupNode("")
+	g1, g2 := NewGroupNode("g1"), NewGroupNode("g2")
+	top := NewDatasetNode("grid", h5.U8, h5.NewSimple(1))
+	mid := NewDatasetNode("grid", h5.U8, h5.NewSimple(1))
+	deep := NewDatasetNode("p.x", h5.U8, h5.NewSimple(1))
+	for _, add := range []struct{ parent, child *Node }{
+		{root, top}, {root, g1}, {g1, mid}, {g1, g2}, {g2, deep},
+	} {
+		if err := add.parent.AddChild(add.child); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := func(pat, p string) bool {
+		if !strings.Contains(pat, "/") {
+			return matchPattern(pat, path.Base(p))
+		}
+		return matchPattern(pat, p)
+	}
+	pats := []string{"*", "grid", "grid*", "p.*", "g1", "[", "/*", "/grid",
+		"/g1/*", "/g1/grid", "g1/grid", "*/grid", "/g1/g2/*", "/*/*/p.x", "/g1/["}
+	for _, n := range []*Node{top, mid, deep} {
+		for _, pat := range pats {
+			if got, want := matchDataset(pat, n), old(pat, n.Path()); got != want {
+				t.Errorf("matchDataset(%q, %s) = %v, full-path rule says %v", pat, n.Path(), got, want)
+			}
+		}
 	}
 }
 

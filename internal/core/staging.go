@@ -27,7 +27,8 @@ type ReplayStats struct {
 	// Records is the number of log records scanned — proportional to the
 	// last committed span, not to every epoch ever served.
 	Records int
-	// Bytes is the framed log volume scanned.
+	// Bytes is the payload scanned: the span's metadata snapshot and chunk
+	// bytes, or on PFS fallback the data re-read from the container file.
 	Bytes int64
 	// PFSFallback reports that the log span was truncated (or never
 	// existed) and recovery degraded to the container-file Rejoin path.

@@ -6,7 +6,6 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -138,104 +137,104 @@ const caseTimeout = 90 * time.Second
 var sockCaseSeq atomic.Int64
 
 func runSockCase(spec rankmain.Spec, sc SockCase, ref []uint64) (SockResult, error) {
-	res := SockResult{Case: sc.Name, Network: sc.Network, Procs: spec.WorldSize()}
+	restarts, secs, err := runProcs(spec, sc.Network, sc.KillRank, sc.KillAfter, ref, nil)
+	return SockResult{
+		Case: sc.Name, Network: sc.Network, Procs: spec.WorldSize(),
+		Restarts: restarts, Identical: err == nil, Seconds: secs,
+	}, err
+}
+
+// runProcs runs one multi-process case, the body of both process sweeps:
+// it starts a coordinator, spawns one process per world rank of spec over
+// network, and, when killRank >= 0, SIGKILLs that rank killAfter into the
+// run and respawns it as incarnation 1. The coordinator broadcasts the
+// death (peers fail receives typed) and then the rejoin (peers revive the
+// rank); the respawned rank re-publishes everything and consumers
+// deduplicate. It then waits for every current process within caseTimeout
+// and compares each consumer's digest with ref, so a nil error means every
+// digest matched. scan, if set, sees every line the processes printed. It
+// returns the restart count and the run's wall seconds.
+func runProcs(spec rankmain.Spec, network string, killRank int, killAfter time.Duration, ref []uint64, scan func(line string)) (restarts int, seconds float64, err error) {
 	coordAddr := "127.0.0.1:0"
-	if sc.Network == "unix" {
+	if network == "unix" {
 		coordAddr = fmt.Sprintf("%s/lf-coord-%d.%d.sock", os.TempDir(), os.Getpid(), sockCaseSeq.Add(1))
 		os.Remove(coordAddr)
 	}
-	coord, err := transport.NewCoordinator(sc.Network, coordAddr, spec.WorldSize())
+	coord, err := transport.NewCoordinator(network, coordAddr, spec.WorldSize())
 	if err != nil {
-		return res, err
+		return restarts, seconds, err
 	}
 	defer coord.Close()
 
 	t0 := time.Now()
 	procs := make([]*rankProc, spec.WorldSize())
 	for r := range procs {
-		if procs[r], err = spawnRank(spec, sc.Network, coord.Addr(), r, 0); err != nil {
+		if procs[r], err = spawnRank(spec, network, coord.Addr(), r, 0); err != nil {
 			killAll(procs)
-			return res, fmt.Errorf("spawn rank %d: %w", r, err)
+			return restarts, seconds, fmt.Errorf("spawn rank %d: %w", r, err)
 		}
 	}
 	defer killAll(procs)
 
-	// The kill-and-respawn path: SIGKILL the victim mid-stream, wait for
-	// the process to die, relaunch it as incarnation 1. The coordinator
-	// broadcasts the death (peers fail receives typed) and then the
-	// rejoin (peers revive the rank); the respawned producer re-publishes
-	// everything and consumers deduplicate.
-	if sc.KillRank >= 0 {
-		time.Sleep(sc.KillAfter)
-		victim := procs[sc.KillRank]
+	if killRank >= 0 {
+		time.Sleep(killAfter)
+		victim := procs[killRank]
 		if err := victim.cmd.Process.Kill(); err != nil {
-			return res, fmt.Errorf("kill rank %d: %w", sc.KillRank, err)
+			return restarts, seconds, fmt.Errorf("kill rank %d: %w", killRank, err)
 		}
 		victim.cmd.Wait() // reap; exit error is the point
-		if procs[sc.KillRank], err = spawnRank(spec, sc.Network, coord.Addr(), sc.KillRank, 1); err != nil {
-			return res, fmt.Errorf("respawn rank %d: %w", sc.KillRank, err)
+		if procs[killRank], err = spawnRank(spec, network, coord.Addr(), killRank, 1); err != nil {
+			return restarts, seconds, fmt.Errorf("respawn rank %d: %w", killRank, err)
 		}
-		res.Restarts++
+		restarts++
 	}
 
-	// Wait for every (current) rank process, bounded by the case timeout.
-	done := make(chan error, 1)
-	go func() {
-		errs := make([]error, len(procs))
-		var wg sync.WaitGroup
-		for r := range procs {
-			wg.Add(1)
-			go func(p *rankProc, r int) {
-				defer wg.Done()
-				if err := p.cmd.Wait(); err != nil {
-					errs[r] = fmt.Errorf("rank %d: %w (stderr above)", r, err)
-				}
-			}(procs[r], r)
-		}
-		wg.Wait()
-		var firstErr error
-		for _, e := range errs {
-			if e != nil {
-				firstErr = e
-				break
-			}
-		}
-		done <- firstErr
-	}()
-	select {
-	case err = <-done:
-		if err != nil {
-			return res, err
-		}
-	case <-time.After(caseTimeout):
-		killAll(procs)
-		return res, fmt.Errorf("case timed out after %s", caseTimeout)
+	if err := waitProcs(procs, caseTimeout); err != nil {
+		return restarts, seconds, err
 	}
-	res.Seconds = time.Since(t0).Seconds()
+	seconds = time.Since(t0).Seconds()
 
-	// Collect consumer digests and compare to the in-proc reference.
 	digests := map[int]uint64{}
 	for _, p := range procs {
 		for _, line := range strings.Split(p.out.String(), "\n") {
 			if rank, d, ok := rankmain.ParseDigest(line); ok {
 				digests[rank] = d
 			}
+			if scan != nil {
+				scan(line)
+			}
 		}
 	}
-	res.Identical = true
 	for ci := 0; ci < spec.Consumers; ci++ {
 		d, ok := digests[spec.Producers+ci]
 		if !ok {
-			return res, fmt.Errorf("consumer rank %d printed no digest", spec.Producers+ci)
+			return restarts, seconds, fmt.Errorf("consumer rank %d printed no digest", spec.Producers+ci)
 		}
 		if d != ref[ci] {
-			res.Identical = false
+			return restarts, seconds, fmt.Errorf("consumer digests differ from the in-proc reference")
 		}
 	}
-	if !res.Identical {
-		return res, fmt.Errorf("consumer digests differ from the in-proc reference")
+	return restarts, seconds, nil
+}
+
+// waitProcs waits for every current rank process, bounded by the timeout.
+func waitProcs(procs []*rankProc, timeout time.Duration) error {
+	done := make(chan error, 1)
+	go func() {
+		var firstErr error
+		for r, p := range procs {
+			if err := p.cmd.Wait(); err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("rank %d: %w (stderr above)", r, err)
+			}
+		}
+		done <- firstErr
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(timeout):
+		return fmt.Errorf("case timed out after %s", timeout)
 	}
-	return res, nil
 }
 
 func killAll(procs []*rankProc) {

@@ -2,12 +2,9 @@ package harness
 
 import (
 	"fmt"
-	"os"
-	"strings"
 	"time"
 
 	"lowfive/internal/rankmain"
-	"lowfive/internal/transport"
 	"lowfive/mpi"
 )
 
@@ -176,74 +173,17 @@ func runSockFaultCase(fc SockFaultCase) (SockFaultResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("chan reference: %w", err)
 	}
-	spec := fc.Spec
-	coordAddr := "127.0.0.1:0"
-	if fc.Network == "unix" {
-		coordAddr = fmt.Sprintf("%s/lf-fault-%d.%d.sock", os.TempDir(), os.Getpid(), sockCaseSeq.Add(1))
-		os.Remove(coordAddr)
-	}
-	coord, err := transport.NewCoordinator(fc.Network, coordAddr, spec.WorldSize())
+	// Sum the per-rank recovery counters from the children's stats lines.
+	restarts, secs, err := runProcs(fc.Spec, fc.Network, fc.KillRank, fc.KillAfter, ref, func(line string) {
+		if _, st, ok := rankmain.ParseSockStats(line); ok {
+			res.Reconnects += st.Reconnects
+			res.Redials += st.Redials
+			res.ResentFrames += st.ResentFrames
+		}
+	})
+	res.Restarts, res.Identical, res.Seconds = restarts, err == nil, secs
 	if err != nil {
 		return res, err
-	}
-	defer coord.Close()
-
-	t0 := time.Now()
-	procs := make([]*rankProc, spec.WorldSize())
-	for r := range procs {
-		if procs[r], err = spawnRank(spec, fc.Network, coord.Addr(), r, 0); err != nil {
-			killAll(procs)
-			return res, fmt.Errorf("spawn rank %d: %w", r, err)
-		}
-	}
-	defer killAll(procs)
-
-	if fc.KillRank >= 0 {
-		time.Sleep(fc.KillAfter)
-		victim := procs[fc.KillRank]
-		if err := victim.cmd.Process.Kill(); err != nil {
-			return res, fmt.Errorf("kill rank %d: %w", fc.KillRank, err)
-		}
-		victim.cmd.Wait()
-		if procs[fc.KillRank], err = spawnRank(spec, fc.Network, coord.Addr(), fc.KillRank, 1); err != nil {
-			return res, fmt.Errorf("respawn rank %d: %w", fc.KillRank, err)
-		}
-		res.Restarts++
-	}
-
-	if err := waitProcs(procs, caseTimeout); err != nil {
-		killAll(procs)
-		return res, err
-	}
-	res.Seconds = time.Since(t0).Seconds()
-
-	// Collect consumer digests and per-rank recovery counters from the
-	// children's marker lines.
-	digests := map[int]uint64{}
-	for _, p := range procs {
-		for _, line := range strings.Split(p.out.String(), "\n") {
-			if rank, d, ok := rankmain.ParseDigest(line); ok {
-				digests[rank] = d
-			}
-			if _, st, ok := rankmain.ParseSockStats(line); ok {
-				res.Reconnects += st.Reconnects
-				res.Redials += st.Redials
-				res.ResentFrames += st.ResentFrames
-			}
-		}
-	}
-	res.Identical = true
-	for ci := 0; ci < spec.Consumers; ci++ {
-		d, ok := digests[spec.Producers+ci]
-		if !ok {
-			return res, fmt.Errorf("consumer rank %d printed no digest", spec.Producers+ci)
-		}
-		if d != ref[ci] {
-			res.Identical = false
-		}
-	}
-	if !res.Identical {
-		return res, fmt.Errorf("consumer digests differ from the fault-free in-proc reference")
 	}
 	if fc.WantReconnects && res.Reconnects == 0 {
 		return res, fmt.Errorf("expected reconnects > 0, got 0 (faults never landed?)")
@@ -252,24 +192,4 @@ func runSockFaultCase(fc SockFaultCase) (SockFaultResult, error) {
 		return res, fmt.Errorf("expected resent frames > 0, got 0 (faults never landed?)")
 	}
 	return res, nil
-}
-
-// waitProcs waits for every current rank process, bounded by the timeout.
-func waitProcs(procs []*rankProc, timeout time.Duration) error {
-	done := make(chan error, 1)
-	go func() {
-		var firstErr error
-		for r, p := range procs {
-			if err := p.cmd.Wait(); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("rank %d: %w (stderr above)", r, err)
-			}
-		}
-		done <- firstErr
-	}()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(timeout):
-		return fmt.Errorf("case timed out after %s", timeout)
-	}
 }

@@ -1,54 +1,19 @@
 package stage
 
-import "fmt"
-
-// entry is one appended record: the framed bytes (what replication and
-// fetch-range ship) alongside the decoded form (what local replay and
-// queries read). Both views share the same backing array.
-type entry struct {
-	frame []byte
-	rec   *Record
-}
-
 // shardLog is one replica's append-only record sequence. Sequence numbers
 // are dense and monotonic; truncation advances firstSeq, so an offset below
-// it is provably garbage-collected rather than merely absent.
+// it is provably garbage-collected rather than merely absent. Replicas of
+// one shard share their records but not their entries slice.
 type shardLog struct {
 	firstSeq uint64 // seq of entries[0]
 	nextSeq  uint64 // seq the next append receives
-	entries  []entry
-	bytes    int64 // framed bytes currently retained
+	entries  []*Record
 }
 
-// append assigns the next sequence number to r, frames it, and returns the
-// assigned seq.
-func (l *shardLog) append(r *Record) uint64 {
-	r.Seq = l.nextSeq
-	fr := EncodeRecord(r)
-	l.entries = append(l.entries, entry{frame: fr, rec: r})
+// append adds r, whose Seq must already be nextSeq.
+func (l *shardLog) append(r *Record) {
+	l.entries = append(l.entries, r)
 	l.nextSeq++
-	l.bytes += int64(len(fr))
-	return r.Seq
-}
-
-// appendFrame validates and appends an already-framed record (the follower
-// side of replication). The frame's seq must be exactly nextSeq — acked
-// appends are monotonically sequenced, with no holes.
-func (l *shardLog) appendFrame(frame []byte) (*Record, error) {
-	r, n, err := DecodeRecord(frame)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(frame) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRecord, len(frame)-n)
-	}
-	if r.Seq != l.nextSeq {
-		return nil, fmt.Errorf("stage: out-of-order append seq %d, want %d", r.Seq, l.nextSeq)
-	}
-	l.entries = append(l.entries, entry{frame: frame, rec: r})
-	l.nextSeq++
-	l.bytes += int64(len(frame))
-	return r, nil
 }
 
 // get returns the record at seq, or nil when it is truncated or beyond the
@@ -57,19 +22,11 @@ func (l *shardLog) get(seq uint64) *Record {
 	if seq < l.firstSeq || seq >= l.nextSeq {
 		return nil
 	}
-	return l.entries[seq-l.firstSeq].rec
-}
-
-// frameAt returns the framed bytes at seq for fetch-range serving.
-func (l *shardLog) frameAt(seq uint64) []byte {
-	if seq < l.firstSeq || seq >= l.nextSeq {
-		return nil
-	}
-	return l.entries[seq-l.firstSeq].frame
+	return l.entries[seq-l.firstSeq]
 }
 
 // truncateBefore drops every record with seq < seq, returning how many were
-// dropped. Truncating past the tail is rejected.
+// dropped. A seq past the tail truncates to the tail.
 func (l *shardLog) truncateBefore(seq uint64) int {
 	if seq <= l.firstSeq {
 		return 0
@@ -78,14 +35,7 @@ func (l *shardLog) truncateBefore(seq uint64) int {
 		seq = l.nextSeq
 	}
 	n := int(seq - l.firstSeq)
-	for i := 0; i < n; i++ {
-		l.bytes -= int64(len(l.entries[i].frame))
-		l.entries[i] = entry{}
-	}
-	l.entries = append([]entry(nil), l.entries[n:]...)
+	l.entries = append([]*Record(nil), l.entries[n:]...)
 	l.firstSeq = seq
 	return n
 }
-
-// len reports how many records are currently retained.
-func (l *shardLog) len() int { return len(l.entries) }

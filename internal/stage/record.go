@@ -1,22 +1,19 @@
 // Package stage implements a log-structured, epoch-versioned staging store:
-// the durable middle tier between producers and consumers that the ADIOS
-// line of streaming papers calls a staging area. Every producer shard is an
-// append-only log of framed, CRC'd records — epoch-begin, chunk,
-// epoch-commit — replicated to follower replicas with acked, monotonically
-// sequenced appends. Restarted ranks and late consumers catch up by
-// replaying the tail of the log from their last known offset instead of
-// re-serving the producer, and retention is driven by subscriber ack
-// watermarks with the PFS container file as the low-watermark fallback.
+// the middle tier between producers and consumers that the ADIOS line of
+// streaming papers calls a staging area. Staging is a single-process model:
+// one Store is state that every rank of its process shares, with no wire
+// protocol of its own (dedicated staging ranks across processes are what
+// the DataSpaces baseline models). Every producer shard is an append-only
+// log of records — epoch-begin, chunk, epoch-commit — kept in lockstep
+// replicas with monotonically sequenced, acked appends, so a failed leader
+// is replaced by the highest-acked survivor. Restarted ranks and late
+// consumers catch up by replaying the tail of the log from their last known
+// offset instead of re-serving the producer, and retention is driven by
+// subscriber ack watermarks with the PFS container file as the
+// low-watermark fallback.
 package stage
 
-import (
-	"errors"
-	"fmt"
-	"hash/crc32"
-
-	"lowfive/h5"
-	"lowfive/internal/grid"
-)
+import "lowfive/internal/grid"
 
 // Record types, in the order they appear within one epoch span.
 const (
@@ -30,21 +27,9 @@ const (
 	RecEpochCommit uint8 = 3
 )
 
-// Typed decode errors. The decoder must return one of these for any
-// malformed input — never panic, never allocate proportional to a corrupt
-// length claim.
-var (
-	// ErrTruncatedFrame reports a frame cut short: a torn write, or a
-	// length prefix that promises more bytes than the log holds.
-	ErrTruncatedFrame = errors.New("stage: truncated log frame")
-	// ErrBadCRC reports a frame whose checksum does not match its body.
-	ErrBadCRC = errors.New("stage: log frame CRC mismatch")
-	// ErrBadRecord reports a structurally invalid record inside an intact
-	// frame (unknown type, bad box rank, short payload).
-	ErrBadRecord = errors.New("stage: malformed log record")
-)
-
-// Record is one decoded log entry.
+// Record is one log entry. A record is immutable once appended: every
+// replica of its shard holds the same *Record, and the store owns its
+// Meta and Data bytes.
 type Record struct {
 	Type  uint8
 	Seq   uint64 // log sequence number, assigned at append
@@ -52,117 +37,16 @@ type Record struct {
 	Rank  int    // producer rank that owns the shard
 
 	// RecEpochBegin
-	Meta []byte // encoded metadata tree (aliases the frame on decode)
+	Meta []byte // encoded metadata tree
 
 	// RecChunk
 	Dataset string
 	Box     grid.Box
-	Data    []byte // packed bytes in Box row-major order (aliases the frame)
+	Data    []byte // packed bytes in Box row-major order
 
 	// RecEpochCommit
 	Chunks int64 // number of chunk records in the span
 }
 
-// frameHeaderLen is the fixed prefix of every frame: a u32 body length and
-// a u32 CRC. The CRC covers the body (seq + payload), mirroring the RPC
-// envelope's layout so a frame cut anywhere is detectable.
-const frameHeaderLen = 8
-
-// maxFrameBody caps a single frame body at 1 GiB; a length prefix beyond it
-// is treated as corruption rather than an allocation request.
-const maxFrameBody = 1 << 30
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// EncodeRecord frames one record: [len u32][crc u32][seq i64][payload].
-func EncodeRecord(r *Record) []byte {
-	var e h5.Encoder
-	e.Buf = make([]byte, frameHeaderLen, frameHeaderLen+64+len(r.Meta)+len(r.Data))
-	e.PutI64(int64(r.Seq))
-	e.PutU8(r.Type)
-	e.PutI64(r.Epoch)
-	e.PutI64(int64(r.Rank))
-	switch r.Type {
-	case RecEpochBegin:
-		e.PutBytes(r.Meta)
-	case RecChunk:
-		e.PutString(r.Dataset)
-		e.PutI64(int64(r.Box.Dim()))
-		for d := 0; d < r.Box.Dim(); d++ {
-			e.PutI64(r.Box.Min[d])
-			e.PutI64(r.Box.Max[d])
-		}
-		e.PutBytes(r.Data)
-	case RecEpochCommit:
-		e.PutI64(r.Chunks)
-	}
-	body := e.Buf[frameHeaderLen:]
-	putU32(e.Buf[0:4], uint32(len(body)))
-	putU32(e.Buf[4:8], crc32.Checksum(body, crcTable))
-	return e.Buf
-}
-
-// DecodeRecord decodes one frame from the head of buf, returning the record
-// and the number of bytes consumed. Decoded Meta/Data slices alias buf.
-func DecodeRecord(buf []byte) (*Record, int, error) {
-	if len(buf) < frameHeaderLen {
-		return nil, 0, ErrTruncatedFrame
-	}
-	n := int(getU32(buf[0:4]))
-	if n > maxFrameBody {
-		return nil, 0, fmt.Errorf("%w: body length %d", ErrBadRecord, n)
-	}
-	if frameHeaderLen+n > len(buf) {
-		return nil, 0, ErrTruncatedFrame
-	}
-	body := buf[frameHeaderLen : frameHeaderLen+n]
-	if crc32.Checksum(body, crcTable) != getU32(buf[4:8]) {
-		return nil, 0, ErrBadCRC
-	}
-	d := &h5.Decoder{Buf: body}
-	r := &Record{Seq: uint64(d.I64()), Type: d.U8(), Epoch: d.I64(), Rank: int(d.I64())}
-	switch r.Type {
-	case RecEpochBegin:
-		r.Meta = d.Bytes()
-	case RecChunk:
-		r.Dataset = d.String()
-		nd := d.I64()
-		// A box encodes 16 bytes per dimension; a rank the remaining
-		// bytes cannot hold is corruption, rejected before allocating.
-		if d.Err != nil || nd <= 0 || nd > 64 || nd > remaining(d)/16 {
-			return nil, 0, fmt.Errorf("%w: box rank %d", ErrBadRecord, nd)
-		}
-		r.Box = grid.Box{Min: make([]int64, nd), Max: make([]int64, nd)}
-		for k := int64(0); k < nd; k++ {
-			r.Box.Min[k] = d.I64()
-			r.Box.Max[k] = d.I64()
-		}
-		r.Data = d.Bytes()
-	case RecEpochCommit:
-		r.Chunks = d.I64()
-	default:
-		return nil, 0, fmt.Errorf("%w: unknown type %d", ErrBadRecord, r.Type)
-	}
-	if d.Err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrBadRecord, d.Err)
-	}
-	return r, frameHeaderLen + n, nil
-}
-
-func remaining(d *h5.Decoder) int64 {
-	if d.Err != nil || d.Pos > len(d.Buf) {
-		return 0
-	}
-	return int64(len(d.Buf) - d.Pos)
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
+// size is the record's payload volume: its Meta and Data bytes.
+func (r *Record) size() int64 { return int64(len(r.Meta) + len(r.Data)) }

@@ -1,6 +1,7 @@
 package stage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -57,14 +58,14 @@ type ReplayData struct {
 	Meta    []byte
 	Chunks  []Chunk
 	Records int   // records scanned — the O(delta) bound
-	Bytes   int64 // framed bytes scanned
+	Bytes   int64 // Meta and Data bytes scanned
 }
 
 // StoreStats is a point-in-time aggregate over every shard.
 type StoreStats struct {
 	Shards           int
 	Appends          int64 // records appended (leader copies)
-	AppendedBytes    int64 // framed bytes appended (leader copies)
+	AppendedBytes    int64 // Meta and Data bytes appended (leader copies)
 	CommittedEpochs  int64
 	SupersededEpochs int64 // torn epochs replaced by a re-begin after a crash
 	Failovers        int64
@@ -107,9 +108,10 @@ type shardKey struct {
 
 // Store is the staging store: one shard per (file, producer rank), each a
 // leader-replicated append-only log, plus subscriber ack bookkeeping for
-// watermark-driven GC. A Store outlives task restarts — it models dedicated
-// staging ranks, the way a DataSpaces/ADIOS staging area outlives the
-// applications it couples.
+// watermark-driven GC. A Store outlives task restarts, the way a
+// DataSpaces/ADIOS staging area outlives the applications it couples, but
+// it lives in one process: every rank of that process shares it, and its
+// replicas and their failover are kept inside it.
 type Store struct {
 	opt Options
 
@@ -166,38 +168,31 @@ func (s *Store) shardLocked(file string, rank int, create bool) *shard {
 	return sh
 }
 
-// appendLocked appends r to the shard's leader and replicates the framed
-// bytes to every live follower, advancing each replica's ack. All live
-// replicas move in lockstep, so acks are monotonic and hole-free.
+// appendLocked sequences r on the shard's leader and appends the same record
+// to every live follower, advancing each replica's ack. All live replicas
+// move in lockstep, so acks are monotonic and hole-free.
 func (s *Store) appendLocked(sh *shard, r *Record) (uint64, error) {
 	if sh.replicas[sh.leader].down {
 		if !s.failoverLocked(sh) {
 			return 0, fmt.Errorf("%w: %s rank %d", ErrShardDown, sh.file, sh.rank)
 		}
 	}
-	lead := sh.replicas[sh.leader]
-	seq := lead.log.append(r)
-	lead.acked = lead.log.nextSeq
-	frame := lead.log.frameAt(seq)
+	r.Seq = sh.replicas[sh.leader].log.nextSeq
 	for _, rep := range sh.replicas {
-		if rep == lead || rep.down {
+		if rep.down {
 			continue
 		}
-		if _, err := rep.log.appendFrame(frame); err != nil {
-			// A replica that rejects a replicated frame is corrupt;
-			// drop it rather than diverge.
-			rep.down = true
-			continue
-		}
+		rep.log.append(r)
 		rep.acked = rep.log.nextSeq
 	}
+	n := r.size()
 	s.stats.Appends++
-	s.stats.AppendedBytes += int64(len(frame))
+	s.stats.AppendedBytes += n
 	if s.mRecords != nil {
 		s.mRecords.Inc()
-		s.mBytes.Add(int64(len(frame)))
+		s.mBytes.Add(n)
 	}
-	return seq, nil
+	return r.Seq, nil
 }
 
 // failoverLocked promotes the live replica with the highest ack. Returns
@@ -223,9 +218,10 @@ func (s *Store) failoverLocked(sh *shard) bool {
 	return true
 }
 
-// Begin opens the next epoch of a shard, recording the metadata snapshot.
-// Re-beginning after a crash-during-commit supersedes the torn span: its
-// records stay in the log but the epoch index points at the new span.
+// Begin opens the next epoch of a shard, recording a copy of the metadata
+// snapshot. Re-beginning after a crash-during-commit supersedes the torn
+// span: its records stay in the log but the epoch index points at the new
+// span.
 func (s *Store) Begin(file string, rank int, meta []byte) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -234,7 +230,7 @@ func (s *Store) Begin(file string, rank int, meta []byte) (int64, error) {
 	if sh.pending != 0 {
 		s.stats.SupersededEpochs++
 	}
-	seq, err := s.appendLocked(sh, &Record{Type: RecEpochBegin, Epoch: epoch, Rank: rank, Meta: meta})
+	seq, err := s.appendLocked(sh, &Record{Type: RecEpochBegin, Epoch: epoch, Rank: rank, Meta: bytes.Clone(meta)})
 	if err != nil {
 		return 0, err
 	}
@@ -243,7 +239,9 @@ func (s *Store) Begin(file string, rank int, meta []byte) (int64, error) {
 	return epoch, nil
 }
 
-// Append adds one chunk record to the open epoch.
+// Append adds one chunk record to the open epoch. The record keeps a copy
+// of data, so the caller may reuse its buffer once Append returns; box is
+// kept as given.
 func (s *Store) Append(file string, rank int, epoch int64, dataset string, box grid.Box, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -251,7 +249,7 @@ func (s *Store) Append(file string, rank int, epoch int64, dataset string, box g
 	if sh == nil || sh.pending != epoch {
 		return fmt.Errorf("%w: append to epoch %d of %s rank %d", ErrNoEpoch, epoch, file, rank)
 	}
-	_, err := s.appendLocked(sh, &Record{Type: RecChunk, Epoch: epoch, Rank: rank, Dataset: dataset, Box: box, Data: data})
+	_, err := s.appendLocked(sh, &Record{Type: RecChunk, Epoch: epoch, Rank: rank, Dataset: dataset, Box: box, Data: bytes.Clone(data)})
 	return err
 }
 
@@ -443,7 +441,7 @@ func (s *Store) Replay(file string, rank int) (*ReplayData, error) {
 			return nil, fmt.Errorf("%w: seq %d of %s rank %d", ErrEpochTruncated, q, file, rank)
 		}
 		rd.Records++
-		rd.Bytes += int64(len(log.frameAt(q)))
+		rd.Bytes += r.size()
 		switch {
 		case r.Type == RecEpochBegin && r.Epoch == epoch:
 			rd.Meta = r.Meta
@@ -589,33 +587,6 @@ func (s *Store) GC(file string) int {
 		}
 	}
 	return dropped
-}
-
-// Frames returns the framed records of one shard with seq in [from, to);
-// to == 0 means the current tail. A from below the truncation point is
-// ErrEpochTruncated — the caller must fall back to a snapshot source.
-func (s *Store) Frames(file string, rank int, from, to uint64) ([][]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sh := s.shardLocked(file, rank, false)
-	if sh == nil {
-		return nil, fmt.Errorf("%w: no shard for %s rank %d", ErrNoEpoch, file, rank)
-	}
-	if sh.replicas[sh.leader].down && !s.failoverLocked(sh) {
-		return nil, fmt.Errorf("%w: %s rank %d", ErrShardDown, file, rank)
-	}
-	log := &sh.replicas[sh.leader].log
-	if to == 0 || to > log.nextSeq {
-		to = log.nextSeq
-	}
-	if from < log.firstSeq {
-		return nil, fmt.Errorf("%w: seq %d truncated below %d", ErrEpochTruncated, from, log.firstSeq)
-	}
-	var out [][]byte
-	for q := from; q < to; q++ {
-		out = append(out, log.frameAt(q))
-	}
-	return out, nil
 }
 
 // FailLeader marks the current leader replica of a shard dead, forcing the

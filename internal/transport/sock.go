@@ -92,6 +92,15 @@ type SockConfig struct {
 	// *RuleError for a rule the wire cannot honour.
 	Faults *Plan
 
+	// Tuning overrides the timings; zero fields keep the defaults.
+	Tuning
+}
+
+// Tuning is the sock engine's timing knobs: its deadlines, budgets and
+// pacing intervals. Zero fields keep the defaults below; tests and fault
+// sweeps tighten them so tear/redial/resend cycles converge in
+// milliseconds.
+type Tuning struct {
 	// JoinTimeout bounds the wait at the world barrier; a world that
 	// does not form in time surfaces as *JoinTimeoutError instead of a
 	// hang. Default 60s.

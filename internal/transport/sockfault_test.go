@@ -258,8 +258,8 @@ func TestSockJoinTimeout(t *testing.T) {
 	start := time.Now()
 	_, err = DialSock(SockConfig{
 		Network: "tcp", Coord: coord.Addr(), Rank: 0, Size: 2,
-		Deliver:     func(int, *Frame) {},
-		JoinTimeout: 300 * time.Millisecond,
+		Deliver: func(int, *Frame) {},
+		Tuning:  Tuning{JoinTimeout: 300 * time.Millisecond},
 	})
 	var jt *JoinTimeoutError
 	if !errors.As(err, &jt) {
@@ -294,8 +294,8 @@ func TestCoordinatorEvictsHungRank(t *testing.T) {
 			defer wg.Done()
 			cfg := SockConfig{
 				Network: "tcp", Coord: coord.Addr(), Rank: r, Size: 2,
-				Deliver:           func(int, *Frame) {},
-				HeartbeatInterval: 50 * time.Millisecond,
+				Deliver: func(int, *Frame) {},
+				Tuning:  Tuning{HeartbeatInterval: 50 * time.Millisecond},
 			}
 			if r == 0 {
 				cfg.OnPeerDeath = func(rank int) { deaths <- rank }

@@ -21,18 +21,8 @@ type (
 )
 
 // SockTuning overrides the sock engine's recovery timings; zero fields
-// keep the transport defaults. Tests and fault sweeps tighten these so
-// tear/redial/resend cycles converge in milliseconds.
-type SockTuning struct {
-	JoinTimeout       time.Duration
-	WriteTimeout      time.Duration
-	HandshakeTimeout  time.Duration
-	ReconnectTimeout  time.Duration
-	RetransmitTimeout time.Duration
-	HeartbeatInterval time.Duration
-	AckInterval       time.Duration
-	DrainTimeout      time.Duration
-}
+// keep the transport defaults.
+type SockTuning = transport.Tuning
 
 // SockWorldConfig configures one process's membership in a sock-transport
 // world: every rank is a separate OS process, frames travel CRC-framed
@@ -102,17 +92,10 @@ func NewSockWorld(cfg SockWorldConfig, opts ...Option) (*World, error) {
 		OnPeerDeath: func(rank int) { w.markFailed(rank) },
 		// A respawned peer is revived like a supervised in-proc restart:
 		// incarnation bump, mailbox purge, fresh failure channel.
-		OnPeerRejoin:      func(rank int) { w.reviveRank(rank) },
-		OnRecovery:        w.sockRecoveryHook(cfg.Flight),
-		Faults:            cfg.Wire,
-		JoinTimeout:       cfg.Tuning.JoinTimeout,
-		WriteTimeout:      cfg.Tuning.WriteTimeout,
-		HandshakeTimeout:  cfg.Tuning.HandshakeTimeout,
-		ReconnectTimeout:  cfg.Tuning.ReconnectTimeout,
-		RetransmitTimeout: cfg.Tuning.RetransmitTimeout,
-		HeartbeatInterval: cfg.Tuning.HeartbeatInterval,
-		AckInterval:       cfg.Tuning.AckInterval,
-		DrainTimeout:      cfg.Tuning.DrainTimeout,
+		OnPeerRejoin: func(rank int) { w.reviveRank(rank) },
+		OnRecovery:   w.sockRecoveryHook(cfg.Flight),
+		Faults:       cfg.Wire,
+		Tuning:       cfg.Tuning,
 	})
 	if err != nil {
 		return nil, err

@@ -210,7 +210,7 @@ type RunStats struct {
 	// ReplayedRecords is the total log records scanned across replays —
 	// proportional to the last committed spans, not to every epoch served.
 	ReplayedRecords int
-	// ReplayedBytes is the framed log volume scanned across replays.
+	// ReplayedBytes is the payload scanned across replays (ReplayStats.Bytes).
 	ReplayedBytes int64
 	// StageFallbacks counts replays that found their span truncated and
 	// degraded to the PFS container file.

@@ -10,14 +10,14 @@ import (
 // slash-separated paths and delegates single-segment operations to the VOL
 // handle underneath.
 type Object struct {
-	h    ObjectHandle
-	path string
+	h      ObjectHandle
+	parent *Object // nil for a file
+	name   string  // the file name, or the trimmed path below parent
 }
 
 // File is an open file. It doubles as the root group.
 type File struct {
 	Object
-	name string
 }
 
 // Group is an open group.
@@ -27,8 +27,9 @@ type Group struct {
 
 // Dataset is an open dataset.
 type Dataset struct {
-	h    DatasetHandle
-	path string
+	h      DatasetHandle
+	parent *Object
+	name   string // the trimmed path below parent
 }
 
 // CreateFile creates (truncating) a file through the connector in fapl.
@@ -40,7 +41,7 @@ func CreateFile(name string, fapl *FileAccessProps) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &File{Object: Object{h: h, path: name}, name: name}, nil
+	return &File{Object{h: h, name: name}}, nil
 }
 
 // OpenFile opens an existing file through the connector in fapl.
@@ -52,7 +53,7 @@ func OpenFile(name string, fapl *FileAccessProps) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &File{Object: Object{h: h, path: name}, name: name}, nil
+	return &File{Object{h: h, name: name}}, nil
 }
 
 // Name returns the file name.
@@ -65,8 +66,14 @@ func (f *File) Close() error { return f.h.Close() }
 // Close closes the group handle.
 func (g *Group) Close() error { return g.h.Close() }
 
-// Path returns the full path of this object within its file.
-func (o *Object) Path() string { return o.path }
+// Path returns the full path of this object within its file, built on
+// each call: nothing on the data path reads it.
+func (o *Object) Path() string {
+	if o.parent == nil {
+		return o.name
+	}
+	return o.parent.Path() + "/" + o.name
+}
 
 // Handle exposes the underlying VOL handle (for transport-layer callers).
 func (o *Object) Handle() ObjectHandle { return o.h }
@@ -105,7 +112,7 @@ func (o *Object) walk(path string) (parent ObjectHandle, last string, err error)
 		next, err := cur.GroupOpen(seg)
 		o.release(cur)
 		if err != nil {
-			return nil, "", fmt.Errorf("h5: opening group %q under %q: %w", seg, o.path, err)
+			return nil, "", fmt.Errorf("h5: opening group %q under %q: %w", seg, o.Path(), err)
 		}
 		cur, path = next, rest
 	}
@@ -130,7 +137,7 @@ func (o *Object) CreateGroup(path string) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Group{Object{h: h, path: o.path + "/" + strings.Trim(path, "/")}}, nil
+	return &Group{Object{h: h, parent: o, name: strings.Trim(path, "/")}}, nil
 }
 
 // OpenGroup opens a group at the (possibly nested) path.
@@ -144,7 +151,7 @@ func (o *Object) OpenGroup(path string) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Group{Object{h: h, path: o.path + "/" + strings.Trim(path, "/")}}, nil
+	return &Group{Object{h: h, parent: o, name: strings.Trim(path, "/")}}, nil
 }
 
 // CreateDataset creates a dataset of the given type and shape at the path.
@@ -161,7 +168,7 @@ func (o *Object) CreateDataset(path string, dt *Datatype, space *Dataspace) (*Da
 	if err != nil {
 		return nil, err
 	}
-	return &Dataset{h: h, path: o.path + "/" + strings.Trim(path, "/")}, nil
+	return &Dataset{h: h, parent: o, name: strings.Trim(path, "/")}, nil
 }
 
 // OpenDataset opens the dataset at the path.
@@ -175,7 +182,7 @@ func (o *Object) OpenDataset(path string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dataset{h: h, path: o.path + "/" + strings.Trim(path, "/")}, nil
+	return &Dataset{h: h, parent: o, name: strings.Trim(path, "/")}, nil
 }
 
 // Children lists this object's direct children.
@@ -218,7 +225,7 @@ func (o *Object) ReadAttribute(name string) (*Datatype, []byte, error) {
 func (o *Object) AttributeNames() ([]string, error) { return o.h.AttributeNames() }
 
 // Path returns the dataset's full path within its file.
-func (d *Dataset) Path() string { return d.path }
+func (d *Dataset) Path() string { return d.parent.Path() + "/" + d.name }
 
 // Handle exposes the underlying VOL handle.
 func (d *Dataset) Handle() DatasetHandle { return d.h }

@@ -75,16 +75,57 @@ func TestWalkAllocs(t *testing.T) {
 			}
 		}
 	}
-	// OpenDataset adds only its *Dataset and that dataset's path to what
-	// the connector allocates.
+	// OpenDataset adds only its *Dataset to what the connector allocates:
+	// the dataset's path is built when Path is called.
 	h := g.Handle()
 	vol := testing.AllocsPerRun(100, func() { h.DatasetOpen("d") })
 	api := testing.AllocsPerRun(100, func() { g.OpenDataset("d") })
-	if api != vol+2 {
-		t.Errorf("OpenDataset allocates %v times, connector %v: want connector + 2", api, vol)
+	if api != vol+1 {
+		t.Errorf("OpenDataset allocates %v times, connector %v: want connector + 1", api, vol)
 	}
 	if _, err := f.OpenGroup("missing/./x"); err == nil || !strings.Contains(err.Error(), "invalid path") {
 		t.Errorf("OpenGroup through a missing group with a bad segment: %v, want invalid path", err)
+	}
+}
+
+// TestObjectPaths: Path is the parent's path, a slash, and the trimmed
+// path the object was created or opened under.
+func TestObjectPaths(t *testing.T) {
+	f, err := h5.CreateFile("paths.h5", memFapl())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := f.CreateGroup("/g/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := g.CreateGroup("h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := h.CreateDataset("d/", h5.U8, h5.NewSimple(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	og, err := f.OpenGroup("g/h/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	od, err := f.OpenDataset("/g/h/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ got, want string }{
+		{f.Path(), "paths.h5"},
+		{g.Path(), "paths.h5" + "/" + "g"},
+		{h.Path(), "paths.h5/g" + "/" + "h"},
+		{d.Path(), "paths.h5/g/h" + "/" + "d"},
+		{og.Path(), "paths.h5" + "/" + "g/h"},
+		{od.Path(), "paths.h5" + "/" + "g/h/d"},
+	} {
+		if c.got != c.want {
+			t.Errorf("Path() = %q, want %q", c.got, c.want)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
-// Admission control for the producer's serve path: a bounded concurrency
-// semaphore in front of data-stream dispatch, a per-tenant weighted fair
-// queue behind it, and load shedding when the queue (or the chunk pool)
-// saturates.
+// Admission control for the producer's serve path: every data stream takes
+// the VOL's one serve slot before it runs, and waits for it in a per-tenant
+// weighted fair queue while another stream holds it. One slot is the serve
+// discipline of a rank: one stream at a time per VOL, with the receive loop
+// free to answer metadata and redirect queries meanwhile.
 //
 // The scheduler is stride scheduling over tenants: each tenant queue carries
 // a pass value advanced by strideK/weight per admitted request, and dispatch
@@ -10,17 +11,17 @@
 // FIFO within a tenant, and an idle tenant accumulates no credit (its pass
 // is forwarded to the current virtual time when it becomes busy again).
 //
-// Back-pressure is layered, cheapest refusal first:
+// Shedding is opt-in: only a VOL with a queue deadline refuses requests,
+// cheapest refusal first:
 //
 //  1. pool pressure ≥ shedFrac of the byte budget → shed outright;
-//  2. pool pressure ≥ squeezeFrac → the concurrency bound halves (streams
-//     in flight are the only source of new chunks, so narrowing the window
-//     lets the pool drain before shedding is needed);
-//  3. queue longer than the per-tenant cap → shed;
-//  4. queued longer than the queue deadline → shed that waiter.
+//  2. queue at the per-tenant cap, when one is set → shed;
+//  3. queued longer than the queue deadline → shed that waiter.
 //
 // A shed is answered with rpc's overloaded reply carrying RetryAfter, so
-// consumers back off instead of re-storming.
+// consumers back off instead of re-storming. Without a deadline every
+// stream waits its turn: each stream releases the slot when it ends, halted
+// or not, so the queue always drains.
 package core
 
 import (
@@ -54,26 +55,16 @@ const (
 	// precision holds for weights up to ~1e4.
 	strideK = 1 << 20
 
-	// defaultQueueDeadline bounds how long a request may wait for admission
-	// when the VOL does not configure one. A deadline must exist: a waiter
-	// whose client died would otherwise be queued forever and wedge drain.
-	defaultQueueDeadline = 50 * time.Millisecond
-
-	// defaultMaxQueuedPerTenant caps each tenant's admission queue.
-	defaultMaxQueuedPerTenant = 64
-
-	// squeezeFrac and shedFrac are the pool-pressure thresholds, in tenths
-	// of the chunk budget: at squeezeFrac the concurrency bound halves, at
-	// shedFrac admission sheds outright.
-	squeezeFrac = 7 // 70%
-	shedFrac    = 9 // 90%
+	// shedFrac is the pool-pressure threshold, in tenths of the chunk
+	// budget, at which a shedding VOL refuses streams outright.
+	shedFrac = 9 // 90%
 )
 
-// admWaiter is one queued admission request. ready is closed exactly once —
-// on admit (err nil) or on shed (err set first, under the admission lock).
+// admWaiter is one queued admission request. ready is closed when the
+// waiter is admitted; a waiter shed by its deadline is unlinked instead.
 type admWaiter struct {
 	ready chan struct{}
-	err   error
+	tq    *tenantQ
 	enq   time.Time
 }
 
@@ -86,18 +77,17 @@ type tenantQ struct {
 }
 
 // admission is the controller. One per VOL, shared by every intercomm's
-// serve loop, so the concurrency bound and the fairness ledger are global
-// across tenants.
+// serve loop, so the serve slot and the fairness ledger are global across
+// tenants.
 type admission struct {
-	maxInflight int
-	deadline    time.Duration
-	maxQueued   int
-	weights     map[string]int
-	pool        *buf.Pool
+	deadline  time.Duration // 0: never shed
+	maxQueued int           // 0: no per-tenant cap
+	weights   map[string]int
+	pool      *buf.Pool
 
 	mu       sync.Mutex
 	idle     *sync.Cond // signaled when inflight+queued returns to zero
-	inflight int
+	inflight int        // 0 or 1: whether the slot is held
 	nqueued  int
 	vtime    uint64 // pass of the last dispatched tenant (virtual time)
 	tenants  map[string]*tenantQ
@@ -114,28 +104,19 @@ type admission struct {
 	mShed     *metrics.Counter
 }
 
-// newAdmission builds the controller. reg may be nil (counters still work;
+// newAdmission builds the controller. A zero deadline never sheds; a zero
+// maxQueued sets no per-tenant cap. reg may be nil (counters still work;
 // only the registry surface is absent). pool may be nil (no pressure
 // coupling).
-func newAdmission(maxInflight int, deadline time.Duration, maxQueued int,
+func newAdmission(deadline time.Duration, maxQueued int,
 	weights map[string]int, pool *buf.Pool, reg *metrics.Registry) *admission {
-	if maxInflight < 1 {
-		maxInflight = 1
-	}
-	if deadline <= 0 {
-		deadline = defaultQueueDeadline
-	}
-	if maxQueued < 1 {
-		maxQueued = defaultMaxQueuedPerTenant
-	}
 	a := &admission{
-		maxInflight: maxInflight,
-		deadline:    deadline,
-		maxQueued:   maxQueued,
-		weights:     weights,
-		pool:        pool,
-		tenants:     map[string]*tenantQ{},
-		queueWait:   &metrics.Histogram{},
+		deadline:  deadline,
+		maxQueued: maxQueued,
+		weights:   weights,
+		pool:      pool,
+		tenants:   map[string]*tenantQ{},
+		queueWait: &metrics.Histogram{},
 	}
 	a.idle = sync.NewCond(&a.mu)
 	if reg != nil {
@@ -148,30 +129,10 @@ func newAdmission(maxInflight int, deadline time.Duration, maxQueued int,
 	return a
 }
 
-// retryAfter is the backoff hint carried in shed replies: the queue deadline
-// — by construction the horizon over which the current congestion can clear.
-func (a *admission) retryAfter() time.Duration { return a.deadline }
-
-// effectiveMax is the concurrency bound under current pool pressure: the
-// configured bound, halved (to at least 1) while Outstanding is past the
-// squeeze threshold of the chunk budget.
-func (a *admission) effectiveMax() int {
-	m := a.maxInflight
-	if a.pool != nil {
-		if limit := a.pool.Limit(); limit > 0 && a.pool.Outstanding() >= limit*squeezeFrac/10 {
-			m /= 2
-		}
-	}
-	if m < 1 {
-		m = 1
-	}
-	return m
-}
-
 // overPressure reports whether the chunk pool is so close to its budget
 // that admitting any stream risks overflowing it.
 func (a *admission) overPressure() bool {
-	if a.pool == nil {
+	if a.deadline <= 0 || a.pool == nil {
 		return false
 	}
 	limit := a.pool.Limit()
@@ -196,81 +157,76 @@ func (a *admission) tenant(name string) *tenantQ {
 	return tq
 }
 
-// acquire admits one request for tenant, queueing it under the weighted
-// fair scheduler when the concurrency bound is reached. It blocks until
-// admitted or shed; a shed returns *ErrOverloaded. Every successful acquire
-// must be paired with a release.
-func (a *admission) acquire(tenant string) error {
+// enter admits one request for tenant without blocking: it takes the idle
+// slot (returning a nil waiter), queues a waiter for wait, or sheds. Every
+// admission, immediate or through wait, must be paired with a release.
+func (a *admission) enter(tenant string) (*admWaiter, *ErrOverloaded) {
 	a.mu.Lock()
 	if a.overPressure() {
-		a.shed++
-		a.mShed.Inc()
-		ra := a.retryAfter()
-		a.mu.Unlock()
-		return &ErrOverloaded{Tenant: tenant, RetryAfter: ra, Reason: "pool-pressure"}
+		return nil, a.shedAndUnlock(tenant, "pool-pressure")
 	}
-	if a.nqueued == 0 && a.inflight < a.effectiveMax() {
+	if a.nqueued == 0 && a.inflight == 0 {
 		a.inflight++
 		a.admitted++
 		a.mAdmitted.Inc()
 		a.mInflight.Set(int64(a.inflight))
 		a.mu.Unlock()
 		a.queueWait.Record(0)
-		return nil
+		return nil, nil
 	}
 	tq := a.tenant(tenant)
-	if len(tq.q) >= a.maxQueued {
-		a.shed++
-		a.mShed.Inc()
-		ra := a.retryAfter()
-		a.mu.Unlock()
-		return &ErrOverloaded{Tenant: tenant, RetryAfter: ra, Reason: "queue-full"}
+	if a.deadline > 0 && a.maxQueued > 0 && len(tq.q) >= a.maxQueued {
+		return nil, a.shedAndUnlock(tenant, "queue-full")
 	}
-	w := &admWaiter{ready: make(chan struct{}), enq: time.Now()}
+	w := &admWaiter{ready: make(chan struct{}), tq: tq, enq: time.Now()}
 	tq.q = append(tq.q, w)
 	a.nqueued++
 	a.queuedEv++
 	a.mQueued.Set(int64(a.nqueued))
 	a.mu.Unlock()
+	return w, nil
+}
 
-	t := time.NewTimer(a.deadline)
+// shedAndUnlock counts one refusal and unlocks.
+func (a *admission) shedAndUnlock(tenant, reason string) *ErrOverloaded {
+	a.shed++
+	a.mShed.Inc()
+	a.mu.Unlock()
+	return &ErrOverloaded{Tenant: tenant, RetryAfter: a.deadline, Reason: reason}
+}
+
+// wait blocks until the queued waiter is admitted, or, with a deadline, is
+// shed once it has waited that long.
+func (a *admission) wait(w *admWaiter) *ErrOverloaded {
+	var expired <-chan time.Time
+	if a.deadline > 0 {
+		t := time.NewTimer(a.deadline)
+		defer t.Stop()
+		expired = t.C
+	}
 	select {
 	case <-w.ready:
-		t.Stop()
-		if w.err == nil {
-			a.queueWait.Observe(time.Since(w.enq))
-		}
-		return w.err
-	case <-t.C:
+		a.queueWait.Observe(time.Since(w.enq))
+		return nil
+	case <-expired:
 	}
 	a.mu.Lock()
 	select {
 	case <-w.ready:
-		// Admitted (or shed by drain) in the race with the timer.
+		// Admitted in the race with the timer.
 		a.mu.Unlock()
-		if w.err == nil {
-			a.queueWait.Observe(time.Since(w.enq))
-		}
-		return w.err
+		a.queueWait.Observe(time.Since(w.enq))
+		return nil
 	default:
 	}
-	a.removeLocked(tenant, w)
-	a.shed++
-	a.mShed.Inc()
-	ra := a.retryAfter()
-	w.err = &ErrOverloaded{Tenant: tenant, RetryAfter: ra, Reason: "queue-deadline"}
-	close(w.ready)
+	a.removeLocked(w)
 	a.maybeIdleLocked()
-	a.mu.Unlock()
-	return w.err
+	return a.shedAndUnlock(w.tq.name, "queue-deadline")
 }
 
 // removeLocked unlinks an expired waiter from its tenant's FIFO.
-func (a *admission) removeLocked(tenant string, w *admWaiter) {
-	tq := a.tenants[tenant]
-	if tq == nil {
-		return
-	}
+func (a *admission) removeLocked(w *admWaiter) {
+	tq := w.tq
 	for i, have := range tq.q {
 		if have == w {
 			tq.q = append(tq.q[:i], tq.q[i+1:]...)
@@ -281,7 +237,7 @@ func (a *admission) removeLocked(tenant string, w *admWaiter) {
 	}
 }
 
-// release returns one admission slot and dispatches queued waiters.
+// release frees the slot and hands it to the next queued waiter, if any.
 func (a *admission) release() {
 	a.mu.Lock()
 	a.inflight--
@@ -291,35 +247,33 @@ func (a *admission) release() {
 	a.mu.Unlock()
 }
 
-// dispatchLocked admits queued waiters while slots are free: always the
+// dispatchLocked hands the free slot to the next waiter: the head of the
 // non-empty tenant with the smallest pass, advancing it by its stride.
 func (a *admission) dispatchLocked() {
-	for a.inflight < a.effectiveMax() {
-		var next *tenantQ
-		for _, tq := range a.tenants {
-			if len(tq.q) == 0 {
-				continue
-			}
-			if next == nil || tq.pass < next.pass ||
-				(tq.pass == next.pass && tq.name < next.name) {
-				next = tq
-			}
+	var next *tenantQ
+	for _, tq := range a.tenants {
+		if len(tq.q) == 0 {
+			continue
 		}
-		if next == nil {
-			return
+		if next == nil || tq.pass < next.pass ||
+			(tq.pass == next.pass && tq.name < next.name) {
+			next = tq
 		}
-		w := next.q[0]
-		next.q = next.q[1:]
-		a.vtime = next.pass
-		next.pass += next.stride
-		a.nqueued--
-		a.inflight++
-		a.admitted++
-		a.mAdmitted.Inc()
-		a.mQueued.Set(int64(a.nqueued))
-		a.mInflight.Set(int64(a.inflight))
-		close(w.ready)
 	}
+	if next == nil {
+		return
+	}
+	w := next.q[0]
+	next.q = next.q[1:]
+	a.vtime = next.pass
+	next.pass += next.stride
+	a.nqueued--
+	a.inflight++
+	a.admitted++
+	a.mAdmitted.Inc()
+	a.mQueued.Set(int64(a.nqueued))
+	a.mInflight.Set(int64(a.inflight))
+	close(w.ready)
 }
 
 // maybeIdleLocked wakes quiesce waiters when the controller has gone idle.

@@ -64,25 +64,20 @@ type DistMetadataVOL struct {
 	// before its timeout. Zero disables hedging. Requires CallTimeout.
 	HedgeDelay time.Duration
 
-	// MaxInflightServes enables producer-side admission control on streamed
-	// data queries: at most this many streams are dispatched concurrently
-	// (no longer serialized under serveMu), excess requests wait in a
-	// per-tenant weighted fair queue, and a full queue or an expired queue
-	// deadline sheds the request with an overloaded reply carrying a
-	// RetryAfter hint. Zero (the default) keeps the original fully
-	// serialized, never-shedding serve path.
-	MaxInflightServes int
 	// TenantWeights sets the fair-queue share of each tenant (consumer
-	// task), by the name registered with SetTenant. Admission under
-	// contention is proportional to weight; unlisted tenants weigh 1.
+	// task), by the name registered with SetTenant. Every data stream takes
+	// the producer's one serve slot (see admission.go); under contention
+	// tenants get it in proportion to weight. Unlisted tenants weigh 1.
 	TenantWeights map[string]int
-	// QueueDeadline bounds how long a request may wait for admission before
-	// it is shed; it doubles as the RetryAfter hint in shed replies. Zero
-	// defaults to 50ms (a deadline must exist, or an abandoned waiter could
-	// wedge the serve teardown).
+	// QueueDeadline turns on load shedding: a stream that waits this long
+	// for the serve slot, that finds its tenant's queue full, or that
+	// arrives while the chunk pool is past its shed threshold is refused
+	// with an overloaded reply carrying this as its RetryAfter hint. Zero
+	// (the default) never sheds: every stream waits its turn.
 	QueueDeadline time.Duration
-	// MaxQueuedPerTenant caps each tenant's admission queue; a request
-	// arriving to a full queue is shed immediately. Zero defaults to 64.
+	// MaxQueuedPerTenant caps each tenant's admission queue when
+	// QueueDeadline is set; a request arriving to a full queue is shed
+	// immediately. Zero means no cap.
 	MaxQueuedPerTenant int
 	// ShedRetries is how many overloaded replies a consumer-side call
 	// absorbs (backing off by the carried RetryAfter) before giving up with
@@ -167,8 +162,11 @@ type DistMetadataVOL struct {
 	// never be resent (see CreditDone).
 	OnDoneAcked func(ic *mpi.Intercomm, name string, producerRank int)
 
-	// serveMu serializes request handling when several intercommunicators
-	// are served concurrently (fan-out).
+	// serveMu guards the serve state shared by the receive loops of every
+	// intercommunicator (fan-out) and the rank's main goroutine: the index
+	// map, the parked requests, the tenant table, the icServer table and the
+	// stats. It is held for bookkeeping and inline answers only, never
+	// across a data stream.
 	serveMu sync.Mutex
 
 	indexes map[string]*builtIndex // file -> the index build it is served under
@@ -203,8 +201,8 @@ type DistMetadataVOL struct {
 	// fair queueing; unnamed intercomms share the "default" tenant.
 	tenants map[*mpi.Intercomm]string
 
-	// adm is the producer-side admission controller, created lazily on the
-	// first admitted request when MaxInflightServes > 0.
+	// adm is the producer-side admission controller every data stream
+	// passes, created on first use from the fields above.
 	admOnce sync.Once
 	adm     *admission
 
@@ -272,10 +270,10 @@ type ServeStats struct {
 	// ChunksServed is the number of stream frames sent for data queries.
 	ChunksServed int64
 	// Shed counts requests refused by admission control (overloaded reply
-	// sent instead of a stream).
+	// sent instead of a stream); only a VOL with a QueueDeadline sheds.
 	Shed int64
-	// Queued counts admitted requests that had to wait in the fair queue
-	// (did not fast-path past an idle controller).
+	// Queued counts data streams that had to wait in the fair queue for
+	// the serve slot (another stream held it when they arrived).
 	Queued int64
 	// QueueP99 is the 99th-percentile admission queue wait.
 	QueueP99 time.Duration
@@ -461,25 +459,11 @@ func (v *DistMetadataVOL) SetTenant(ic *mpi.Intercomm, name string) {
 	v.serveMu.Unlock()
 }
 
-// tenantOf returns the tenant name of an intercommunicator.
-func (v *DistMetadataVOL) tenantOf(ic *mpi.Intercomm) string {
-	v.serveMu.Lock()
-	defer v.serveMu.Unlock()
-	if name, ok := v.tenants[ic]; ok {
-		return name
-	}
-	return "default"
-}
-
-// admission returns the producer-side admission controller, or nil when
-// MaxInflightServes is unset (the legacy serialized serve path).
+// admission returns the producer-side admission controller.
 func (v *DistMetadataVOL) admission() *admission {
-	if v.MaxInflightServes <= 0 {
-		return nil
-	}
 	v.admOnce.Do(func() {
-		v.adm = newAdmission(v.MaxInflightServes, v.QueueDeadline,
-			v.MaxQueuedPerTenant, v.TenantWeights, v.chunkPool(), v.Metrics)
+		v.adm = newAdmission(v.QueueDeadline, v.MaxQueuedPerTenant,
+			v.TenantWeights, v.chunkPool(), v.Metrics)
 	})
 	return v.adm
 }
@@ -548,54 +532,15 @@ func (v *DistMetadataVOL) FileOpen(name string, fapl *h5.FileAccessProps) (h5.Fi
 
 // Serve builds the distributed index for the named local file (Alg. 1) and
 // answers consumer queries (Alg. 2) until every consumer rank on every
-// intercomm registered for the file has sent done. It must be called
-// collectively by all producer ranks (file close does this automatically
-// when ServeOnClose is set).
+// intercomm registered for the file has sent done: ServeAsync followed by
+// Wait. It must be called collectively by all producer ranks (file close
+// does this automatically when ServeOnClose is set).
 func (v *DistMetadataVOL) Serve(name string) error {
-	fn, ok := v.File(name)
-	if !ok {
-		return fmt.Errorf("lowfive: Serve(%q): file not in memory", name)
-	}
-	ics := v.fileIntercomms(name, RoleProduce)
-	if len(ics) == 0 {
-		return fmt.Errorf("lowfive: Serve(%q): no intercomm registered", name)
-	}
-	if err := v.buildIndex(fn, false); err != nil {
+	h, err := v.ServeAsync(name)
+	if err != nil {
 		return err
 	}
-	if err := v.persistOwnership(fn); err != nil {
-		return err
-	}
-	if v.OnServe != nil {
-		v.OnServe(name)
-	}
-	// Serve all intercomms concurrently (fan-out); request handling is
-	// serialized by serveMu, preserving single-threaded rank semantics.
-	before := v.Stats()
-	var wg sync.WaitGroup
-	errs := make([]error, len(ics))
-	for i, ic := range ics {
-		wg.Add(1)
-		go func(i int, ic *mpi.Intercomm) {
-			defer wg.Done()
-			errs[i] = v.serveIntercomm(name, ic)
-		}(i, ic)
-	}
-	wg.Wait()
-	// With admission control on, wait out any still-running or queued
-	// stream goroutines before declaring the epoch done: no admitted stream
-	// may outlive its session, and no pooled chunk may be left in a
-	// half-written frame.
-	if adm := v.admission(); adm != nil {
-		adm.quiesce()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	v.recordEpoch(before)
-	return nil
+	return h.Wait()
 }
 
 // recordEpoch folds one completed serve session into the per-epoch
@@ -647,9 +592,17 @@ func (v *DistMetadataVOL) ServeAsync(name string) (*ServeHandle, error) {
 	if v.OnServe != nil {
 		v.OnServe(name)
 	}
+	// The controller reads the VOL's settings when it is made: make it here,
+	// on the caller's goroutine, not on the session's.
+	adm := v.admission()
 	h := &ServeHandle{done: make(chan error, 1)}
-	before := v.Stats()
+	var before ServeStats // recordEpoch's baseline; it records only with Metrics
+	if v.Metrics != nil {
+		before = v.Stats()
+	}
 	go func() {
+		// Serve all intercomms concurrently (fan-out); each has its own
+		// receive loop.
 		var wg sync.WaitGroup
 		errs := make([]error, len(ics))
 		for i, ic := range ics {
@@ -660,9 +613,10 @@ func (v *DistMetadataVOL) ServeAsync(name string) (*ServeHandle, error) {
 			}(i, ic)
 		}
 		wg.Wait()
-		if adm := v.admission(); adm != nil {
-			adm.quiesce()
-		}
+		// Wait out any still-running or queued stream goroutines before
+		// declaring the epoch done: no stream may outlive its session, and
+		// no pooled chunk may be left in a half-written frame.
+		adm.quiesce()
 		var first error
 		for _, err := range errs {
 			if err != nil {
@@ -848,9 +802,9 @@ func (v *DistMetadataVOL) replayParked(s *icServer) {
 // half-built tree or a missing index would answer with a partial hierarchy,
 // an empty redirect list or an empty stream, and the consumer would read
 // zeros without an error. Unanswerable requests park until the file's serve
-// session starts. An answerable request is answered inline (metadata and
-// redirect queries), streamed under serveMu, or streamed from an admitted
-// goroutine (MaxInflightServes > 0).
+// session starts. An answerable metadata or redirect query is answered
+// inline; a data stream enters admission here and streams from its own
+// goroutine once it holds the serve slot.
 func (v *DistMetadataVOL) dispatch(s *icServer, src int, seq uint64, req request) {
 	v.instruments()
 	var t0 time.Time
@@ -890,29 +844,29 @@ func (v *DistMetadataVOL) dispatch(s *icServer, src int, seq uint64, req request
 		v.serveMu.Unlock()
 		return
 	}
-	switch adm := v.admission(); {
-	case req.op != opDataStream:
+	if req.op != opDataStream {
 		resp := v.answer(req)
 		v.serveMu.Unlock()
 		v.observeServe(req, t0, len(resp))
 		s.srv.Respond(src, seq, resp)
-	case adm != nil:
-		v.serveMu.Unlock()
-		// Dispatch on a goroutine so the receive loop keeps draining (and
-		// shedding) while up to MaxInflightServes streams run concurrently.
-		// Goroutine count is bounded by the requests actually in flight:
-		// each one either holds an admission slot, waits in a capped tenant
-		// queue, or sheds within the queue deadline.
-		go v.serveDataStreamAdmitted(adm, s, src, seq, req)
-	default:
-		// Admission control off: the whole stream runs under serveMu,
-		// preserving single-threaded rank semantics. A halt mid-stream (this
-		// rank crashed, or the world was torn down) unwinds to serveLoop's
-		// recover, so the unlock is deferred: the rank's main goroutine may
-		// still reach FileCreate, which takes serveMu.
-		defer v.serveMu.Unlock()
-		v.countStream(v.streamResponse(s, src, seq, req))
+		return
 	}
+	tenant, ok := v.tenants[s.ic]
+	if !ok {
+		tenant = "default"
+	}
+	v.serveMu.Unlock()
+	// Enter admission here, in arrival order, so one consumer rank's
+	// streams queue in the order it sent them and a serve session's quiesce
+	// counts every stream dispatched before it; then stream from a
+	// goroutine, so the receive loop keeps answering while the stream waits
+	// for the slot or runs.
+	w, ov := v.admission().enter(tenant)
+	if ov != nil {
+		v.shedStream(s, src, seq, ov)
+		return
+	}
+	go v.serveDataStreamAdmitted(s, src, seq, req, w)
 }
 
 // answer builds the response to an answerable metadata or redirect query;
@@ -966,12 +920,10 @@ func (v *DistMetadataVOL) Stats() ServeStats {
 	v.serveMu.Lock()
 	s := v.stats
 	v.serveMu.Unlock()
-	if adm := v.admission(); adm != nil {
-		as := adm.stats()
-		s.Shed = as.shed
-		s.Queued = as.queued
-		s.QueueP99 = as.queueP99
-	}
+	as := v.admission().stats()
+	s.Shed = as.shed
+	s.Queued = as.queued
+	s.QueueP99 = as.queueP99
 	return s
 }
 

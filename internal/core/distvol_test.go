@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"lowfive/h5"
+	"lowfive/internal/buf"
 	"lowfive/internal/core"
 	"lowfive/internal/grid"
 	"lowfive/internal/stage"
@@ -756,6 +758,43 @@ func TestServeStats(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServePathDefaultNeverSheds: a VOL with no QueueDeadline sends every
+// data stream through admission and never sheds one, even on a chunk pool
+// small enough that any stream in flight puts it past the shed threshold,
+// while many consumer ranks read at once.
+func TestServePathDefaultNeverSheds(t *testing.T) {
+	dims := []int64{24, 48}
+	var mu sync.Mutex
+	var serve core.ServeStats
+	var pools []*buf.Pool
+	err := mpi.RunWorkflow([]mpi.TaskSpec{
+		{Name: "prod", Procs: 2, Main: func(p *mpi.Proc) {
+			vol := core.NewDistMetadataVOL(p.Task, nil)
+			vol.SetIntercomm("*", p.Intercomm("cons"))
+			vol.ChunkPool = buf.NewPool(256, 2)
+			produceGrid(t, p, h5.NewFileAccessProps(vol), "many.h5", dims)
+			mu.Lock()
+			serve.Add(vol.Stats())
+			pools = append(pools, vol.ChunkPool)
+			mu.Unlock()
+		}},
+		{Name: "cons", Procs: 12, Main: func(p *mpi.Proc) {
+			consumeGridColumns(t, p, distFapl(p, "prod"), "many.h5", dims)
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serve.Shed != 0 || serve.DataQueries != 24 {
+		t.Errorf("serve stats %+v, want 24 data streams and none shed", serve)
+	}
+	for i, pool := range pools {
+		if hw, limit := pool.HighWater(), pool.Limit(); hw < limit*9/10 {
+			t.Errorf("producer %d: pool high water %d never reached the shed threshold of %d", i, hw, limit*9/10)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -102,37 +101,38 @@ func (v *DistMetadataVOL) countStream(bytes, frames int64) {
 	v.stats.ChunksServed += frames
 }
 
-// serveDataStreamAdmitted answers one opDataStream request under admission
-// control: acquire a slot (or shed with an overloaded reply), stream
-// WITHOUT serveMu — the metadata tree is immutable during a serve session
-// and the chunk pool bounds memory — and fold the stats in under serveMu
-// afterwards. Runs on its own goroutine, so comm halt panics (this rank
-// crashing mid-stream) are recovered here instead of killing the process.
-func (v *DistMetadataVOL) serveDataStreamAdmitted(adm *admission, s *icServer, src int, seq uint64, req request) {
+// serveDataStreamAdmitted answers one opDataStream request that entered
+// admission: wait for the serve slot if it was queued (or shed with an
+// overloaded reply), stream WITHOUT serveMu — the metadata tree is
+// immutable during a serve session and the chunk pool bounds memory — and
+// fold the stats in under serveMu afterwards. Runs on its own goroutine, so
+// comm halt panics (this rank crashing mid-stream) are recovered here, after
+// the deferred release has passed the slot on.
+func (v *DistMetadataVOL) serveDataStreamAdmitted(s *icServer, src int, seq uint64, req request, w *admWaiter) {
 	defer func() {
 		if r := recover(); r != nil && !mpi.IsHaltPanic(r) {
 			panic(r)
 		}
 	}()
-	tenant := v.tenantOf(s.ic)
-	if err := adm.acquire(tenant); err != nil {
-		var ov *ErrOverloaded
-		ra := time.Duration(0)
-		if errors.As(err, &ov) {
-			ra = ov.RetryAfter
-			v.recordShed(src, ov)
+	adm := v.admission()
+	if w != nil {
+		if ov := adm.wait(w); ov != nil {
+			v.shedStream(s, src, seq, ov)
+			return
 		}
-		v.serveMu.Lock()
-		v.stats.Shed++ // running count; Stats() overwrites from the controller
-		v.serveMu.Unlock()
-		s.srv.RespondOverloaded(src, seq, ra)
-		return
 	}
 	defer adm.release()
 	bytes, frames := v.streamResponse(s, src, seq, req)
 	v.serveMu.Lock()
 	v.countStream(bytes, frames)
 	v.serveMu.Unlock()
+}
+
+// shedStream refuses a data-stream request with an overloaded reply
+// carrying the RetryAfter hint.
+func (v *DistMetadataVOL) shedStream(s *icServer, src int, seq uint64, ov *ErrOverloaded) {
+	v.recordShed(src, ov)
+	s.srv.RespondOverloaded(src, seq, ov.RetryAfter)
 }
 
 // recordShed puts one shed into the flight recorder, so a failed storm
@@ -153,7 +153,7 @@ func (v *DistMetadataVOL) recordShed(src int, ov *ErrOverloaded) {
 // streamResponse writes the response stream of one data-stream request,
 // returning the payload bytes and frame count. It touches no shared serve
 // state: File is guarded by its own lock and the metadata tree is immutable
-// while being served, so admitted streams may run concurrently.
+// while being served, so it runs without serveMu.
 func (v *DistMetadataVOL) streamResponse(s *icServer, src int, seq uint64, req request) (bytes int64, frames int64) {
 	v.instruments()
 	var t0 time.Time

@@ -35,11 +35,8 @@ import (
 // and an armed breaker, so its saturation converts into fast typed failures
 // rather than queue pressure.
 type StormTuning struct {
-	// MaxInflightServes is the producer serve-slot count (usually 1, the
-	// tightest bottleneck).
-	MaxInflightServes int
-	// QueueDeadline bounds admission waits and doubles as the RetryAfter
-	// hint in shed replies.
+	// QueueDeadline bounds waits for the producer's one serve slot, turns
+	// on shedding and doubles as the RetryAfter hint in shed replies.
 	QueueDeadline time.Duration
 	// MaxQueuedPerTenant caps each tenant's admission queue; the greedy
 	// tenant sheds on queue-full long before any deadline expires.
@@ -68,7 +65,6 @@ type StormTuning struct {
 // and a 3-strike breaker on the greedy side.
 func DefaultStormTuning() StormTuning {
 	return StormTuning{
-		MaxInflightServes:  1,
 		QueueDeadline:      15 * time.Millisecond,
 		MaxQueuedPerTenant: 1,
 		FavoredWeight:      8,
@@ -314,7 +310,6 @@ func (c Config) stormExchange(spec workload.Spec, st workload.StormSpec, tune St
 			vol.SetIntercomm("*", icF, icG)
 			vol.SetTenant(icF, "favored")
 			vol.SetTenant(icG, "greedy")
-			vol.MaxInflightServes = tune.MaxInflightServes
 			vol.TenantWeights = map[string]int{"favored": tune.FavoredWeight, "greedy": 1}
 			vol.QueueDeadline = tune.QueueDeadline
 			vol.MaxQueuedPerTenant = tune.MaxQueuedPerTenant

@@ -173,10 +173,7 @@ func (w *World) RunWorkflowLocal(specs []TaskSpec) error {
 		return fmt.Errorf("mpi: workflow wants %d procs, world has %d", total, w.size)
 	}
 	wr := w.localRank
-	ti := 0
-	for wr >= ranges[ti][0]+len(ranges[ti]) {
-		ti++
-	}
+	ti := taskOfRank(ranges, wr)
 	taskRank := wr - ranges[ti][0]
 	inc := w.incs[wr].Load()
 	return w.RunLocal(func(*Comm) {

@@ -80,17 +80,12 @@ type Supervisor struct {
 	// detected). It must exceed the longest pure-compute gap between a
 	// task's MPI operations.
 	Heartbeat time.Duration
-	// HeartbeatPoll is how often beats are checked; defaults to
-	// Heartbeat/4.
-	HeartbeatPoll time.Duration
 	// OnFailure decides what to do about a failure. Nil means FailWorkflow.
 	OnFailure func(f TaskFailure) Decision
 	// Backoff returns how long to wait before relaunching a task after its
 	// attempt-th restart was decided (attempt counts from 1). Nil means no
 	// delay.
 	Backoff func(task string, attempt int) time.Duration
-	// OnRestart is called right before a task's ranks are relaunched.
-	OnRestart func(task string, attempt int)
 	// StallCheck, when set, is an additional per-rank hang predicate
 	// consulted on every heartbeat poll (e.g. an application-level
 	// per-epoch deadline). Returning true fails the rank like an expired
@@ -140,6 +135,7 @@ type rankExit struct {
 	ti, taskRank int
 	gen          int
 	crashed      bool
+	peer         int // world rank whose failure killed this one, or -1
 	err          error
 }
 
@@ -171,12 +167,8 @@ func RunWorkflowSupervised(specs []TaskSpec, sup Supervisor, opts ...Option) (*W
 	defer close(stopWatch)
 
 	tasks := make([]*taskState, len(specs))
-	taskOf := make([]int, total) // world rank -> task index
-	for ti, rs := range ranges {
+	for ti := range tasks {
 		tasks[ti] = &taskState{}
-		for _, wr := range rs {
-			taskOf[wr] = ti
-		}
 	}
 	running := make([]bool, total)  // launched and not yet exited
 	hungRanks := make(map[int]bool) // failed by heartbeat, for event labeling
@@ -200,11 +192,11 @@ func RunWorkflowSupervised(specs []TaskSpec, sup Supervisor, opts ...Option) (*W
 		liveTotal++
 		wg.Add(1)
 		go func() {
-			e := rankExit{ti: ti, taskRank: taskRank, gen: gen}
+			e := rankExit{ti: ti, taskRank: taskRank, gen: gen, peer: -1}
 			defer wg.Done()
 			defer func() {
 				if rec := recover(); rec != nil {
-					switch rec.(type) {
+					switch r := rec.(type) {
 					case rankCrashPanic:
 						e.crashed = true
 					case *RankFailedError:
@@ -212,6 +204,7 @@ func RunWorkflowSupervised(specs []TaskSpec, sup Supervisor, opts ...Option) (*W
 						// recovery for; under supervision that is a cascading
 						// task failure for policy, not a world abort.
 						e.crashed = true
+						e.peer = r.Rank
 					case *AbortedError:
 						// World going down; nothing to report per rank.
 					default:
@@ -236,7 +229,7 @@ func RunWorkflowSupervised(specs []TaskSpec, sup Supervisor, opts ...Option) (*W
 	}
 
 	detect := func(wr int, hung bool, attempt int) *TaskFailure {
-		ti := taskOf[wr]
+		ti := taskOfRank(ranges, wr)
 		f := &TaskFailure{
 			Task:      specs[ti].Name,
 			Rank:      wr - ranges[ti][0],
@@ -261,7 +254,7 @@ func RunWorkflowSupervised(specs []TaskSpec, sup Supervisor, opts ...Option) (*W
 		if aborting {
 			return
 		}
-		ti := taskOf[wr]
+		ti := taskOfRank(ranges, wr)
 		ts := tasks[ti]
 		if ts.state != tsRunning && ts.state != tsDegraded {
 			return // teardown casualty or stale event
@@ -329,9 +322,6 @@ func RunWorkflowSupervised(specs []TaskSpec, sup Supervisor, opts ...Option) (*W
 		ts.gen++
 		ts.state = tsRunning
 		ts.decided = false
-		if sup.OnRestart != nil {
-			sup.OnRestart(specs[ti].Name, ts.restarts)
-		}
 		wr0 := ranges[ti][0]
 		if tr := w.tracks; tr != nil && tr[wr0] != nil {
 			tr[wr0].Instant("supervisor", "supervisor.restart",
@@ -356,6 +346,15 @@ func RunWorkflowSupervised(specs []TaskSpec, sup Supervisor, opts ...Option) (*W
 			finalErr = e.err
 		}
 		if e.crashed {
+			// A casualty of a failed peer can exit before the peer's failure
+			// event arrives. The peer is the root cause: while its task is
+			// still undecided, it decides the policy (and, failing fast, is
+			// the failure the run returns).
+			if p := e.peer; p >= 0 && w.RankFailed(p) {
+				if pts := tasks[taskOfRank(ranges, p)]; pts.state == tsRunning && !pts.decided {
+					handleFail(p)
+				}
+			}
 			handleFail(wr)
 		}
 		if ts.live > 0 {
@@ -375,7 +374,7 @@ func RunWorkflowSupervised(specs []TaskSpec, sup Supervisor, opts ...Option) (*W
 		}
 		now := time.Now().UnixNano()
 		for wr := 0; wr < total; wr++ {
-			ts := tasks[taskOf[wr]]
+			ts := tasks[taskOfRank(ranges, wr)]
 			if ts.state != tsRunning || !running[wr] || w.RankFailed(wr) {
 				continue
 			}
@@ -403,13 +402,9 @@ func RunWorkflowSupervised(specs []TaskSpec, sup Supervisor, opts ...Option) (*W
 		}
 	}
 
-	poll := sup.HeartbeatPoll
-	if poll <= 0 {
-		if sup.Heartbeat > 0 {
-			poll = sup.Heartbeat / 4
-		} else {
-			poll = 50 * time.Millisecond
-		}
+	poll := 50 * time.Millisecond
+	if sup.Heartbeat > 0 {
+		poll = sup.Heartbeat / 4
 	}
 	beatTick := time.NewTicker(poll)
 	defer beatTick.Stop()

@@ -137,6 +137,16 @@ func labelTracks(w *World, specs []TaskSpec, ranges [][]int) {
 	}
 }
 
+// taskOfRank returns the index of the task whose contiguous rank range
+// holds world rank wr.
+func taskOfRank(ranges [][]int, wr int) int {
+	ti := 0
+	for wr >= ranges[ti][0]+len(ranges[ti]) {
+		ti++
+	}
+	return ti
+}
+
 // buildProc constructs the per-process view of one task rank: the task
 // communicator and intercommunicators to every other task. inc is the
 // rank's current incarnation (0 in unsupervised worlds).
@@ -172,23 +182,7 @@ func RunWorkflow(specs []TaskSpec, opts ...Option) error {
 	labelTracks(w, specs, ranges)
 	return w.Run(func(world *Comm) {
 		wr := world.Rank()
-		// Which task does this world rank belong to?
-		ti := 0
-		for wr >= ranges[ti][0]+len(ranges[ti]) {
-			ti++
-		}
-		spec := specs[ti]
-		taskRank := wr - ranges[ti][0]
-		task := &Comm{world: w, id: deriveID(worldCommID, 0, "task", ti), ranks: ranges[ti], rank: taskRank}
-		inter := make(map[string]*Intercomm, len(specs)-1)
-		for oi, os := range specs {
-			if oi == ti {
-				continue
-			}
-			id := intercommID(spec.Name, os.Name)
-			sideA := spec.Name < os.Name
-			inter[os.Name] = NewIntercomm(w, id, ranges[ti], ranges[oi], taskRank, sideA)
-		}
-		spec.Main(&Proc{World: world, Task: task, TaskName: spec.Name, TaskIndex: ti, inter: inter})
+		ti := taskOfRank(ranges, wr)
+		specs[ti].Main(buildProc(w, specs, ranges, ti, wr-ranges[ti][0], 0, 0))
 	})
 }
